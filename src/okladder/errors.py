@@ -55,3 +55,7 @@ class GridTooCoarse(RuntimeError):
 
 class InvalidIndices(ValueError):
     """Export indices invalid for the requested kind."""
+
+
+class CertificateFailed(ArithmeticError):
+    """An exact certificate that must hold by theorem failed to hold."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfCone, SingularMap, ZeroDenominator
+from .errors import CertificateFailed, IndexOutOfCone, SingularMap, ZeroDenominator
 from .exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar
 from .okamoto import okamoto
 
@@ -76,16 +76,17 @@ def rational_solution(family: int, m: int, n: int, check_product_form: bool = Tr
     The index cone is m >= 0, n >= -1 (parameter maps land on the n = -1
     column, which is why the polynomial table extends there).  Whenever the
     product-form indices stay inside the cone the two representations are
-    asserted exactly equal.
+    checked exactly equal, raising CertificateFailed otherwise.
     """
     if m < 0 or n < -1:
         raise IndexOutOfCone("rational solutions are indexed by m >= 0, n >= -1")
     w = _log_form(family, m, n)
     alpha, beta = family_parameters(family, m, n)
     if check_product_form and not (family == 2 and m == 0) and not (family == 1 and n == -1):
-        assert product_form(family, m, n) == w, (
-            f"product and logarithmic forms disagree for family {family}, ({m},{n})"
-        )
+        if product_form(family, m, n) != w:
+            raise CertificateFailed(
+                f"product and logarithmic forms disagree for family {family}, ({m},{n})"
+            )
     return PIVSolution(w=w, alpha=alpha, beta=beta)
 
 
@@ -157,17 +158,20 @@ def backlund(s: PIVSolution, map_name: str, denominator_sign: int | None = None)
         raise SingularMap("maps are singular on the zero solution")
     c = _sqrt_fraction(-2 * b0)
     ec = Fraction(e) * c
-    two_x = RationalFn.from_poly(ExactPoly((0, 2)))
-    f_plus = w0.derivative() + two_x * w0 + w0 * w0
-    f_minus = w0.derivative() - (two_x * w0 + w0 * w0)
+    # With w0 = N/D: f+- = w0' +- (2x w0 + w0^2) = (wr +- quad) / D^2, so every
+    # image is one quotient of polynomials in N and D, reduced once.
+    n, d = w0.num, w0.den
+    d2 = d * d
+    wr = n.derivative() * d - n * d.derivative()
+    quad = _X * n * d * 2 + n * n
 
     if kind == "w1":
-        w1 = (f_minus - RationalFn.constant(ec)) / (w0 * 2)
+        w1 = RationalFn(wr - quad - d2 * ec, n * d * 2)
         alpha = (2 - 2 * a0 + 3 * ec) / 4
         beta = -Fraction(1, 2) * (1 + a0 + ec / 2) ** 2
         return PIVSolution(w1, alpha, beta)
     if kind == "w2":
-        w2 = -(f_plus - RationalFn.constant(ec)) / (w0 * 2)
+        w2 = RationalFn(-(wr + quad - d2 * ec), n * d * 2)
         alpha = -(2 + 2 * a0 + 3 * ec) / 4
         beta = -Fraction(1, 2) * (1 - a0 + ec / 2) ** 2
         return PIVSolution(w2, alpha, beta)
@@ -176,21 +180,24 @@ def backlund(s: PIVSolution, map_name: str, denominator_sign: int | None = None)
         if denominator_sign is not None
         else _W34_DENOMINATOR_SIGN_REL[kind] * ec
     )
+    # w3/w4 = w0 + 2 kappa w0 / (f+- + dc) = (N G + 2 kappa N D^2) / (D G)
+    # with G = wr +- quad + dc D^2.
     if kind == "w3":
-        den = f_plus + RationalFn.constant(dc)
-        if den.is_zero:
+        g = wr + quad + d2 * dc
+        if g.is_zero:
             raise SingularMap("w3 denominator vanishes identically")
-        w3 = w0 + w0 * 2 * (1 - a0 - ec / 2) / den
+        kappa = 1 - a0 - ec / 2
         alpha = Fraction(3, 2) - a0 / 2 - Fraction(3, 4) * dc
         beta = -Fraction(1, 2) * (1 - a0 + ec / 2) ** 2
-        return PIVSolution(w3, alpha, beta)
-    den = f_minus + RationalFn.constant(dc)
-    if den.is_zero:
-        raise SingularMap("w4 denominator vanishes identically")
-    w4 = w0 + w0 * 2 * (1 + a0 + ec / 2) / den
-    alpha = -Fraction(3, 2) - a0 / 2 + Fraction(3, 4) * dc
-    beta = -Fraction(1, 2) * (-1 - a0 + ec / 2) ** 2
-    return PIVSolution(w4, alpha, beta)
+    else:
+        g = wr - quad + d2 * dc
+        if g.is_zero:
+            raise SingularMap("w4 denominator vanishes identically")
+        kappa = 1 + a0 + ec / 2
+        alpha = -Fraction(3, 2) - a0 / 2 + Fraction(3, 4) * dc
+        beta = -Fraction(1, 2) * (-1 - a0 + ec / 2) ** 2
+    w34 = RationalFn(n * (g + d2 * (2 * kappa)), d * g)
+    return PIVSolution(w34, alpha, beta)
 
 
 def match_hierarchy_parameters(alpha: Fraction, beta: Fraction, bound: int = 12) -> list[tuple[int, int, int]]:

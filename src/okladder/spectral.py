@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfCone
+from .errors import CertificateFailed, IndexOutOfCone
 from .exact_ring import (
     ExactPoly,
     QuasiGaussian,
@@ -78,9 +78,11 @@ class HamiltonianK:
         """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
         quot, _ = divmod(self.potential_rational.num, self.potential_rational.den)
         # quot = -(8/9) x^2 + c with c rational
-        assert quot.degree == 2 and quot.coeff(2) == Fraction(-8, 9) and quot.coeff(1).is_zero
+        if not (quot.degree == 2 and quot.coeff(2) == Fraction(-8, 9) and quot.coeff(1).is_zero):
+            raise CertificateFailed(f"V - x^2 does not grow like -(8/9) x^2 at k={self.k}")
         c = quot.coeff(0)
-        assert c.is_rational
+        if not c.is_rational:
+            raise CertificateFailed(f"asymptotic constant {c} is not rational at k={self.k}")
         return self.potential_shift + c.a
 
 
@@ -117,19 +119,22 @@ class LadderOp:
         return LadderOp(tuple((-sign, f) for sign, f in reversed(self.factors)))
 
 
-def potential(k: int) -> HamiltonianK:
-    """V(x) = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
+def _potential_parts(k: int) -> tuple[ExactPoly, ExactPoly, Fraction]:
+    """(T, Q, s) with V = x^2 + T/Q^2 + s: T = -(4/9) Q_{k+2} Q_k, Q = Q_{k+1}, s = 4k + 1."""
     if k < 0:
         raise IndexOutOfCone("potential index k must be >= 0")
-    rational = RationalFn(
-        okamoto(k + 2, 0) * okamoto(k, 0) * Fraction(-4, 9),
-        okamoto(k + 1, 0) ** 2,
-    )
-    weight = QuasiGaussian(RationalFn(ExactPoly.one(), okamoto(k + 1, 0)), -1)
+    return okamoto(k + 2, 0) * okamoto(k, 0) * Fraction(-4, 9), okamoto(k + 1, 0), Fraction(4 * k + 1)
+
+
+def potential(k: int) -> HamiltonianK:
+    """V(x) = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
+    top, q, shift = _potential_parts(k)
+    rational = RationalFn(top, q**2)
+    weight = QuasiGaussian(RationalFn(ExactPoly.one(), q), -1)
     return HamiltonianK(
         k=k,
         potential_rational=rational,
-        potential_shift=Fraction(4 * k + 1),
+        potential_shift=shift,
         weight=weight,
     )
 
@@ -208,11 +213,26 @@ def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
 
 
 def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
-    """(-d^2/dx^2 + V - E) applied to weight * P; zero certifies the mode."""
-    ham = potential(mode.k)
-    phi = mode.phi()
-    out = ham.apply(phi)
-    return out - QuasiGaussian(phi.rational * RationalFn.constant(mode.energy), -1)
+    """(-d^2/dx^2 + V - E) applied to weight * P; zero certifies the mode.
+
+    With phi = (P/Q) exp(-x^2/6), Q = Q_{k+1}, the result is N/Q^3 times
+    exp(-x^2/6) where
+
+        N = -(P''Q^2 - 2P'Q'Q - PQ''Q + 2PQ'^2) + (2x/3)(P'Q - PQ')Q
+            + ((8/9)x^2 + 4k + 4/3 - E) P Q^2 - (4/9) Q_{k+2} Q_k P,
+
+    so N is assembled as one polynomial and reduced at most once; a
+    certified mode has N = 0 and needs no reduction at all.
+    """
+    top, q, shift = _potential_parts(mode.k)
+    p = mode.P
+    dp, dq = p.derivative(), q.derivative()
+    q2 = q * q
+    wr = dp * q - p * dq
+    second = dp.derivative() * q2 - (dp * dq * 2 + p * dq.derivative()) * q + p * dq * dq * 2
+    coeff = ExactPoly((shift + Fraction(1, 3) - mode.energy, 0, Fraction(8, 9)))
+    num = -second + ExactPoly((0, Fraction(2, 3))) * wr * q + coeff * p * q2 + top * p
+    return QuasiGaussian(RationalFn(num, q2 * q), -1)
 
 
 def intertwining_checks(k: int, test_fn: QuasiGaussian | None = None) -> list[bool]:

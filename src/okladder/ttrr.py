@@ -7,6 +7,7 @@ the sequence energies, and every step must collapse to a polynomial.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from .errors import NonPolynomialResult
@@ -41,6 +42,7 @@ class RecurrenceState:
         self.w2 = _MINUS_2X3 + log_derivative(q_k) - log_derivative(q_k_1)
         self.w3 = _MINUS_2X3 + log_derivative(q_k_1) - log_derivative(q_k1)
         self.entries: list[ExactPoly] = [zero_mode(k, j).P]
+        self._lock = threading.Lock()
 
     def g(self, n: int) -> RationalFn:
         return self._g_base - RationalFn.constant(energy(self.k, self.j, n))
@@ -50,12 +52,15 @@ class RecurrenceState:
         return self.entries[n]
 
     def extend_to(self, n: int) -> None:
-        while len(self.entries) <= n:
-            m = len(self.entries)
-            if m == 1:
-                self.entries.append(ttrr_first_from_state(self))
-            else:
-                self.entries.append(ttrr_next(self, m - 2))
+        # Held across the whole step so that two threads sharing a memoized
+        # state cannot both append entry m.
+        with self._lock:
+            while len(self.entries) <= n:
+                m = len(self.entries)
+                if m == 1:
+                    self.entries.append(ttrr_first_from_state(self))
+                else:
+                    self.entries.append(ttrr_next(self, m - 2))
 
 
 def _as_polynomial(value: RationalFn, context: str) -> ExactPoly:
@@ -106,9 +111,22 @@ def ttrr_next(state: RecurrenceState, n: int) -> ExactPoly:
     return _as_polynomial(result, f"recurrence step n={n + 2} (k={k}, j={j})")
 
 
+# One RecurrenceState per (k, j), shared by every caller, as the Okamoto
+# table shares Q_{m,n}; entries only ever grow.
+_STATES: dict[tuple[int, int], RecurrenceState] = {}
+_STATES_LOCK = threading.Lock()
+
+
 def ttrr_sequence(k: int, j: int, max_n: int) -> list[ExactPoly]:
-    """P_0 .. P_max_n for the (k, j) sequence."""
-    state = RecurrenceState(k, j)
+    """P_0 .. P_max_n for the (k, j) sequence, as a new list.
+
+    Sequences are memoized per (k, j): a later call only computes the
+    entries beyond those already generated.
+    """
+    with _STATES_LOCK:
+        state = _STATES.get((k, j))
+        if state is None:
+            state = _STATES[(k, j)] = RecurrenceState(k, j)
     state.extend_to(max_n)
     return state.entries[: max_n + 1]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CertificateFailed,
     DuplicateIndex,
     ExcludedDegree,
     MalformedIndexList,
@@ -146,7 +147,7 @@ def _okamoto_wronskian_indices(m: int, n: int, form: str) -> list[int]:
 def okamoto_via_wronskian(m: int, n: int, form: str) -> ExactPoly:
     """Q_{m,n} as a Wronskian of psi or pseudo-psi seeds, up to a nonzero
     scalar in Q(sqrt2); the proportionality to the recurrence table is
-    asserted before returning."""
+    checked before returning (CertificateFailed otherwise)."""
     if m + n < 1 or m < 0 or n < 0:
         raise MalformedIndexList("wronskian representation needs m, n >= 0 with m + n >= 1")
     indices = _okamoto_wronskian_indices(m, n, form)
@@ -156,9 +157,10 @@ def okamoto_via_wronskian(m: int, n: int, form: str) -> ExactPoly:
     else:
         value = wronskian([seed(i) for i in indices])
     c = value.proportionality(okamoto(m, n))
-    assert c is not None and not c.is_zero, (
-        f"wronskian form of Q_({m},{n}) is not proportional to the table entry"
-    )
+    if c is None or c.is_zero:
+        raise CertificateFailed(
+            f"wronskian form of Q_({m},{n}) is not proportional to the table entry"
+        )
     return value
 
 
@@ -275,15 +277,17 @@ def sqrt3_rescale(p: ExactPoly) -> ExactPoly:
 
 def xhermite_from_ttrr(k: int, j: int, n: int) -> ExactPoly:
     """The recurrence route to the exceptional family: P_{n;j} rescaled by
-    x -> sqrt3 x, asserted proportional to the Wronskian definition at
-    degree index sigma_{n;j} for the staircase partition (1, .., k)."""
+    x -> sqrt3 x, checked proportional to the Wronskian definition at
+    degree index sigma_{n;j} for the staircase partition (1, .., k)
+    (CertificateFailed otherwise)."""
     p = ttrr_sequence(k, j, n)[n]
     rescaled = sqrt3_rescale(p)
     target = exceptional_hermite(list(range(1, k + 1)), sigma_index(k, j, n))
     c = rescaled.proportionality(target)
-    assert c is not None and not c.is_zero, (
-        f"recurrence route and Wronskian definition disagree at (k={k}, j={j}, n={n})"
-    )
+    if c is None or c.is_zero:
+        raise CertificateFailed(
+            f"recurrence route and Wronskian definition disagree at (k={k}, j={j}, n={n})"
+        )
     return rescaled
 
 

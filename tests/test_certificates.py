@@ -1,0 +1,86 @@
+"""Certificates raise CertificateFailed, also under `python -O`.
+
+Each case corrupts one input of a certificate in a fresh interpreter
+started with -O (which strips `assert` statements) and expects the typed
+error, so no certificate can silently vanish.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_SCRIPT = r"""
+import sys
+from fractions import Fraction
+
+from okladder import wronskian_rep
+from okladder.errors import CertificateFailed
+from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, QuasiGaussian
+from okladder.okamoto import DEFAULT_TABLE, okamoto
+from okladder.painleve4 import rational_solution
+from okladder.spectral import HamiltonianK
+
+assert sys.flags.optimize >= 1
+
+
+def product_form_check():
+    for key in ((2, 1), (1, 1), (2, 0), (1, 2)):
+        okamoto(*key)
+    DEFAULT_TABLE._memo[(1, 2)] = okamoto(1, 2) * 2
+    rational_solution(1, 1, 1)
+
+
+def _hamiltonian(quotient):
+    weight = QuasiGaussian(RationalFn.one(), -1)
+    return HamiltonianK(0, RationalFn.from_poly(quotient), Fraction(1), weight)
+
+
+def asymptotic_growth():
+    _hamiltonian(ExactPoly((0, 0, Fraction(-7, 9)))).asymptotic_constant()
+
+
+def asymptotic_rational():
+    _hamiltonian(ExactPoly((SQRT2, 0, Fraction(-8, 9)))).asymptotic_constant()
+
+
+def okamoto_wronskian():
+    okamoto(2, 0)
+    DEFAULT_TABLE._memo[(2, 0)] = ExactPoly((1, 1))
+    wronskian_rep.okamoto_via_wronskian(2, 0, "psi")
+
+
+def xhermite():
+    wronskian_rep.ttrr_sequence = lambda k, j, n: [ExactPoly((0, 0, 1))] * (n + 1)
+    wronskian_rep.xhermite_from_ttrr(1, 1, 1)
+
+
+for case in (product_form_check, asymptotic_growth, asymptotic_rational, okamoto_wronskian, xhermite):
+    try:
+        case()
+    except CertificateFailed:
+        print(case.__name__, "raised")
+    else:
+        print(case.__name__, "passed silently")
+"""
+
+
+def test_corrupted_certificates_raise_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [
+        "product_form_check raised",
+        "asymptotic_growth raised",
+        "asymptotic_rational raised",
+        "okamoto_wronskian raised",
+        "xhermite raised",
+    ]

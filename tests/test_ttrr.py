@@ -1,9 +1,12 @@
 """Three-term recurrence: first steps, iteration, reduced equation, norms."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from okladder import ttrr
 from okladder.exact_ring import ExactPoly
 from okladder.reference_data import MODE_TABLE
 from okladder.spectral import energy, mode_degree
@@ -135,3 +138,39 @@ class TestNormalization:
 
     def test_two_factors(self):
         assert normalization_sq(0, 2, 2) == Fraction(64, 9) * Fraction(560, 9)
+
+
+class TestMemo:
+    def test_extension_matches_fresh_state(self, monkeypatch):
+        monkeypatch.setattr(ttrr, "_STATES", {})
+        short = ttrr_sequence(1, 3, 1)
+        extended = ttrr_sequence(1, 3, 4)
+        fresh = RecurrenceState(1, 3)
+        fresh.extend_to(4)
+        assert extended == fresh.entries
+        assert extended[:2] == short
+
+    def test_returned_list_is_a_copy(self):
+        expected = list(ttrr_sequence(1, 1, 2))
+        seq = ttrr_sequence(1, 1, 2)
+        seq[0] = ExactPoly.zero()
+        seq.append(ExactPoly.one())
+        assert ttrr_sequence(1, 1, 2) == expected
+        assert len(ttrr_sequence(1, 1, 3)) == 4
+
+    def test_concurrent_extension_appends_each_entry_once(self):
+        reference = RecurrenceState(0, 2)
+        reference.extend_to(4)
+        shared = RecurrenceState(0, 2)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=shared.extend_to, args=(4,)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert shared.entries == reference.entries

@@ -27,6 +27,18 @@ def test_worker_pool_matches_serial():
     assert serial == parallel
 
 
+def test_worker_pool_shares_ttrr_memo(monkeypatch):
+    from okladder import ttrr
+
+    config = VerifySuiteConfig(k_max=1, n_max=2, which=("ladder", "ode"))
+    monkeypatch.setattr(ttrr, "_STATES", {})
+    parallel = run_verify(config, jobs=4)
+    monkeypatch.setattr(ttrr, "_STATES", {})
+    serial = run_verify(config, jobs=1)
+    assert parallel == serial
+    assert all(r.passed for r in parallel)
+
+
 def test_crash_becomes_failure(monkeypatch):
     from okladder import verify as verify_mod
 
