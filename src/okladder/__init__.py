@@ -13,7 +13,6 @@ from .exact_ring import (
     apply_first_order,
     log_derivative,
     poly_gcd,
-    poly_mul_div,
     wronskian,
 )
 from .okamoto import OkamotoTable, okamoto, okamoto_degree

@@ -409,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cache = _cache_path()
-    if cache:
-        DEFAULT_TABLE.load(cache)
     try:
+        if cache:
+            DEFAULT_TABLE.load(cache)
         code = args.handler(args)
     except (InvalidIndices, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,3 +59,7 @@ class InvalidIndices(ValueError):
 
 class CertificateFailed(ArithmeticError):
     """An exact certificate that must hold by theorem failed to hold."""
+
+
+class CorruptCache(ValueError):
+    """An on-disk Okamoto table cache that is unreadable or fails validation."""

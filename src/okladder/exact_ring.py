@@ -168,6 +168,14 @@ SQRT2 = SqrtTwoScalar(0, 1)
 _ZERO = SqrtTwoScalar(0, 0)
 _ONE = SqrtTwoScalar(1, 0)
 
+
+def _scalar(a: int, b: int, den: int) -> SqrtTwoScalar:
+    """(a + b*sqrt2)/den from integers, den > 0."""
+    if not a and not b:
+        return _ZERO
+    return SqrtTwoScalar(Fraction(a, den), Fraction(b, den))
+
+
 # Primes p = 7 (mod 8), so 2 is a quadratic residue and sqrt2 has a mod-p
 # image; used for fast coprimality certificates in the polynomial gcd.
 _CERT_PRIMES: list[tuple[int, int]] = []
@@ -296,8 +304,8 @@ class ExactPoly:
         for c in self.coeffs:
             den = den * c.a.denominator // math.gcd(den, c.a.denominator)
             den = den * c.b.denominator // math.gcd(den, c.b.denominator)
-        A = [int(c.a * den) for c in self.coeffs]
-        B = [int(c.b * den) for c in self.coeffs]
+        A = [c.a.numerator * (den // c.a.denominator) for c in self.coeffs]
+        B = [c.b.numerator * (den // c.b.denominator) for c in self.coeffs]
         object.__setattr__(self, "_ints", (A, B, den))
         return A, B, den
 
@@ -318,21 +326,18 @@ class ExactPoly:
         n1, n2 = len(A1), len(A2)
         ra = [0] * (n1 + n2 - 1)
         rb = [0] * (n1 + n2 - 1)
+        terms = [(j, A2[j], B2[j]) for j in range(n2) if A2[j] or B2[j]]
         for i in range(n1):
             a1 = A1[i]
             b1 = B1[i]
             if a1 == 0 and b1 == 0:
                 continue
-            for j in range(n2):
+            for j, a2, b2 in terms:
                 k = i + j
-                a2 = A2[j]
-                b2 = B2[j]
                 ra[k] += a1 * a2 + 2 * b1 * b2
                 rb[k] += a1 * b2 + b1 * a2
         den = d1 * d2
-        return ExactPoly(
-            tuple(SqrtTwoScalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb))
-        )
+        return ExactPoly(tuple(_scalar(a, b, den) for a, b in zip(ra, rb)))
 
     __rmul__ = __mul__
 
@@ -354,20 +359,55 @@ class ExactPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return ExactPoly.zero(), self
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        quot = [_ZERO] * (dq + 1)
-        inv_lead = other.leading.inverse()
-        oc = other.coeffs
-        for i in range(dq, -1, -1):
-            c = rem[i + len(oc) - 1]
-            if c.is_zero:
+        # Fraction-free long division on the integer arrays.  The dividend is
+        # (A + B*sqrt2)/dp and the divisor (C + D*sqrt2)/dg; the remainder is
+        # held as (ra + rb*sqrt2)/(dp*scale) with integer ra, rb.  A quotient
+        # step multiplies the top remainder entry by the conjugate of the
+        # divisor's lead and divides by the lead's norm; only when that
+        # division is inexact does the whole remainder move to a finer scale.
+        A, B, dp = self._int_arrays()
+        C, D, dg = other._int_arrays()
+        ra, rb = list(A), list(B)
+        last = len(C) - 1
+        lc, ld = C[last], D[last]
+        g = math.gcd(lc, ld)
+        ca, cb, norm = lc // g, -ld // g, (lc * lc - 2 * ld * ld) // g
+        if norm < 0:
+            ca, cb, norm = -ca, -cb, -norm
+        terms = [(j, C[j], D[j]) for j in range(last) if C[j] or D[j]]
+        scale = 1
+        steps = []
+        for i in range(len(A) - 1 - last, -1, -1):
+            ua, ub = ra[i + last], rb[i + last]
+            if not ua and not ub:
                 continue
-            q = c * inv_lead
-            quot[i] = q
-            for j, ocj in enumerate(oc):
-                rem[i + j] = rem[i + j] - q * ocj
-        return ExactPoly(quot), ExactPoly(rem)
+            qa = ua * ca + 2 * ub * cb
+            qb = ua * cb + ub * ca
+            if qa % norm or qb % norm:
+                f = norm // math.gcd(norm, qa, qb)
+                top = i + last
+                ra[:top] = [v * f for v in ra[:top]]
+                rb[:top] = [v * f for v in rb[:top]]
+                scale *= f
+                qa *= f
+                qb *= f
+            qa //= norm
+            qb //= norm
+            steps.append((i, qa, qb, scale))
+            for j, cj, dj in terms:
+                k = i + j
+                ra[k] -= qa * cj + 2 * qb * dj
+                rb[k] -= qa * dj + qb * cj
+        # The quotient entry made at scale s is (qa + qb*sqrt2)*dg/(dp*s).
+        quot = [_ZERO] * (len(A) - last)
+        for i, qa, qb, s in steps:
+            quot[i] = _scalar(qa * dg, qb * dg, dp * s)
+        if not any(ra[:last]) and not any(rb[:last]):
+            return ExactPoly(quot), ExactPoly.zero()
+        rden = dp * scale
+        return ExactPoly(quot), ExactPoly(
+            tuple(_scalar(a, b, rden) for a, b in zip(ra[:last], rb[:last]))
+        )
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
         q, r = divmod(self, other)
@@ -534,21 +574,6 @@ def poly_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
         _, r = divmod(a, b)
         a, b = b, (r.lattice_primitive() if not r.is_zero else r)
     return a.monic()
-
-
-def poly_mul_div(p: ExactPoly, q: ExactPoly, mode: str) -> ExactPoly:
-    """Multiply or exactly divide two polynomials.
-
-    mode 'divide_exact' raises NonZeroRemainder when q does not divide p,
-    which flags a wrong recurrence instance upstream.
-    """
-    if mode == "multiply":
-        return p * q
-    if mode == "divide_exact":
-        if q.is_zero:
-            raise ZeroDivisionError("divide_exact by zero polynomial")
-        return p.exact_div(q)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 class RationalFn:

@@ -8,11 +8,13 @@ nonzero remainder signals a wrong recurrence instance and raises.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 from fractions import Fraction
 
-from .errors import IndexOutOfCone
+from .errors import CorruptCache, IndexOutOfCone
 from .exact_ring import SQRT2, ExactPoly
 
 # 2x^2 reused by both recurrence right-hand sides.
@@ -84,8 +86,10 @@ class OkamotoTable:
         return value
 
     def _fill_column(self, m: int, n: int) -> ExactPoly:
-        # Ascend the first index from the two seeds of column n.
-        top = max(mm for (mm, nn) in self._memo if nn == n and (mm - 1, n) in self._memo)
+        # Ascend the first index from the two seeds of column n.  The keys
+        # are snapshotted because other threads may insert while we scan.
+        known = list(self._memo)
+        top = max(mm for (mm, nn) in known if nn == n and (mm - 1, n) in self._memo)
         for mm in range(top, m):
             nxt = _rhs_first_index(mm, n, self._memo[(mm, n)]).exact_div(
                 self._memo[(mm - 1, n)]
@@ -95,20 +99,65 @@ class OkamotoTable:
 
     # -- optional on-disk persistence (used by the CLI cache) ----------------
     def dump(self, path: str) -> None:
+        """Write the table as JSON through a temp file in the same directory
+        that is renamed over `path`, so the file is always whole."""
         data = {
-            f"{m},{n}": poly.to_json_dict() for (m, n), poly in self._memo.items()
+            f"{m},{n}": poly.to_json_dict() for (m, n), poly in list(self._memo.items())
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
+        # One temp name per process and thread, so concurrent dumps never
+        # share a file; it is created like `path` itself, under the umask.
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(data, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def load(self, path: str) -> None:
+        """Merge a cache written by `dump`.  The file is untrusted: every key
+        must name an index in the cone and every entry must be a polynomial of
+        degree okamoto_degree(m, n), or CorruptCache is raised and nothing is
+        merged.  The recurrences are not re-checked."""
         if not os.path.exists(path):
             return
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:
+            raise CorruptCache(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise CorruptCache(f"{path} does not hold a table of polynomials")
+        entries = {}
         for key, entry in data.items():
-            m, n = (int(part) for part in key.split(","))
-            self._memo.setdefault((m, n), ExactPoly.from_json_dict(entry))
+            m, n = _cache_key(key)
+            try:
+                poly = ExactPoly.from_json_dict(entry)
+            except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                raise CorruptCache(f"cached Q_({m},{n}) is malformed") from exc
+            if poly.degree != okamoto_degree(m, n):
+                raise CorruptCache(
+                    f"cached Q_({m},{n}) has degree {poly.degree}, "
+                    f"expected {okamoto_degree(m, n)}"
+                )
+            entries[(m, n)] = poly
+        for key, poly in entries.items():
+            self._memo.setdefault(key, poly)
+
+
+def _cache_key(key: str) -> tuple[int, int]:
+    """(m, n) from a cache key "m,n" that names an index in the cone."""
+    try:
+        m, n = (int(part) for part in key.split(","))
+    except ValueError:
+        raise CorruptCache(f"cache key {key!r} is not of the form 'm,n'") from None
+    if key != f"{m},{n}":
+        raise CorruptCache(f"cache key {key!r} is not of the form 'm,n'")
+    if m < 0 or n < -1:
+        raise CorruptCache(f"cache key {key!r} is outside the cone m >= 0, n >= -1")
+    return m, n
 
 
 DEFAULT_TABLE = OkamotoTable()

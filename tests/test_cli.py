@@ -216,6 +216,25 @@ class TestCache:
         code, _ = run_cli(["--quiet", "okamoto", "--m", "3", "--n", "1"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({"3,1": {"coeffs": [["1/1", "0/1"]]}}),
+        ],
+        ids=["truncated", "wrong-degree"],
+    )
+    def test_corrupt_cache_exits_2(self, corrupt, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OKLADDER_CACHE_DIR", str(tmp_path))
+        assert run_cli(["--quiet", "okamoto", "--m", "3", "--n", "1"], capsys)[0] == 0
+        cache_file = tmp_path / "okamoto_table.json"
+        cache_file.write_text(corrupt(cache_file.read_text()))
+        code = main(["okamoto", "--m", "3", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 def test_entry_point_subprocess():
     proc = subprocess.run(

@@ -17,7 +17,6 @@ from okladder.exact_ring import (
     SqrtTwoScalar,
     apply_first_order,
     poly_gcd,
-    poly_mul_div,
     wronskian,
 )
 
@@ -84,26 +83,26 @@ class TestPoly:
 
     def test_self_division(self):
         p = ExactPoly((3, 0, 2))  # 2x^2 + 3
-        assert poly_mul_div(p * p, p, "divide_exact") == p
+        assert (p * p).exact_div(p) == p
 
     def test_sqrt2_x_squared(self):
         sx = ExactPoly((0, SQRT2))
-        assert poly_mul_div(sx, sx, "multiply") == ExactPoly((0, 0, 2))
+        assert sx * sx == ExactPoly((0, 0, 2))
 
     def test_divide_exact_table_row(self):
         q3 = ExactPoly((135, 0, 90, 0, 60, 0, 8))
-        assert poly_mul_div(q3, ExactPoly.one(), "divide_exact") == q3
+        assert q3.exact_div(ExactPoly.one()) == q3
 
     def test_nonzero_remainder(self):
         with pytest.raises(NonZeroRemainder):
-            poly_mul_div(ExactPoly((1, 1)), ExactPoly((0, 0, 1)), "divide_exact")
+            ExactPoly((1, 1)).exact_div(ExactPoly((0, 0, 1)))
 
     @given(small_polys(), small_polys())
     @settings(max_examples=60)
     def test_mul_then_exact_divide_roundtrip(self, r, q):
         if q.is_zero:
             return
-        assert poly_mul_div(poly_mul_div(r, q, "multiply"), q, "divide_exact") == r
+        assert (r * q).exact_div(q) == r
 
     @given(small_polys(), small_polys(), small_polys())
     @settings(max_examples=40)
@@ -143,6 +142,135 @@ class TestPoly:
         assert ExactPoly((1, 0, 3)).parity() == 0
         assert ExactPoly((0, 1, 0, 3)).parity() == 1
         assert ExactPoly((1, 1)).parity() is None
+
+
+def divmod_oracle(p: ExactPoly, d: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """Schoolbook long division over SqrtTwoScalar Fractions, the kernel
+    `ExactPoly.__divmod__` used before it moved to the integer arrays."""
+    if p.degree < d.degree:
+        return ExactPoly.zero(), p
+    rem = list(p.coeffs)
+    dq = len(rem) - len(d.coeffs)
+    quot = [SqrtTwoScalar(0, 0)] * (dq + 1)
+    inv_lead = d.leading.inverse()
+    for i in range(dq, -1, -1):
+        c = rem[i + len(d.coeffs) - 1]
+        if c.is_zero:
+            continue
+        q = c * inv_lead
+        quot[i] = q
+        for j, dj in enumerate(d.coeffs):
+            rem[i + j] = rem[i + j] - q * dj
+    return ExactPoly(quot), ExactPoly(rem)
+
+
+def same_division(p: ExactPoly, d: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    q, r = divmod(p, d)
+    q_ref, r_ref = divmod_oracle(p, d)
+    assert q.to_json_dict() == q_ref.to_json_dict()
+    assert r.to_json_dict() == r_ref.to_json_dict()
+    return q, r
+
+
+_zero = st.just(SqrtTwoScalar(0, 0))
+_rationals = st.builds(SqrtTwoScalar, fractions)
+_sqrt2_only = st.builds(lambda b: SqrtTwoScalar(0, b), fractions)
+_integral = st.builds(SqrtTwoScalar, st.integers(-60, 60), st.integers(-60, 60))
+# Zero weighs as much as every other kind together, so zero runs are common.
+division_scalars = st.one_of(_zero, _zero, _zero, _zero, scalars, _rationals, _sqrt2_only, _integral)
+nonzero_leads = st.one_of(scalars, _rationals, _sqrt2_only, _integral).filter(bool)
+
+
+def division_polys(max_degree=10):
+    return st.lists(division_scalars, max_size=max_degree + 1).map(ExactPoly)
+
+
+@st.composite
+def divisors(draw, max_degree=5):
+    body = draw(st.lists(division_scalars, max_size=max_degree))
+    return ExactPoly(body + [draw(nonzero_leads)])
+
+
+class TestDivisionKernel:
+    @given(division_polys(), divisors())
+    @settings(max_examples=200, deadline=None)
+    def test_divmod_matches_oracle(self, p, d):
+        q, r = same_division(p, d)
+        assert r.degree < d.degree
+        assert q * d + r == p
+
+    @given(division_polys(6), divisors())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_quotient_matches_oracle(self, q, d):
+        got, r = same_division(q * d, d)
+        assert got == q and r.is_zero
+        assert (q * d).exact_div(d) == q
+
+    @given(division_polys(6), divisors(), division_polys(5))
+    @settings(max_examples=100, deadline=None)
+    def test_remainder_raises_and_matches(self, q, d, r):
+        r = ExactPoly(r.coeffs[: d.degree])
+        if r.is_zero:
+            return
+        p = q * d + r
+        assert same_division(p, d) == (q, r)
+        with pytest.raises(NonZeroRemainder):
+            p.exact_div(d)
+
+    @pytest.mark.parametrize(
+        "lead",
+        [
+            SqrtTwoScalar(3, 2),
+            SqrtTwoScalar(Fraction(-1, 3), Fraction(5, 7)),
+            SqrtTwoScalar(0, Fraction(-3, 4)),
+            SqrtTwoScalar(Fraction(7, 2), 0),
+        ],
+    )
+    def test_leads_needing_a_finer_scale(self, lead):
+        d = ExactPoly((SqrtTwoScalar(1, 1), 0, 0, Fraction(2, 3), lead))
+        p = ExactPoly((Fraction(1, 5), SQRT2, 0, 0, 0, 0, 0, 3, 0, SqrtTwoScalar(5, -1), 1))
+        same_division(p, d)
+        q = ExactPoly((SqrtTwoScalar(Fraction(1, 3), 1), 0, 0, -1, SQRT2))
+        assert same_division(q * d, d) == (q, ExactPoly.zero())
+
+    def test_dividend_of_lower_degree(self):
+        p, d = ExactPoly((1, SQRT2)), ExactPoly((0, 0, Fraction(1, 2)))
+        assert same_division(p, d) == (ExactPoly.zero(), p)
+        assert same_division(ExactPoly.zero(), d) == (ExactPoly.zero(), ExactPoly.zero())
+
+    def test_sqrt2_only_remainder(self):
+        p, d = ExactPoly((SQRT2, 0, 1)), ExactPoly((0, 0, 1))
+        assert same_division(p, d) == (ExactPoly.one(), ExactPoly.constant(SQRT2))
+        with pytest.raises(NonZeroRemainder):
+            p.exact_div(d)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(ExactPoly.one(), ExactPoly.zero())
+
+    def test_okamoto_fill_divisions_match_oracle(self, monkeypatch):
+        from okladder.okamoto import OkamotoTable
+
+        seen = []
+        exact_div = ExactPoly.exact_div
+
+        def recording(p, d):
+            seen.append((p, d))
+            return exact_div(p, d)
+
+        monkeypatch.setattr(ExactPoly, "exact_div", recording)
+        table = OkamotoTable()
+        for m in range(7):
+            for n in range(-1, 7):
+                table.get(m, n)
+        monkeypatch.undo()
+        assert len(seen) == 7 * 8 - 4  # every entry but the four seeds
+        for p, d in seen:
+            _, r = same_division(p, d)
+            assert r.is_zero
+            if d.degree > 0:
+                with pytest.raises(NonZeroRemainder):
+                    (p + ExactPoly.one()).exact_div(d)
 
 
 class TestRationalFn:

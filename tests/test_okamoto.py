@@ -1,12 +1,15 @@
 """Generation, seeding, degrees, parity, and recurrence consistency."""
 
 import json
+import os
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from okladder.errors import IndexOutOfCone
+from okladder.errors import CorruptCache, IndexOutOfCone
 from okladder.exact_ring import SQRT2, ExactPoly
 from okladder.okamoto import OkamotoTable, okamoto, okamoto_degree
 from okladder.reference_data import (
@@ -125,3 +128,131 @@ def test_disk_roundtrip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     assert "3,1" in data
+
+
+def test_concurrent_fills_of_many_columns():
+    # Threads fill different columns of one table, so one thread scans the
+    # memo in _fill_column while others insert into it.
+    keys = [(m, n) for m in range(2, 6) for n in (-1, 0, 1, 2)]
+    reference = OkamotoTable()
+    expected = {k: reference.get(*k) for k in keys}
+    orders = [keys[i::4] for i in range(4)] + [keys[::-1]]
+    errors = []
+    previous = sys.getswitchinterval()
+    deadline = time.monotonic() + 2
+    sys.setswitchinterval(1e-6)
+    try:
+        while time.monotonic() < deadline and not errors:
+            table = OkamotoTable()
+
+            def worker(order):
+                try:
+                    for k in order:
+                        assert table.get(*k) == expected[k], k
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors, errors[0]
+
+
+def _valid_entry(m, n):
+    return okamoto(m, n).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"-1,0": {"coeffs": [["1/1", "0/1"]]}},
+        {"2,-2": {"coeffs": [["1/1", "0/1"]]}},
+        {"3;1": _valid_entry(3, 1)},
+        {"3,1,0": _valid_entry(3, 1)},
+        {"03,1": _valid_entry(3, 1)},
+        {"a,b": _valid_entry(3, 1)},
+        {"3,1": []},
+        {"3,1": {"coefs": [["1/1", "0/1"]]}},
+        {"3,1": {"coeffs": [["1/0", "0/1"]]}},
+        {"3,1": {"coeffs": [["1/1"]]}},
+        {"3,1": {"coeffs": [["x", "0/1"]]}},
+        {"3,1": {"coeffs": [["1/1", "0/1"]]}},
+        {"3,1": {"coeffs": []}},
+        ["3,1"],
+    ],
+)
+def test_load_rejects_corrupt_entries(tmp_path, payload):
+    path = tmp_path / "table.json"
+    if isinstance(payload, dict):
+        payload = {"2,0": _valid_entry(2, 0), **payload}
+    path.write_text(json.dumps(payload))
+    table = OkamotoTable()
+    before = table.known_indices()
+    with pytest.raises(CorruptCache):
+        table.load(str(path))
+    assert table.known_indices() == before  # nothing merged
+
+
+def test_load_rejects_truncated_json(tmp_path):
+    table = OkamotoTable()
+    table.get(3, 1)
+    path = tmp_path / "table.json"
+    table.dump(str(path))
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(CorruptCache):
+        OkamotoTable().load(str(path))
+
+
+def test_dump_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    table = OkamotoTable()
+    table.get(2, 1)
+    table.dump(str(path))
+    before = path.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"2,1": {"coeffs": [["')
+        raise OSError("disk full")
+
+    table.get(4, 1)
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        table.dump(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["table.json"]
+
+
+def test_concurrent_dumps_leave_a_whole_file(tmp_path):
+    table = OkamotoTable()
+    table.get(5, 2)
+    path = str(tmp_path / "table.json")
+    errors = []
+
+    def worker():
+        try:
+            table.dump(path)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert os.listdir(tmp_path) == ["table.json"]
+    fresh = OkamotoTable()
+    fresh.load(path)
+    assert fresh.get(5, 2) == table.get(5, 2)
