@@ -61,6 +61,11 @@ class OkamotoTable:
             (0, 1): one,
             (1, 1): ExactPoly((0, SQRT2)),
         }
+        # (path, raw bytes, memo size if the file held the whole memo else
+        # None): what the cache file held when this table last validated or
+        # wrote it.  Replaced as one tuple, so concurrent dumps never leave
+        # it half-updated.
+        self._seen: tuple[str, bytes, int | None] | None = None
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._memo
@@ -100,32 +105,48 @@ class OkamotoTable:
     # -- optional on-disk persistence (used by the CLI cache) ----------------
     def dump(self, path: str) -> None:
         """Write the table as JSON through a temp file in the same directory
-        that is renamed over `path`, so the file is always whole."""
-        data = {
-            f"{m},{n}": poly.to_json_dict() for (m, n), poly in list(self._memo.items())
-        }
+        that is renamed over `path`, so the file is always whole.  Nothing is
+        written when the memo has gained no entry since this table last wrote
+        or fully loaded `path` and the file still holds those same bytes."""
+        items = list(self._memo.items())
+        seen = self._seen
+        if seen is not None and seen[0] == path and seen[2] == len(items):
+            with contextlib.suppress(OSError):
+                if _read_bytes(path) == seen[1]:
+                    return
+        data = {f"{m},{n}": poly.to_json_dict() for (m, n), poly in items}
         # One temp name per process and thread, so concurrent dumps never
         # share a file; it is created like `path` itself, under the umask.
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, sort_keys=True)
+            raw = _read_bytes(tmp)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
+        self._seen = (path, raw, len(items))
 
     def load(self, path: str) -> None:
-        """Merge a cache written by `dump`.  The file is untrusted: every key
-        must name an index in the cone and every entry must be a polynomial of
-        degree okamoto_degree(m, n), or CorruptCache is raised and nothing is
+        """Merge a cache written by `dump`; a missing file is an empty cache.
+        The file is untrusted: unless its bytes are exactly those this table
+        last validated or wrote for `path`, every key must name an index in
+        the cone and every entry must be a polynomial of degree
+        okamoto_degree(m, n), or CorruptCache is raised and nothing is
         merged.  The recurrences are not re-checked."""
-        if not os.path.exists(path):
-            return
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            raw = _read_bytes(path)
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise CorruptCache(f"{path} cannot be read: {exc.strerror}") from exc
+        seen = self._seen
+        if seen is not None and seen[0] == path and seen[1] == raw:
+            return  # the append-only memo already holds these entries
+        try:
+            data = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
             raise CorruptCache(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -145,6 +166,15 @@ class OkamotoTable:
             entries[(m, n)] = poly
         for key, poly in entries.items():
             self._memo.setdefault(key, poly)
+        # The merged memo holds every file entry, so equal sizes mean the
+        # file held the whole memo.
+        size = len(self._memo)
+        self._seen = (path, raw, size if size == len(entries) else None)
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _cache_key(key: str) -> tuple[int, int]:

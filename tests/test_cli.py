@@ -1,12 +1,21 @@
 """Command-line surface: schemas, determinism, exit codes, cache."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from okladder import cli
 from okladder.cli import main
+from okladder.okamoto import OkamotoTable
+
+# The package re-exports the function `okamoto` under the module's name.
+okamoto_mod = importlib.import_module("okladder.okamoto")
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -234,6 +243,140 @@ class TestCache:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_unreadable_cache_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OKLADDER_CACHE_DIR", str(tmp_path))
+        (tmp_path / "okamoto_table.json").mkdir()
+        code = main(["okamoto", "--m", "1", "--n", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.fixture
+def session(tmp_path, monkeypatch):
+    """A cache directory and a fresh, empty table shared by the CLI calls of
+    one test, as in one long-lived process; returns the cache file path."""
+    table = OkamotoTable()
+    monkeypatch.setattr(okamoto_mod, "DEFAULT_TABLE", table)
+    monkeypatch.setattr(cli, "DEFAULT_TABLE", table)
+    monkeypatch.setenv("OKLADDER_CACHE_DIR", str(tmp_path))
+    return tmp_path / "okamoto_table.json"
+
+
+class TestSession:
+    def test_memo_hit_leaves_cache_file_untouched(self, session, capsys):
+        assert run_cli(["okamoto", "--m", "3", "--n", "1"], capsys)[0] == 0
+        before = os.stat(session)
+        for argv in (["okamoto", "--m", "3", "--n", "1"], ["okamoto", "--m", "2", "--n", "1"]):
+            assert run_cli(argv, capsys)[0] == 0
+        after = os.stat(session)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_same_size_tamper_between_calls_is_caught(self, session, capsys):
+        assert run_cli(["okamoto", "--m", "3", "--n", "1"], capsys)[0] == 0
+        stat = os.stat(session)
+        raw = session.read_bytes()
+        tampered = raw.replace(b'"3,1"', b'"3;1"')
+        assert tampered != raw and len(tampered) == len(raw)
+        session.write_bytes(tampered)
+        os.utime(session, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(session).st_mtime_ns == stat.st_mtime_ns
+        code = main(["okamoto", "--m", "3", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_valid_extra_entry_is_merged_and_served(self, session, capsys):
+        assert run_cli(["okamoto", "--m", "2", "--n", "0"], capsys)[0] == 0
+        data = json.loads(session.read_text())
+        q52 = OkamotoTable().get(5, 2)
+        data["5,2"] = q52.to_json_dict()
+        session.write_text(json.dumps(data, sort_keys=True))
+        written = session.read_bytes()
+        code, out = run_cli(["okamoto", "--m", "5", "--n", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == q52.to_json_dict()["coeffs"]
+        # served from the file: computing Q_{5,2} would have filled Q_{5,0}
+        assert (5, 0) not in okamoto_mod.DEFAULT_TABLE
+        # the file held the whole table, so it was not rewritten
+        assert session.read_bytes() == written
+
+    def test_one_parser_matches_fresh_parsers(self, session, capsys, monkeypatch):
+        identities = ["verify", "--suite", "identities", "--k-max", "1"]
+        calls = [
+            ["okamoto", "--m", "2", "--n", "0", "--pretty"],
+            ["okamoto", "--m", "2", "--n", "0"],
+            ["--json", "okamoto", "--m", "2", "--n", "0", "--pretty"],
+            ["okamoto", "--m", "3", "--n", "1", "--pretty"],
+            ["okamoto", "--m", "3", "--n", "1", "--json"],
+            ["--json", *identities],
+            identities,
+            ["--jobs", "2", *identities],
+            [*identities, "--suite", "tables"],
+            ["verify", "--k-max", "1", "--n-max", "1", "--suite", "tables"],
+            ["--quiet", *identities],
+            identities,
+            ["modes", "--k", "1", "--j", "3", "--n", "0", "--pretty"],
+            ["modes", "--k", "1", "--j", "3", "--n", "0"],
+            ["xhermite", "--k", "1", "--j", "2", "--n", "1", "--pretty"],
+            ["xhermite", "--k", "1", "--j", "2", "--n", "1", "--via", "wronskian"],
+            ["xhermite", "--k", "1", "--j", "2", "--n", "1"],
+            ["piv", "--family", "1", "--m", "1", "--n", "0", "--residual"],
+            ["piv", "--family", "1", "--m", "1", "--n", "0"],
+            ["piv", "--family", "2", "--m", "0", "--n", "0", "--backlund", "w1+"],
+            ["piv", "--family", "2", "--m", "0", "--n", "0"],
+            ["zeros", "--poly-from", "okamoto", "--m", "3", "--n", "1", "--predict"],
+            ["zeros", "--poly-from", "okamoto", "--m", "3", "--n", "1"],
+            ["potential", "--k", "1", "--eval", "1.0"],
+            ["potential", "--k", "1"],
+            ["ttrr", "--k", "1", "--j", "2", "--max-n", "2", "--check-ode"],
+            ["ttrr", "--k", "1", "--j", "2", "--max-n", "2"],
+            ["export", "okamoto", "--m", "2", "--n", "1"],
+            ["--quiet", "export", "okamoto", "--m", "2", "--n", "1"],
+            ["export", "potential", "--k", "0", "--format", "csv", "--range", "-1", "1",
+             "--samples", "3"],
+        ]
+        assert len(calls) == 30
+        shared = [(run_cli(argv, capsys), vars(cli._parser().parse_args(argv))) for argv in calls]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [(run_cli(argv, capsys), vars(cli.build_parser().parse_args(argv))) for argv in calls]
+        for argv, got, want in zip(calls, shared, fresh):
+            assert got == want, argv
+
+
+_TAMPER_SCRIPT = r"""
+import os
+import sys
+from pathlib import Path
+
+from okladder.cli import main
+
+assert sys.flags.optimize >= 1
+cache = Path(os.environ["OKLADDER_CACHE_DIR"]) / "okamoto_table.json"
+first = main(["--quiet", "okamoto", "--m", "3", "--n", "1"])
+stat = cache.stat()
+cache.write_bytes(cache.read_bytes().replace(b'"3,1"', b'"3;1"'))
+os.utime(cache, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+second = main(["--quiet", "okamoto", "--m", "3", "--n", "1"])
+print(first, second)
+"""
+
+
+def test_tampered_cache_exits_2_under_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(_SRC), OKLADDER_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "2"]
+    assert proc.stderr.startswith("error: ")
 
 
 def test_entry_point_subprocess():

@@ -256,3 +256,36 @@ def test_concurrent_dumps_leave_a_whole_file(tmp_path):
     fresh = OkamotoTable()
     fresh.load(path)
     assert fresh.get(5, 2) == table.get(5, 2)
+
+
+def test_dump_skips_only_when_nothing_changed(tmp_path):
+    table = OkamotoTable()
+    table.get(3, 1)
+    path = tmp_path / "table.json"
+    table.dump(str(path))
+    written = path.read_bytes()
+    before = os.stat(path)
+    table.dump(str(path))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # Same memo, but the file changed under the table: it is rewritten.
+    path.write_text(json.dumps({"2,0": _valid_entry(2, 0)}))
+    table.dump(str(path))
+    assert path.read_bytes() == written
+    # Same file, but the memo grew: it is rewritten.
+    table.get(4, 1)
+    table.dump(str(path))
+    assert "4,1" in json.loads(path.read_text())
+
+
+def test_dump_after_loading_a_partial_file_writes(tmp_path):
+    path = tmp_path / "table.json"
+    small = OkamotoTable()
+    small.get(3, 1)
+    small.dump(str(path))
+    table = OkamotoTable()
+    table.get(4, 1)
+    table.load(str(path))
+    table.dump(str(path))
+    assert "4,1" in json.loads(path.read_text())
+
