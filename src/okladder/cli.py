@@ -414,18 +414,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _fail(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cache = _cache_path()
+    # OSError is caught around the cache steps only: a handler's own OSError
+    # (say, an unwritable `export --out`) still propagates.
+    try:
+        cache = _cache_path()
+    except OSError as exc:
+        return _fail(f"cannot use the cache directory: {exc}")
     try:
         if cache:
             DEFAULT_TABLE.load(cache)
         code = args.handler(args)
     except (InvalidIndices, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     if cache:
-        DEFAULT_TABLE.dump(cache)
+        try:
+            DEFAULT_TABLE.dump(cache)
+        except OSError as exc:
+            return _fail(f"cannot write the table cache: {exc}")
     return code
 
 

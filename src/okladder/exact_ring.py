@@ -19,6 +19,20 @@ from .errors import EmptyList, MixedKinds, NonZeroRemainder, ZeroDenominator
 ScalarLike = Union["SqrtTwoScalar", Fraction, int]
 
 
+def _sign(a, b) -> int:
+    """Exact sign of a + b*sqrt2 for rational or integer a, b."""
+    if not b:
+        return -1 if a < 0 else (1 if a > 0 else 0)
+    if not a:
+        return 1 if b > 0 else -1
+    sa = 1 if a > 0 else -1
+    sb = 1 if b > 0 else -1
+    if sa == sb:
+        return sa
+    # Opposite-signed parts: the larger of a^2, 2 b^2 decides.
+    return sa if a * a > 2 * b * b else sb
+
+
 class SqrtTwoScalar:
     """Element a + b*sqrt(2) of the real quadratic field Q(sqrt2).
 
@@ -116,16 +130,7 @@ class SqrtTwoScalar:
     # -- order -------------------------------------------------------------
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; a^2 is compared against 2*b^2."""
-        if not self.b:
-            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
-        if not self.a:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # Opposite-signed parts: the larger of a^2, 2 b^2 decides.
-        return sa if self.a * self.a > 2 * self.b * self.b else sb
+        return _sign(self.a, self.b)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -176,6 +181,13 @@ def _scalar(a: int, b: int, den: int) -> SqrtTwoScalar:
     return SqrtTwoScalar(Fraction(a, den), Fraction(b, den))
 
 
+def _scalar_ints(c: SqrtTwoScalar) -> tuple[int, int, int]:
+    """(a, b, den) with c = (a + b*sqrt2)/den, integers, den > 0."""
+    da, db = c.a.denominator, c.b.denominator
+    den = da * db // math.gcd(da, db)
+    return c.a.numerator * (den // da), c.b.numerator * (den // db), den
+
+
 # Primes p = 7 (mod 8), so 2 is a quadratic residue and sqrt2 has a mod-p
 # image; used for fast coprimality certificates in the polynomial gcd.
 _CERT_PRIMES: list[tuple[int, int]] = []
@@ -188,18 +200,30 @@ for _p in (2**61 - 1, 2**31 - 1):
 class ExactPoly:
     """Dense polynomial over Q(sqrt2), ascending coefficients.
 
-    The highest stored coefficient is nonzero; the zero polynomial stores
-    an empty coefficient tuple and reports degree -1.
+    Stored as integer arrays: coefficient i is (A_i + B_i*sqrt2)/den, in the
+    one canonical form den > 0, gcd(den, all A_i, all B_i) = 1 and a nonzero
+    top entry, so equality is structural.  The zero polynomial stores empty
+    arrays over den = 1 and reports degree -1.  The arrays are tuples and
+    are never replaced; `coeffs` is a view of them as scalars, built on
+    first use.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("_a", "_b", "_den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()) -> None:
+    def __new__(cls, coeffs: Iterable[ScalarLike] = ()) -> "ExactPoly":
         cs = [SqrtTwoScalar.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_ints", None)
+        den = 1
+        for c in cs:
+            den = math.lcm(den, c.a.denominator, c.b.denominator)
+        # den is the lcm of the denominators, so the arrays are canonical.
+        return _raw(
+            tuple(c.a.numerator * (den // c.a.denominator) for c in cs),
+            tuple(c.b.numerator * (den // c.b.denominator) for c in cs),
+            den,
+            tuple(cs),
+        )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ExactPoly is immutable")
@@ -207,125 +231,174 @@ class ExactPoly:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls) -> "ExactPoly":
-        return cls(())
+        return _raw((), (), 1)
 
     @classmethod
     def one(cls) -> "ExactPoly":
-        return cls((_ONE,))
+        return _raw((1,), (0,), 1)
 
     @classmethod
     def x(cls) -> "ExactPoly":
-        return cls((_ZERO, _ONE))
+        return _raw((0, 1), (0, 0), 1)
 
     @classmethod
     def monomial(cls, coeff: ScalarLike, degree: int) -> "ExactPoly":
         c = SqrtTwoScalar.coerce(coeff)
         if c.is_zero:
             return cls.zero()
-        return cls((_ZERO,) * degree + (c,))
+        a, b, den = _scalar_ints(c)
+        return _raw((0,) * degree + (a,), (0,) * degree + (b,), den)
 
     @classmethod
     def constant(cls, c: ScalarLike) -> "ExactPoly":
-        return cls((SqrtTwoScalar.coerce(c),))
+        c = SqrtTwoScalar.coerce(c)
+        if c.is_zero:
+            return cls.zero()
+        a, b, den = _scalar_ints(c)
+        return _raw((a,), (b,), den)
 
     # -- basic queries ------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[SqrtTwoScalar, ...]:
+        """The coefficients as scalars, ascending; built from the integer
+        arrays on first use and cached."""
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = tuple(_scalar(a, b, den) for a, b in zip(self._a, self._b))
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._a
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._a) - 1
 
     @property
     def leading(self) -> SqrtTwoScalar:
-        if not self.coeffs:
+        if not self._a:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _scalar(self._a[-1], self._b[-1], self._den)
 
     def coeff(self, i: int) -> SqrtTwoScalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
+        if 0 <= i < len(self._a):
+            return _scalar(self._a[i], self._b[i], self._den)
+        return _ZERO
 
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
-        if self.is_zero:
+        a, b = self._a, self._b
+        if not a:
             return 0
-        p = self.degree % 2
-        if all(c.is_zero for i, c in enumerate(self.coeffs) if i % 2 != p):
-            return p
-        return None
+        p = (len(a) - 1) % 2
+        if any(a[i] or b[i] for i in range(1 - p, len(a), 2)):
+            return None
+        return p
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactPoly):
-            return self.coeffs == other.coeffs
+            return self._den == other._den and self._a == other._a and self._b == other._b
         if isinstance(other, (int, Fraction, SqrtTwoScalar)):
             return self == ExactPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.degree <= 0:
-            return hash(self.coeffs[0]) if self.coeffs else hash(0)
-        return hash(self.coeffs)
+        cs = self.coeffs
+        if len(cs) <= 1:
+            return hash(cs[0]) if cs else hash(0)
+        return hash(cs)
 
     # -- arithmetic ----------------------------------------------------------
+    def _combine(self, other: "ExactPoly", sign: int) -> "ExactPoly":
+        """self + sign*other over the common denominator lcm(den1, den2)."""
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            m1, m2 = 1, sign
+        else:
+            g = math.gcd(d1, d2)
+            m1, m2 = d2 // g, sign * (d1 // g)
+        a = [v * m1 for v in self._a]
+        b = [v * m1 for v in self._b]
+        a2, b2 = other._a, other._b
+        if len(a2) > len(a):
+            pad = [0] * (len(a2) - len(a))
+            a += pad
+            b += pad
+        for i, v in enumerate(a2):
+            a[i] += m2 * v
+        for i, v in enumerate(b2):
+            b[i] += m2 * v
+        return _make(a, b, d1 * m1)
+
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         if not isinstance(other, ExactPoly):
             other = ExactPoly.constant(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ExactPoly(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-v for v in self._a), tuple(-v for v in self._b), self._den)
 
     def __sub__(self, other) -> "ExactPoly":
         if not isinstance(other, ExactPoly):
             other = ExactPoly.constant(other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "ExactPoly":
         return ExactPoly.constant(other) - self
 
-    def _int_arrays(self) -> tuple[list[int], list[int], int]:
+    def _int_arrays(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """Return (A, B, den) with coeff_i = (A_i + B_i*sqrt2)/den, integers."""
-        cached = self._ints
-        if cached is not None:
-            return cached
-        den = 1
-        for c in self.coeffs:
-            den = den * c.a.denominator // math.gcd(den, c.a.denominator)
-            den = den * c.b.denominator // math.gcd(den, c.b.denominator)
-        A = [c.a.numerator * (den // c.a.denominator) for c in self.coeffs]
-        B = [c.b.numerator * (den // c.b.denominator) for c in self.coeffs]
-        object.__setattr__(self, "_ints", (A, B, den))
-        return A, B, den
+        return self._a, self._b, self._den
+
+    def _scale(self, c: ScalarLike) -> "ExactPoly":
+        """self * c for a scalar c."""
+        if type(c) is int:
+            ca, cb, cd = c, 0, 1
+        else:
+            ca, cb, cd = _scalar_ints(SqrtTwoScalar.coerce(c))
+        A, B = self._a, self._b
+        if not (ca or cb) or not A:
+            return ExactPoly.zero()
+        if not cb:
+            a = [v * ca for v in A]
+            b = [v * ca for v in B]
+        elif not ca:
+            a = [2 * cb * v for v in B]
+            b = [cb * v for v in A]
+        else:
+            a = [x * ca + 2 * y * cb for x, y in zip(A, B)]
+            b = [x * cb + y * ca for x, y in zip(A, B)]
+        return _make(a, b, self._den * cd)
 
     def __mul__(self, other) -> "ExactPoly":
-        if isinstance(other, (int, Fraction, SqrtTwoScalar)):
-            c = SqrtTwoScalar.coerce(other)
-            if c.is_zero:
-                return ExactPoly.zero()
-            return ExactPoly(tuple(ci * c for ci in self.coeffs))
         if not isinstance(other, ExactPoly):
+            if isinstance(other, (int, Fraction, SqrtTwoScalar)):
+                return self._scale(other)
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self._a or not other._a:
             return ExactPoly.zero()
-        # Integer convolution: clear denominators once, convolve with plain
-        # ints, reassemble Fractions at the end.
-        A1, B1, d1 = self._int_arrays()
-        A2, B2, d2 = other._int_arrays()
+        A1, B1, d1 = self._a, self._b, self._den
+        A2, B2, d2 = other._a, other._b, other._den
         n1, n2 = len(A1), len(A2)
         ra = [0] * (n1 + n2 - 1)
         rb = [0] * (n1 + n2 - 1)
+        if not any(B1) and not any(B2):
+            # Both factors rational, as almost every product here is: one
+            # integer convolution instead of four.
+            terms = [(j, a2) for j, a2 in enumerate(A2) if a2]
+            for i, a1 in enumerate(A1):
+                if a1:
+                    for j, a2 in terms:
+                        ra[i + j] += a1 * a2
+            return _make(ra, rb, d1 * d2)
         terms = [(j, A2[j], B2[j]) for j in range(n2) if A2[j] or B2[j]]
         for i in range(n1):
             a1 = A1[i]
@@ -336,8 +409,7 @@ class ExactPoly:
                 k = i + j
                 ra[k] += a1 * a2 + 2 * b1 * b2
                 rb[k] += a1 * b2 + b1 * a2
-        den = d1 * d2
-        return ExactPoly(tuple(_scalar(a, b, den) for a, b in zip(ra, rb)))
+        return _make(ra, rb, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -365,8 +437,8 @@ class ExactPoly:
         # step multiplies the top remainder entry by the conjugate of the
         # divisor's lead and divides by the lead's norm; only when that
         # division is inexact does the whole remainder move to a finer scale.
-        A, B, dp = self._int_arrays()
-        C, D, dg = other._int_arrays()
+        A, B, dp = self._a, self._b, self._den
+        C, D, dg = other._a, other._b, other._den
         ra, rb = list(A), list(B)
         last = len(C) - 1
         lc, ld = C[last], D[last]
@@ -398,16 +470,16 @@ class ExactPoly:
                 k = i + j
                 ra[k] -= qa * cj + 2 * qb * dj
                 rb[k] -= qa * dj + qb * cj
-        # The quotient entry made at scale s is (qa + qb*sqrt2)*dg/(dp*s).
-        quot = [_ZERO] * (len(A) - last)
+        # The quotient entry made at scale s is (qa + qb*sqrt2)*dg/(dp*s); the
+        # final scale is a multiple of every earlier one.
+        n = len(A) - last
+        qa_out, qb_out = [0] * n, [0] * n
         for i, qa, qb, s in steps:
-            quot[i] = _scalar(qa * dg, qb * dg, dp * s)
-        if not any(ra[:last]) and not any(rb[:last]):
-            return ExactPoly(quot), ExactPoly.zero()
-        rden = dp * scale
-        return ExactPoly(quot), ExactPoly(
-            tuple(_scalar(a, b, rden) for a, b in zip(ra[:last], rb[:last]))
-        )
+            f = dg * (scale // s)
+            qa_out[i] = qa * f
+            qb_out[i] = qb * f
+        den = dp * scale
+        return _make(qa_out, qb_out, den), _make(ra[:last], rb[:last], den)
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
         q, r = divmod(self, other)
@@ -418,7 +490,10 @@ class ExactPoly:
         return q
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        A, B = self._a, self._b
+        return _make(
+            [i * A[i] for i in range(1, len(A))], [i * B[i] for i in range(1, len(B))], self._den
+        )
 
     def eval(self, x: ScalarLike) -> SqrtTwoScalar:
         x = SqrtTwoScalar.coerce(x)
@@ -440,19 +515,13 @@ class ExactPoly:
         """Scale to integer (a, b) parts with content 1; the leading sign is
         normalized positive unless keep_sign (scaling by a positive rational
         only, as Sturm chains require)."""
-        if self.is_zero:
+        A, B = self._a, self._b
+        if not A:
             return self
-        A, B, _den = self._int_arrays()
-        g = 0
-        for v in A:
-            g = math.gcd(g, v)
-        for v in B:
-            g = math.gcd(g, v)
-        if not keep_sign and self.leading.sign() < 0:
+        g = math.gcd(*A, *B)
+        if not keep_sign and _sign(A[-1], B[-1]) < 0:
             g = -g
-        return ExactPoly(
-            tuple(SqrtTwoScalar(Fraction(a, g), Fraction(b, g)) for a, b in zip(A, B))
-        )
+        return _raw(tuple(v // g for v in A), tuple(v // g for v in B), 1)
 
     def proportionality(self, other: "ExactPoly") -> SqrtTwoScalar | None:
         """Scalar c with self == c*other, or None if not proportional."""
@@ -498,6 +567,32 @@ class ExactPoly:
                 xs = var if i == 1 else f"{var}^{i}"
                 parts.append(xs if c == _ONE else f"{c}*{xs}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _raw(a: tuple, b: tuple, den: int, coeffs: tuple | None = None) -> ExactPoly:
+    """ExactPoly from arrays already in canonical form."""
+    p = object.__new__(ExactPoly)
+    object.__setattr__(p, "_a", a)
+    object.__setattr__(p, "_b", b)
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_coeffs", coeffs)
+    return p
+
+
+def _make(a: list[int], b: list[int], den: int) -> ExactPoly:
+    """ExactPoly (a_i + b_i*sqrt2)/den, den > 0, brought to canonical form;
+    the lists are fresh and trimmed here in place."""
+    n = len(a)
+    while n and not a[n - 1] and not b[n - 1]:
+        n -= 1
+    if not n:
+        return _raw((), (), 1)
+    del a[n:], b[n:]
+    if den > 1:
+        g = math.gcd(den, *a, *b)
+        if g > 1:
+            return _raw(tuple(v // g for v in a), tuple(v // g for v in b), den // g)
+    return _raw(tuple(a), tuple(b), den)
 
 
 def _mod_image(p: ExactPoly, prime: int, sqrt2_image: int) -> list[int] | None:

@@ -605,11 +605,6 @@ _SUITE_BUILDERS: dict[str, Callable[[VerifySuiteConfig], list[Check]]] = {
 }
 
 
-def run_suite(name: str, config: VerifySuiteConfig) -> list[CheckResult]:
-    results = run_verify(VerifySuiteConfig(config.k_max, config.n_max, (name,), config.numeric))
-    return results
-
-
 def run_verify(config: VerifySuiteConfig, jobs: int = 1) -> list[CheckResult]:
     """Run the selected suites and return order-stable results."""
     pending: list[tuple[str, str, str, Callable[[], tuple[bool, str]]]] = []

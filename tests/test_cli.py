@@ -253,6 +253,30 @@ class TestCache:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_cache_dir_that_is_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.touch()
+        monkeypatch.setenv("OKLADDER_CACHE_DIR", str(not_a_dir))
+        code = main(["okamoto", "--m", "1", "--n", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not_a_dir.is_file() and not_a_dir.read_bytes() == b""
+
+    def test_failed_cache_write_exits_2(self, session, monkeypatch, capsys):
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(okamoto_mod.os, "replace", no_space)
+        code = main(["okamoto", "--m", "3", "--n", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["index"] == [3, 0]
+        assert captured.err.startswith("error: ")
+        assert not session.exists()
+        assert os.listdir(session.parent) == []
+
 
 @pytest.fixture
 def session(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Field, polynomial, rational-function and quasi-Gaussian arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -271,6 +272,186 @@ class TestDivisionKernel:
             if d.degree > 0:
                 with pytest.raises(NonZeroRemainder):
                     (p + ExactPoly.one()).exact_div(d)
+
+
+class FractionPoly:
+    """Tuple-of-SqrtTwoScalar polynomial: the representation ExactPoly used
+    before it stored integer arrays, kept as the oracle for its operations."""
+
+    def __init__(self, coeffs=()):
+        cs = [SqrtTwoScalar.coerce(c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def of(cls, p: ExactPoly) -> "FractionPoly":
+        return cls(p.coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self):
+        return self.coeffs[-1]
+
+    def parity(self):
+        if not self.coeffs:
+            return 0
+        p = self.degree % 2
+        if all(c.is_zero for i, c in enumerate(self.coeffs) if i % 2 != p):
+            return p
+        return None
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return FractionPoly(out)
+
+    def __neg__(self):
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            c = SqrtTwoScalar.coerce(other)
+            return FractionPoly(ci * c for ci in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly()
+        out = [SqrtTwoScalar(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ci in enumerate(self.coeffs):
+            for j, cj in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + ci * cj
+        return FractionPoly(out)
+
+    def derivative(self):
+        return FractionPoly(c * i for i, c in enumerate(self.coeffs) if i)
+
+    def monic(self):
+        return self * self.leading.inverse() if self.coeffs else self
+
+    def lattice_primitive(self, keep_sign=False):
+        if not self.coeffs:
+            return self
+        den = 1
+        for c in self.coeffs:
+            den = math.lcm(den, c.a.denominator, c.b.denominator)
+        A = [c.a * den for c in self.coeffs]
+        B = [c.b * den for c in self.coeffs]
+        g = math.gcd(*(int(v) for v in A + B))
+        if not keep_sign and self.leading.sign() < 0:
+            g = -g
+        return FractionPoly(SqrtTwoScalar(a / g, b / g) for a, b in zip(A, B))
+
+    def proportionality(self, other):
+        if not self.coeffs:
+            return SqrtTwoScalar(1, 0) if not other.coeffs else SqrtTwoScalar(0, 0)
+        if not other.coeffs or self.degree != other.degree:
+            return None
+        c = self.leading / other.leading
+        return c if self == other * c else None
+
+    def to_json_dict(self):
+        return {
+            "coeffs": [
+                [f"{c.a.numerator}/{c.a.denominator}", f"{c.b.numerator}/{c.b.denominator}"]
+                for c in self.coeffs
+            ]
+        }
+
+
+def same_json(got: ExactPoly, want: FractionPoly) -> None:
+    assert got.to_json_dict() == want.to_json_dict()
+    assert_canonical(got)
+
+
+def assert_canonical(p: ExactPoly) -> None:
+    """den > 0, gcd(den, all A_i, all B_i) = 1 and a nonzero top entry."""
+    A, B, den = p._int_arrays()
+    assert den > 0 and len(A) == len(B)
+    assert math.gcd(den, *A, *B) == 1
+    if A:
+        assert A[-1] or B[-1]
+    else:
+        assert den == 1
+
+
+class TestRepresentation:
+    @given(division_polys(8), division_polys(8), division_scalars, st.integers(-9, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_ops_match_fraction_oracle(self, p, q, c, k):
+        fp, fq = FractionPoly.of(p), FractionPoly.of(q)
+        same_json(p + q, fp + fq)
+        same_json(p - q, fp - fq)
+        same_json(-p, -fp)
+        same_json(p * q, fp * fq)
+        same_json(p * c, fp * c)
+        same_json(p * c.a, fp * c.a)
+        same_json(p * k, fp * k)
+        same_json(p.derivative(), fp.derivative())
+        same_json(p.monic(), fp.monic())
+        for keep_sign in (False, True):
+            same_json(p.lattice_primitive(keep_sign), fp.lattice_primitive(keep_sign))
+        assert p.parity() == fp.parity()
+        assert p.proportionality(q) == fp.proportionality(fq)
+        assert p.proportionality(p * c) == fp.proportionality(fp * c)
+        if p:
+            assert p.leading == fp.leading
+        assert [p.coeff(i) for i in range(-1, len(fp.coeffs) + 1)] == [
+            SqrtTwoScalar(0, 0), *fp.coeffs, SqrtTwoScalar(0, 0)
+        ]
+
+    @given(division_polys(6))
+    @settings(max_examples=60, deadline=None)
+    def test_parity_of_even_and_odd_parts(self, p):
+        even = ExactPoly(c if i % 2 == 0 else 0 for i, c in enumerate(p.coeffs))
+        odd = ExactPoly(c if i % 2 else 0 for i, c in enumerate(p.coeffs))
+        for part in (even, odd, even + odd * ExactPoly.x()):
+            assert part.parity() == FractionPoly.of(part).parity()
+
+    def test_equal_values_built_by_different_routes(self):
+        half = ExactPoly([Fraction(1, 2)])
+        assert half * 2 == ExactPoly.one() and hash(half * 2) == hash(ExactPoly.one())
+        assert half + half == ExactPoly.one()
+        assert ExactPoly((0, 0, Fraction(1, 2))).derivative() == ExactPoly.x()
+        assert ExactPoly((SQRT2,)) * SQRT2 == ExactPoly.constant(2)
+        assert ExactPoly.monomial(Fraction(3, 6), 2) == ExactPoly((0, 0, Fraction(1, 2)))
+        assert ExactPoly.from_json_dict({"coeffs": [["2/4", "0/3"], ["0/1", "0/1"]]}) == half
+
+    @given(division_polys(6), divisors(), division_polys(6))
+    @settings(max_examples=100, deadline=None)
+    def test_routes_agree_structurally(self, p, q, r):
+        for got in ((p * q).exact_div(q), p + r - r, -(-p), p * q.leading * q.leading.inverse()):
+            assert_canonical(got)
+            assert got == p and hash(got) == hash(p)
+            assert got._int_arrays() == p._int_arrays()
+        rebuilt = ExactPoly(p.coeffs)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+
+    @given(division_polys(6), divisors())
+    @settings(max_examples=100, deadline=None)
+    def test_operations_leave_operands_unchanged(self, p, d):
+        stored = [x._int_arrays() for x in (p, d)]
+        copies = [(list(a), list(b), den) for a, b, den in stored]
+        p + d, p - d, d - p, -p, p * d, d * p, p * SQRT2, p * Fraction(3, 7), p * 0
+        divmod(p, d), divmod(d, p) if p else None, p.derivative(), p.monic(), d.monic()
+        p.lattice_primitive(), p.lattice_primitive(True), p.parity(), p.proportionality(d)
+        p.coeffs, p.to_json_dict(), hash(p), poly_gcd(p, d), wronskian([p, d])
+        RationalFn(p, d)
+        for x, (a0, b0, _), copy in zip((p, d), stored, copies):
+            a, b, den = x._int_arrays()
+            assert a is a0 and b is b0
+            assert (list(a), list(b), den) == copy
 
 
 class TestRationalFn:

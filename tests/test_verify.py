@@ -2,7 +2,7 @@
 
 import pytest
 
-from okladder.verify import ALL_SUITES, CheckResult, VerifySuiteConfig, run_suite, run_verify
+from okladder.verify import ALL_SUITES, CheckResult, VerifySuiteConfig, run_verify
 
 
 def test_config_validation():
@@ -52,7 +52,7 @@ def test_crash_becomes_failure(monkeypatch):
 
 
 def test_run_suite_shortcut():
-    results = run_suite("identities", VerifySuiteConfig(k_max=1, n_max=2))
+    results = run_verify(VerifySuiteConfig(k_max=1, n_max=2, which=("identities",)))
     assert results and all(r.suite == "identities" for r in results)
 
 
