@@ -71,23 +71,30 @@ class SqrtTwoScalar:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: ScalarLike) -> "SqrtTwoScalar":
-        other = SqrtTwoScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return SqrtTwoScalar(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "SqrtTwoScalar":
-        other = SqrtTwoScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return SqrtTwoScalar(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other: ScalarLike) -> "SqrtTwoScalar":
-        return SqrtTwoScalar.coerce(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self) -> "SqrtTwoScalar":
         return SqrtTwoScalar(-self.a, -self.b)
 
     def __mul__(self, other: ScalarLike) -> "SqrtTwoScalar":
-        other = SqrtTwoScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return SqrtTwoScalar(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -109,10 +116,12 @@ class SqrtTwoScalar:
         return SqrtTwoScalar(self.a / n, -self.b / n)
 
     def __truediv__(self, other: ScalarLike) -> "SqrtTwoScalar":
-        return self * SqrtTwoScalar.coerce(other).inverse()
+        other = _operand(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> "SqrtTwoScalar":
-        return SqrtTwoScalar.coerce(other) * self.inverse()
+        other = _operand(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __pow__(self, exponent: int) -> "SqrtTwoScalar":
         if exponent < 0:
@@ -143,17 +152,26 @@ class SqrtTwoScalar:
         # rational elements hash like their Fraction so == stays consistent
         return hash(self.a) if not self.b else hash((self.a, self.b))
 
+    def _compare(self, other) -> int | None:
+        """Sign of self - other, or None for an operand that is no scalar."""
+        other = _operand(other)
+        return None if other is None else _sign(self.a - other.a, self.b - other.b)
+
     def __lt__(self, other: ScalarLike) -> bool:
-        return (self - SqrtTwoScalar.coerce(other)).sign() < 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other: ScalarLike) -> bool:
-        return (self - SqrtTwoScalar.coerce(other)).sign() <= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other: ScalarLike) -> bool:
-        return (self - SqrtTwoScalar.coerce(other)).sign() > 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other: ScalarLike) -> bool:
-        return (self - SqrtTwoScalar.coerce(other)).sign() >= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s >= 0
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(2.0)
@@ -167,6 +185,16 @@ class SqrtTwoScalar:
         if not self.a:
             return f"{self.b}*sqrt2"
         return f"({self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt2)"
+
+
+def _operand(value) -> SqrtTwoScalar | None:
+    """value as a scalar when it is an int, Fraction or SqrtTwoScalar; None for
+    any other operand, whose own reflected method should then run."""
+    if isinstance(value, SqrtTwoScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return SqrtTwoScalar(value, 0)
+    return None
 
 
 SQRT2 = SqrtTwoScalar(0, 1)
@@ -385,6 +413,8 @@ class ExactPoly:
             return NotImplemented
         if not self._a or not other._a:
             return ExactPoly.zero()
+        if other is self:
+            return self._square()
         A1, B1, d1 = self._a, self._b, self._den
         A2, B2, d2 = other._a, other._b, other._den
         n1, n2 = len(A1), len(A2)
@@ -412,6 +442,31 @@ class ExactPoly:
         return _make(ra, rb, d1 * d2)
 
     __rmul__ = __mul__
+
+    def _square(self) -> "ExactPoly":
+        """self * self, nonzero, with each cross term computed once and
+        doubled: about half the products of a general multiplication."""
+        A, B, d = self._a, self._b, self._den
+        ra = [0] * (2 * len(A) - 1)
+        rb = [0] * (2 * len(A) - 1)
+        if not any(B):
+            terms = [(i, a) for i, a in enumerate(A) if a]
+            for t, (i, a1) in enumerate(terms):
+                ra[2 * i] += a1 * a1
+                a1 *= 2
+                for j, a2 in terms[t + 1 :]:
+                    ra[i + j] += a1 * a2
+            return _make(ra, rb, d * d)
+        terms = [(i, A[i], B[i]) for i in range(len(A)) if A[i] or B[i]]
+        for t, (i, a1, b1) in enumerate(terms):
+            ra[2 * i] += a1 * a1 + 2 * b1 * b1
+            rb[2 * i] += 2 * a1 * b1
+            a1 *= 2
+            b1 *= 2
+            for j, a2, b2 in terms[t + 1 :]:
+                ra[i + j] += a1 * a2 + 2 * b1 * b2
+                rb[i + j] += a1 * b2 + b1 * a2
+        return _make(ra, rb, d * d)
 
     def __pow__(self, exponent: int) -> "ExactPoly":
         if exponent < 0:
@@ -601,7 +656,7 @@ def _mod_image(p: ExactPoly, prime: int, sqrt2_image: int) -> list[int] | None:
     A, B, den = p._int_arrays()
     if den % prime == 0:
         return None
-    inv_den = pow(den, prime - 2, prime)
+    inv_den = pow(den, -1, prime)
     out = [((a + sqrt2_image * b) % prime) * inv_den % prime for a, b in zip(A, B)]
     if out and out[-1] == 0:
         return None
@@ -620,7 +675,7 @@ def _gcd_mod_p(f: list[int], g: list[int], p: int) -> int:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        inv = pow(b[-1], p - 2, p)
+        inv = pow(b[-1], -1, p)
         while len(a) >= len(b):
             c = a[-1] * inv % p
             if c:
@@ -956,30 +1011,42 @@ class GaussWronskian:
 
 
 def _det(matrix: Sequence[Sequence], zero):
-    """Determinant by minor expansion memoized over column subsets."""
-    n = len(matrix)
-    memo: dict[tuple[int, tuple[int, ...]], object] = {}
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968).
 
-    def minor(row: int, cols: tuple[int, ...]):
-        if row == n:
-            return None
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = None
-        for idx, col in enumerate(cols):
-            entry = matrix[row][col]
-            sub_cols = cols[:idx] + cols[idx + 1 :]
-            sub = minor(row + 1, sub_cols)
-            term = entry if sub is None else entry * sub
-            if idx % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[key] = acc
-        return acc
-
-    result = minor(0, tuple(range(n)))
-    return zero if result is None else result
+    Step k sets a_ij <- (a_kk*a_ij - a_ik*a_kj) / a_{k-1,k-1} below and right
+    of the pivot; the division is exact, by `exact_div` for ExactPoly entries
+    and by `/` for RationalFn entries, and the last pivot is the determinant.
+    A zero pivot is replaced by a lower row with a nonzero entry in its
+    column (a Wronskian entry vanishes when deg f < row); with none, the
+    determinant is `zero`.
+    """
+    a = [list(row) for row in matrix]
+    n = len(a)
+    exact = isinstance(zero, ExactPoly)
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return zero
+            a[k], a[swap] = a[swap], a[k]
+            negate = not negate
+        row_k = a[k]
+        pivot = row_k[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                # Lower rows of a Wronskian are sparse: skip the zero products.
+                v = pivot * row[j] if row[j] else zero
+                if lead and row_k[j]:
+                    v = v - lead * row_k[j]
+                if prev is not None and v:
+                    v = v.exact_div(prev) if exact else v / prev
+                row[j] = v
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return -det if negate else det
 
 
 def wronskian(fs: Sequence):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okladder import exact_ring
 from okladder.errors import EmptyList, MixedKinds, NonZeroRemainder, ZeroDenominator
 from okladder.exact_ring import (
     SQRT2,
@@ -75,6 +76,24 @@ class TestScalar:
         # 99/70 is a convergent of sqrt2 from above
         assert SQRT2 < SqrtTwoScalar(Fraction(99, 70), 0)
         assert SqrtTwoScalar(Fraction(140, 99), 0) < SQRT2
+
+    @given(scalars, small_polys())
+    @settings(max_examples=60)
+    def test_scalar_left_of_polynomial(self, c, p):
+        # A scalar on the left defers to the polynomial's reflected method.
+        for s in (c, SQRT2):
+            assert s * p == p * s
+            assert s + p == p + s
+            assert s - p == -(p - s)
+        f = RationalFn(p, ExactPoly((1, 0, 1)))
+        assert SQRT2 * f == f * SQRT2
+        assert SQRT2 + f == f + SQRT2
+
+    def test_comparison_with_polynomial_is_unsupported(self):
+        with pytest.raises(TypeError):
+            SQRT2 < ExactPoly.x()
+        with pytest.raises(TypeError):
+            SQRT2 >= ExactPoly.x()
 
 
 class TestPoly:
@@ -386,6 +405,50 @@ def assert_canonical(p: ExactPoly) -> None:
         assert den == 1
 
 
+def det_oracle(matrix, zero):
+    """Minor expansion memoized over column subsets, O(n 2^n) products: the
+    determinant `wronskian` used before Bareiss elimination."""
+    n = len(matrix)
+    memo = {}
+
+    def minor(row, cols):
+        if row == n:
+            return None
+        key = (row, cols)
+        if key in memo:
+            return memo[key]
+        acc = None
+        for idx, col in enumerate(cols):
+            entry = matrix[row][col]
+            sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
+            term = entry if sub is None else entry * sub
+            if idx % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        memo[key] = acc
+        return acc
+
+    result = minor(0, tuple(range(n)))
+    return zero if result is None else result
+
+
+def recorded_determinants(monkeypatch, build):
+    """(matrix, zero, determinant) of every `_det` call made by build()."""
+    seen = []
+    det = exact_ring._det
+
+    def recording(matrix, zero):
+        value = det(matrix, zero)
+        seen.append((matrix, zero, value))
+        return value
+
+    monkeypatch.setattr(exact_ring, "_det", recording)
+    build()
+    monkeypatch.undo()
+    assert seen
+    return seen
+
+
 class TestRepresentation:
     @given(division_polys(8), division_polys(8), division_scalars, st.integers(-9, 9))
     @settings(max_examples=200, deadline=None)
@@ -452,6 +515,15 @@ class TestRepresentation:
             a, b, den = x._int_arrays()
             assert a is a0 and b is b0
             assert (list(a), list(b), den) == copy
+
+    @given(division_polys(8))
+    @settings(max_examples=150, deadline=None)
+    def test_square_matches_fraction_oracle(self, p):
+        rational = ExactPoly(c.a for c in p.coeffs)
+        for q in (p, rational):
+            fq = FractionPoly.of(q)
+            same_json(q * q, fq * fq)
+            same_json(q**3, fq * fq * fq)
 
 
 class TestRationalFn:
@@ -521,6 +593,117 @@ class TestWronskian:
         gw = wronskian(entries)
         assert gw.exponent_multiplier == -2
         assert gw.rational_part == RationalFn.from_poly(ExactPoly((6, 0, 4)))
+
+
+_det_entries = st.one_of(st.just(ExactPoly.zero()), division_polys(3))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(3, 4))
+    return [draw(st.lists(_det_entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestDeterminant:
+    """Bareiss elimination in `_det` against the memoized minor expansion."""
+
+    def same_det(self, matrix, zero):
+        value = exact_ring._det(matrix, zero)
+        assert value == det_oracle(matrix, zero)
+        return value
+
+    def test_okamoto_index_sets(self, monkeypatch):
+        from okladder.wronskian_rep import okamoto_via_wronskian
+
+        def build():
+            for m in range(6):
+                for n in range(6):
+                    if m + n >= 1 and not (m == 0 and n > 1):
+                        okamoto_via_wronskian(m, n, "psi")
+                    if m + n >= 2:
+                        okamoto_via_wronskian(m, n, "Psi")
+
+        seen = recorded_determinants(monkeypatch, build)
+        assert max(len(matrix) for matrix, _, _ in seen) == 13
+        for matrix, zero, value in seen:
+            assert value == det_oracle(matrix, zero)
+
+    def test_wronskian_modes(self, monkeypatch):
+        from okladder.wronskian_rep import wronskian_mode
+
+        def build():
+            for k in range(6):
+                for j in (1, 2, 3):
+                    for n in (0, 1):
+                        wronskian_mode(k, j, n)
+
+        for matrix, zero, value in recorded_determinants(monkeypatch, build):
+            assert value == det_oracle(matrix, zero)
+
+    def test_exceptional_hermite(self, monkeypatch):
+        from okladder.wronskian_rep import exceptional_hermite, sigma_index
+
+        def build():
+            for k in range(1, 4):
+                for j in (1, 2, 3):
+                    for n in range(3):
+                        exceptional_hermite(list(range(1, k + 1)), sigma_index(k, j, n))
+            exceptional_hermite([1], 0)
+
+        for matrix, zero, value in recorded_determinants(monkeypatch, build):
+            assert value == det_oracle(matrix, zero)
+
+    def test_quasi_gaussian_rows(self, monkeypatch):
+        from okladder.wronskian_rep import wronskian_potential
+
+        def build():
+            for k in range(1, 4):
+                wronskian_potential(k, "deleting")
+                wronskian_potential(k, "adding")
+
+        seen = recorded_determinants(monkeypatch, build)
+        assert all(isinstance(zero, RationalFn) for _, zero, _ in seen)
+        for matrix, zero, value in seen:
+            assert value == det_oracle(matrix, zero)
+
+    def test_zero_pivot_swaps_rows(self):
+        x, one, zero = ExactPoly.x(), ExactPoly.one(), ExactPoly.zero()
+        assert self.same_det([[zero, x], [one, zero]], zero) == -x
+        self.same_det([[zero, one, x], [x, zero, one], [one, x, zero]], zero)
+        # the zero pivot appears only after the first elimination step
+        assert self.same_det([[one, zero, zero], [zero, zero, one], [zero, one, zero]], zero) == -one
+        f, g = RationalFn(one, x), RationalFn.from_poly(x)
+        self.same_det([[RationalFn.zero(), f], [g, f]], RationalFn.zero())
+
+    def test_no_pivot_gives_zero(self):
+        x, zero = ExactPoly.x(), ExactPoly.zero()
+        assert exact_ring._det([[zero, x], [zero, x * x]], zero) == zero
+        assert exact_ring._det([[x, x], [x, x]], zero) == zero
+
+    def test_equal_columns_give_zero(self):
+        x, one = ExactPoly.x(), ExactPoly.one()
+        p = ExactPoly((1, SQRT2, 0, 3))
+        matrix = [[x, p, x], [one, p.derivative(), one], [p, x * x, p]]
+        assert self.same_det(matrix, ExactPoly.zero()) == ExactPoly.zero()
+        f = RationalFn(p, x)
+        rows = [[f, RationalFn.one(), f], [f.derivative(), RationalFn.x(), f.derivative()],
+                [RationalFn.one(), f, RationalFn.one()]]
+        assert self.same_det(rows, RationalFn.zero()) == RationalFn.zero()
+
+    def test_one_and_two_by_two(self):
+        p, q = ExactPoly((1, SQRT2)), ExactPoly((Fraction(1, 3), 0, 2))
+        assert self.same_det([[p]], ExactPoly.zero()) == p
+        assert self.same_det([[p, q], [q, p]], ExactPoly.zero()) == p * p - q * q
+        f = RationalFn(p, q)
+        assert self.same_det([[f]], RationalFn.zero()) == f
+        self.same_det([[f, RationalFn.one()], [RationalFn.x(), f]], RationalFn.zero())
+
+    @given(square_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_random_matrices(self, matrix):
+        self.same_det(matrix, ExactPoly.zero())
+        singular = [row[:-1] + [row[0]] for row in matrix]
+        assert exact_ring._det(singular, ExactPoly.zero()) == ExactPoly.zero()
 
 
 class TestQuasiGaussian:

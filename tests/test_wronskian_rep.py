@@ -90,6 +90,12 @@ class TestOkamotoWronskian:
                     okamoto_via_wronskian(m, n, "psi")
                 okamoto_via_wronskian(m, n, "Psi")
 
+    def test_sixteen_by_sixteen_psi_form(self):
+        # Q_{6,6} is the Wronskian of 16 psi seeds
+        w = okamoto_via_wronskian(6, 6, "psi")
+        c = w.proportionality(okamoto(6, 6))
+        assert c is not None and not c.is_zero
+
     def test_psi_form_out_of_range(self):
         with pytest.raises(MalformedIndexList):
             okamoto_via_wronskian(0, 2, "psi")
