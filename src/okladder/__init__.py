@@ -58,7 +58,6 @@ from .ttrr import (
 )
 from .wronskian_rep import (
     exceptional_hermite,
-    hermite_seed,
     okamoto_via_wronskian,
     susy_chain_potential,
     wronskian_identity_check,

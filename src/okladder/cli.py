@@ -101,11 +101,8 @@ def _cmd_potential(args) -> int:
     return 0
 
 
-def _mode(k: int, j: int, n: int, via: str = "ttrr") -> spectral.ModeFunction:
-    if via == "wronskian":
-        return wronskian_rep.wronskian_mode(k, j, n)
-    seq = ttrr.ttrr_sequence(k, j, n)
-    return spectral.ModeFunction(k, j, n, seq[n], spectral.energy(k, j, n))
+def _mode(k: int, j: int, n: int) -> spectral.ModeFunction:
+    return ttrr.ttrr_modes(k, j, n)[n]
 
 
 def _cmd_modes(args) -> int:
@@ -216,7 +213,7 @@ def _cmd_plot_data(args) -> int:
 def _cmd_verify(args) -> int:
     which = tuple(args.suite) if args.suite else verify.ALL_SUITES
     config = verify.VerifySuiteConfig(k_max=args.k_max, n_max=args.n_max, which=which)
-    results = verify.run_verify(config, jobs=args.jobs)
+    results = verify.run_verify(config)
     failed = [r for r in results if not r.passed]
     if args.json:
         print(json.dumps([r.to_json_dict() for r in results], sort_keys=True))
@@ -293,10 +290,6 @@ def _add_global_flags(p: argparse.ArgumentParser, with_defaults: bool = False) -
     kw = {} if with_defaults else {"default": argparse.SUPPRESS}
     p.add_argument("--json", action="store_true", help="machine-readable output", **kw)
     p.add_argument("--quiet", action="store_true", help="suppress stdout reports", **kw)
-    if with_defaults:
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size for verify")
-    else:
-        p.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="worker pool size for verify")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,6 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -601,9 +600,6 @@ class ExactPoly:
         return cls(
             tuple(SqrtTwoScalar(Fraction(a), Fraction(b)) for a, b in data["coeffs"])
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __repr__(self) -> str:
         return f"ExactPoly({self.pretty()})"

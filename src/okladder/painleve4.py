@@ -116,10 +116,6 @@ def piv_residual(s: PIVSolution) -> RationalFn:
     return RationalFn(num, n * d * d2 * 2)
 
 
-def is_solution(w: RationalFn, alpha: Fraction, beta: Fraction) -> bool:
-    return piv_residual(PIVSolution(w, alpha, beta)).is_zero
-
-
 def _sqrt_fraction(value: Fraction) -> Fraction:
     """Exact nonnegative square root of a rational, or raise."""
     import math

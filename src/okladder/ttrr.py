@@ -7,13 +7,12 @@ the sequence energies, and every step must collapse to a polynomial.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
-from .errors import NonPolynomialResult
+from .errors import CertificateFailed, NonPolynomialResult
 from .exact_ring import ExactPoly, RationalFn, log_derivative
 from .okamoto import okamoto
-from .spectral import energy, ladder_constant_sq, zero_mode
+from .spectral import ModeFunction, energy, ladder_constant_sq, zero_mode
 
 _MINUS_2X3 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
 
@@ -34,7 +33,7 @@ class RecurrenceState:
             Fraction(2, 3) + 2 * k
         )
         if self._g_base != alt:
-            raise AssertionError(
+            raise CertificateFailed(
                 f"the two closed forms of the recurrence coefficient disagree at k={k}"
             )
         q_k_1 = okamoto(k, 1)
@@ -42,25 +41,17 @@ class RecurrenceState:
         self.w2 = _MINUS_2X3 + log_derivative(q_k) - log_derivative(q_k_1)
         self.w3 = _MINUS_2X3 + log_derivative(q_k_1) - log_derivative(q_k1)
         self.entries: list[ExactPoly] = [zero_mode(k, j).P]
-        self._lock = threading.Lock()
 
     def g(self, n: int) -> RationalFn:
         return self._g_base - RationalFn.constant(energy(self.k, self.j, n))
 
-    def entry(self, n: int) -> ExactPoly:
-        self.extend_to(n)
-        return self.entries[n]
-
     def extend_to(self, n: int) -> None:
-        # Held across the whole step so that two threads sharing a memoized
-        # state cannot both append entry m.
-        with self._lock:
-            while len(self.entries) <= n:
-                m = len(self.entries)
-                if m == 1:
-                    self.entries.append(ttrr_first_from_state(self))
-                else:
-                    self.entries.append(ttrr_next(self, m - 2))
+        while len(self.entries) <= n:
+            m = len(self.entries)
+            if m == 1:
+                self.entries.append(ttrr_first(self))
+            else:
+                self.entries.append(ttrr_next(self, m - 2))
 
 
 def _as_polynomial(value: RationalFn, context: str) -> ExactPoly:
@@ -69,7 +60,7 @@ def _as_polynomial(value: RationalFn, context: str) -> ExactPoly:
     return value.as_poly()
 
 
-def ttrr_first_from_state(state: RecurrenceState) -> ExactPoly:
+def ttrr_first(state: RecurrenceState) -> ExactPoly:
     """P_1 from P_0:
     L~_0 P_1 = [-w2 g_1 + E_0 w1 g_1/g_0 + w3 (2/3 - 2k + E_0)] P_0."""
     k, j = state.k, state.j
@@ -81,10 +72,6 @@ def ttrr_first_from_state(state: RecurrenceState) -> ExactPoly:
     lt0 = ladder_constant_sq(k, j, 0)
     result = bracket * RationalFn.from_poly(state.entries[0]) / RationalFn.constant(lt0)
     return _as_polynomial(result, f"first recurrence step (k={k}, j={j})")
-
-
-def ttrr_first(k: int, j: int) -> ExactPoly:
-    return ttrr_first_from_state(RecurrenceState(k, j))
 
 
 def ttrr_next(state: RecurrenceState, n: int) -> ExactPoly:
@@ -112,9 +99,9 @@ def ttrr_next(state: RecurrenceState, n: int) -> ExactPoly:
 
 
 # One RecurrenceState per (k, j), shared by every caller, as the Okamoto
-# table shares Q_{m,n}; entries only ever grow.
+# table shares Q_{m,n}; entries only ever grow. Not safe to extend from
+# several threads at once.
 _STATES: dict[tuple[int, int], RecurrenceState] = {}
-_STATES_LOCK = threading.Lock()
 
 
 def ttrr_sequence(k: int, j: int, max_n: int) -> list[ExactPoly]:
@@ -123,12 +110,21 @@ def ttrr_sequence(k: int, j: int, max_n: int) -> list[ExactPoly]:
     Sequences are memoized per (k, j): a later call only computes the
     entries beyond those already generated.
     """
-    with _STATES_LOCK:
-        state = _STATES.get((k, j))
-        if state is None:
-            state = _STATES[(k, j)] = RecurrenceState(k, j)
+    if max_n < 0:
+        raise ValueError("level index n must be >= 0")
+    state = _STATES.get((k, j))
+    if state is None:
+        state = _STATES[(k, j)] = RecurrenceState(k, j)
     state.extend_to(max_n)
     return state.entries[: max_n + 1]
+
+
+def ttrr_modes(k: int, j: int, max_n: int) -> list[ModeFunction]:
+    """Modes 0 .. max_n of the (k, j) sequence, each entry with its energy."""
+    return [
+        ModeFunction(k, j, n, p, energy(k, j, n))
+        for n, p in enumerate(ttrr_sequence(k, j, max_n))
+    ]
 
 
 def ode_residual(k: int, j: int, n: int, p: ExactPoly) -> ExactPoly:

@@ -1,13 +1,12 @@
 """Verification suites: every desk-scale claim as an executable check.
 
 Each suite yields independent named checks returning pass/fail plus a
-detail string; the CLI dispatches them to a worker pool and renders an
-order-stable report whose exit status is nonzero iff any check fails.
+detail string; the CLI runs them in turn and renders an order-stable
+report whose exit status is nonzero iff any check fails.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -45,6 +44,8 @@ class VerifySuiteConfig:
     def __post_init__(self) -> None:
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
+        if self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
         unknown = set(self.which) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -212,12 +213,10 @@ def _ladder_checks(config: VerifySuiteConfig) -> list[Check]:
     def raising_check(k: int, j: int) -> Callable[[], tuple[bool, str]]:
         def run() -> tuple[bool, str]:
             up, down = spectral.ladder(k, "raise"), spectral.ladder(k, "lower")
-            seq = ttrr.ttrr_sequence(k, j, n_bound + 1)
+            modes = ttrr.ttrr_modes(k, j, n_bound + 1)
             for n in range(n_bound + 1):
-                phi_n = spectral.ModeFunction(k, j, n, seq[n], spectral.energy(k, j, n)).phi()
-                phi_n1 = spectral.ModeFunction(
-                    k, j, n + 1, seq[n + 1], spectral.energy(k, j, n + 1)
-                ).phi()
+                phi_n = modes[n].phi()
+                phi_n1 = modes[n + 1].phi()
                 raised = up.apply(phi_n)
                 c = raised.proportionality(phi_n1)
                 if c is None or c.is_zero:
@@ -234,13 +233,12 @@ def _ladder_checks(config: VerifySuiteConfig) -> list[Check]:
             up = spectral.ladder(k, "raise")
             ham = spectral.potential(k)
             for j in (1, 2, 3):
-                seq = ttrr.ttrr_sequence(k, j, 3)
-                for n in range(4):
-                    phi = spectral.ModeFunction(k, j, n, seq[n], spectral.energy(k, j, n)).phi()
+                for mode in ttrr.ttrr_modes(k, j, 3):
+                    phi = mode.phi()
                     lhs = up.apply(ham.apply(phi))
                     rhs = ham.apply(up.apply(phi)) - up.apply(phi) * 2
                     if not (lhs - rhs).is_zero:
-                        return _fail(f"commutator nonzero on mode (j={j}, n={n})")
+                        return _fail(f"commutator nonzero on mode (j={j}, n={mode.n})")
             return _ok("raise intertwines H and H+2 on sampled modes")
 
         return run
@@ -303,11 +301,7 @@ def _ode_checks(config: VerifySuiteConfig) -> list[Check]:
     def eigen_check(k: int, j: int, producer: str) -> Callable[[], tuple[bool, str]]:
         def run() -> tuple[bool, str]:
             if producer == "ttrr":
-                seq = ttrr.ttrr_sequence(k, j, n_bound)
-                modes = [
-                    spectral.ModeFunction(k, j, n, seq[n], spectral.energy(k, j, n))
-                    for n in range(n_bound + 1)
-                ]
+                modes = ttrr.ttrr_modes(k, j, n_bound)
             else:
                 modes = [wronskian_rep.wronskian_mode(k, j, n) for n in range(n_bound + 1)]
             for mode in modes:
@@ -547,11 +541,7 @@ def _orthogonality_checks(config: VerifySuiteConfig) -> list[Check]:
         def run() -> tuple[bool, str]:
             modes = []
             for j in (1, 2, 3):
-                seq = ttrr.ttrr_sequence(k, j, n_bound)
-                modes.extend(
-                    spectral.ModeFunction(k, j, n, seq[n], spectral.energy(k, j, n))
-                    for n in range(n_bound + 1)
-                )
+                modes.extend(ttrr.ttrr_modes(k, j, n_bound))
             worst = 0.0
             for i, a in enumerate(modes):
                 for b in modes[i + 1 :]:
@@ -571,15 +561,13 @@ def _orthogonality_checks(config: VerifySuiteConfig) -> list[Check]:
                 config.numeric.grid, config.numeric.quad_panel_width, config.numeric.quad_order
             )
             for j in (1, 2, 3):
-                seq = ttrr.ttrr_sequence(k, j, 3)
-                for n in range(3):
-                    mode = spectral.ModeFunction(k, j, n, seq[n], spectral.energy(k, j, n))
+                for mode in ttrr.ttrr_modes(k, j, 2):
                     raised_vals = numerics.eval_array(up.apply(mode.phi()), xs)
                     mode_vals = numerics.eval_array(mode.phi(), xs)
                     ratio = float(np.sum(ws * raised_vals**2) / np.sum(ws * mode_vals**2))
-                    expected = float(spectral.ladder_constant_sq(k, j, n))
+                    expected = float(spectral.ladder_constant_sq(k, j, mode.n))
                     if abs(ratio - expected) > 1e-6 * max(1.0, abs(expected)):
-                        return _fail(f"norm ratio {ratio:.9g} differs from {expected:.9g} at (j={j}, n={n})")
+                        return _fail(f"norm ratio {ratio:.9g} differs from {expected:.9g} at (j={j}, n={mode.n})")
             return _ok("norm ratios match the squared ladder constants to 1e-6")
 
         return run
@@ -605,24 +593,20 @@ _SUITE_BUILDERS: dict[str, Callable[[VerifySuiteConfig], list[Check]]] = {
 }
 
 
-def run_verify(config: VerifySuiteConfig, jobs: int = 1) -> list[CheckResult]:
+def _execute(suite: str, check: Check) -> CheckResult:
+    name, certifies, fn = check
+    try:
+        passed, detail = fn()
+    except Exception as exc:  # a crash is a failing check, not a fault
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    return CheckResult(suite=suite, name=name, passed=passed, detail=detail, certifies=certifies)
+
+
+def run_verify(config: VerifySuiteConfig) -> list[CheckResult]:
     """Run the selected suites and return order-stable results."""
-    pending: list[tuple[str, str, str, Callable[[], tuple[bool, str]]]] = []
-    for suite in config.which:
-        for name, certifies, fn in _SUITE_BUILDERS[suite](config):
-            pending.append((suite, name, certifies, fn))
-
-    def execute(item) -> CheckResult:
-        suite, name, certifies, fn = item
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crash is a failing check, not a fault
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        return CheckResult(suite=suite, name=name, passed=passed, detail=detail, certifies=certifies)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute, pending))
-    else:
-        results = [execute(item) for item in pending]
+    results = [
+        _execute(suite, check)
+        for suite in config.which
+        for check in _SUITE_BUILDERS[suite](config)
+    ]
     return sorted(results, key=lambda r: (r.suite, r.name))

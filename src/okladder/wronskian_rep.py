@@ -11,8 +11,8 @@ normalization constant is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     CertificateFailed,
@@ -58,18 +58,12 @@ def pseudo_psi_poly(r: int) -> ExactPoly:
     return ExactPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class HermiteSeed:
-    r: int
-    kind: str  # "psi" | "Psi"
-    poly: ExactPoly
-
-
-def hermite_seed(r: int, kind: str) -> HermiteSeed:
+def _seed(kind: str) -> Callable[[int], ExactPoly]:
+    """The seed family of a Wronskian form: psi_poly or pseudo_psi_poly."""
     if kind == "psi":
-        return HermiteSeed(r, kind, psi_poly(r))
+        return psi_poly
     if kind == "Psi":
-        return HermiteSeed(r, kind, pseudo_psi_poly(r))
+        return pseudo_psi_poly
     raise ValueError("kind must be 'psi' or 'Psi'")
 
 
@@ -151,7 +145,7 @@ def okamoto_via_wronskian(m: int, n: int, form: str) -> ExactPoly:
     if m + n < 1 or m < 0 or n < 0:
         raise MalformedIndexList("wronskian representation needs m, n >= 0 with m + n >= 1")
     indices = _okamoto_wronskian_indices(m, n, form)
-    seed = psi_poly if form == "psi" else pseudo_psi_poly
+    seed = _seed(form)
     if not indices:
         value = ExactPoly.one()
     else:
@@ -319,7 +313,7 @@ def wronskian_identity_check(
     a, b = extra
     if a in indices or b in indices or a == b:
         raise DuplicateIndex("extra indices must be new and distinct")
-    seed = psi_poly if kind == "psi" else pseudo_psi_poly
+    seed = _seed(kind)
 
     def wr(idx: list[int]) -> ExactPoly:
         if not idx:

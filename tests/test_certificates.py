@@ -22,8 +22,20 @@ from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, QuasiGaussian
 from okladder.okamoto import DEFAULT_TABLE, okamoto
 from okladder.painleve4 import rational_solution
 from okladder.spectral import HamiltonianK
+from okladder.ttrr import RecurrenceState
 
 assert sys.flags.optimize >= 1
+
+
+def recurrence_closed_forms():
+    for key in ((3, 0), (2, 1), (2, -1), (2, 0), (1, 0)):
+        okamoto(*key)
+    sound = okamoto(3, 0)
+    DEFAULT_TABLE._memo[(3, 0)] = sound * 2
+    try:
+        RecurrenceState(1, 1)
+    finally:
+        DEFAULT_TABLE._memo[(3, 0)] = sound
 
 
 def product_form_check():
@@ -57,7 +69,14 @@ def xhermite():
     wronskian_rep.xhermite_from_ttrr(1, 1, 1)
 
 
-for case in (product_form_check, asymptotic_growth, asymptotic_rational, okamoto_wronskian, xhermite):
+for case in (
+    recurrence_closed_forms,
+    product_form_check,
+    asymptotic_growth,
+    asymptotic_rational,
+    okamoto_wronskian,
+    xhermite,
+):
     try:
         case()
     except CertificateFailed:
@@ -78,6 +97,7 @@ def test_corrupted_certificates_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
+        "recurrence_closed_forms raised",
         "product_form_check raised",
         "asymptotic_growth raised",
         "asymptotic_rational raised",

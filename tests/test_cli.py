@@ -108,6 +108,23 @@ class TestModesAndTtrr:
         assert all(e["ode_residual_zero"] for e in payload["entries"])
         assert all(e["wronskian_proportional"] for e in payload["entries"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "modes --k 1 --j 1 --n -1",
+            "xhermite --k 1 --j 1 --n -1",
+            "zeros --poly-from mode --k 1 --j 1 --n -2",
+            "export mode --k 1 --j 1 --n -1",
+            "plot-data --k 1 --what mode --j 1 --n -1 --range 0 1 --samples 3",
+        ],
+        ids=lambda command: command.split()[0],
+    )
+    def test_negative_mode_index_exits_2(self, command, capsys):
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level index n must be >= 0\n"
+
 
 class TestZerosCommand:
     def test_mode_census(self, capsys):
@@ -162,7 +179,7 @@ class TestVerifyCommand:
         from okladder import verify as verify_mod
 
         fake = verify_mod.CheckResult("tables", "forced", False, "synthetic failure", "n/a")
-        monkeypatch.setattr(verify_mod, "run_verify", lambda config, jobs=1: [fake])
+        monkeypatch.setattr(verify_mod, "run_verify", lambda config: [fake])
         code, out = run_cli(["verify", "--suite", "tables"], capsys)
         assert code == 1
         assert "0/1 checks passed" in out
@@ -338,7 +355,7 @@ class TestSession:
             ["okamoto", "--m", "3", "--n", "1", "--json"],
             ["--json", *identities],
             identities,
-            ["--jobs", "2", *identities],
+            [*identities, "--json"],
             [*identities, "--suite", "tables"],
             ["verify", "--k-max", "1", "--n-max", "1", "--suite", "tables"],
             ["--quiet", *identities],

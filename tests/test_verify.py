@@ -1,4 +1,4 @@
-"""Verification machinery: configuration, ordering, worker pool, reporting."""
+"""Verification machinery: configuration, ordering, reporting."""
 
 import pytest
 
@@ -8,6 +8,8 @@ from okladder.verify import ALL_SUITES, CheckResult, VerifySuiteConfig, run_veri
 def test_config_validation():
     with pytest.raises(ValueError):
         VerifySuiteConfig(k_max=-1)
+    with pytest.raises(ValueError):
+        VerifySuiteConfig(n_max=-1)
     with pytest.raises(ValueError):
         VerifySuiteConfig(which=("tables", "nope"))
 
@@ -20,23 +22,13 @@ def test_results_are_order_stable():
     assert first == sorted(first, key=lambda r: (r.suite, r.name))
 
 
-def test_worker_pool_matches_serial():
-    config = VerifySuiteConfig(k_max=1, n_max=2, which=("identities", "piv"))
-    serial = run_verify(config, jobs=1)
-    parallel = run_verify(config, jobs=4)
-    assert serial == parallel
-
-
-def test_worker_pool_shares_ttrr_memo(monkeypatch):
+def test_checks_pass_from_an_empty_ttrr_memo(monkeypatch):
     from okladder import ttrr
 
     config = VerifySuiteConfig(k_max=1, n_max=2, which=("ladder", "ode"))
     monkeypatch.setattr(ttrr, "_STATES", {})
-    parallel = run_verify(config, jobs=4)
-    monkeypatch.setattr(ttrr, "_STATES", {})
-    serial = run_verify(config, jobs=1)
-    assert parallel == serial
-    assert all(r.passed for r in parallel)
+    results = run_verify(config)
+    assert results and all(r.passed for r in results)
 
 
 def test_crash_becomes_failure(monkeypatch):

@@ -17,7 +17,6 @@ from okladder.spectral import hamiltonian_residual, potential, zero_mode
 from okladder.ttrr import ttrr_sequence
 from okladder.wronskian_rep import (
     exceptional_hermite,
-    hermite_seed,
     index_set_added,
     index_set_deleted,
     okamoto_via_wronskian,
@@ -54,11 +53,11 @@ class TestSeeds:
         for r in range(16):
             assert psi_poly(r) * Fraction(math.factorial(r)) == scaled_hermite(r)
 
-    def test_seed_wrapper(self):
-        s = hermite_seed(4, "psi")
-        assert s.poly == psi_poly(4)
+    def test_unknown_seed_kind_rejected(self):
         with pytest.raises(ValueError):
-            hermite_seed(4, "other")
+            wronskian_identity_check([], (1, 2), kind="other")
+        with pytest.raises(ValueError):
+            okamoto_via_wronskian(2, 0, "other")
 
     def test_plain_hermite(self):
         assert plain_hermite(0) == ExactPoly.one()
