@@ -550,11 +550,18 @@ class ExactPoly:
         )
 
     def eval(self, x: ScalarLike) -> SqrtTwoScalar:
-        x = SqrtTwoScalar.coerce(x)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x by Horner's rule on the integer arrays.  With
+        x = (xa + xb*sqrt2)/xd, the running value is held as
+        (ua + ub*sqrt2)/(den*scale) with scale = xd^steps."""
+        A, B = self._a, self._b
+        if not A:
+            return _ZERO
+        xa, xb, xd = _scalar_ints(SqrtTwoScalar.coerce(x))
+        ua, ub, scale = A[-1], B[-1], 1
+        for i in range(len(A) - 2, -1, -1):
+            scale *= xd
+            ua, ub = ua * xa + 2 * ub * xb + A[i] * scale, ua * xb + ub * xa + B[i] * scale
+        return _scalar(ua, ub, self._den * scale)
 
     def __call__(self, x: ScalarLike) -> SqrtTwoScalar:
         return self.eval(x)
@@ -738,14 +745,14 @@ class RationalFn:
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero:
             num, den = ExactPoly.zero(), ExactPoly.one()
-        elif not _reduced:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading
-            if lead != _ONE:
-                inv = lead.inverse()
+        else:
+            if not _reduced:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
+            if den._b[-1] or den._a[-1] != den._den:
+                inv = den.leading.inverse()
                 num = num * inv
                 den = den * inv
         object.__setattr__(self, "num", num)
@@ -839,13 +846,7 @@ class RationalFn:
         d2 = other.den.exact_div(g1) if g1.degree > 0 else other.den
         n2 = other.num.exact_div(g2) if g2.degree > 0 else other.num
         d1 = self.den.exact_div(g2) if g2.degree > 0 else self.den
-        num = n1 * n2
-        den = d1 * d2
-        lead = den.leading
-        if lead != _ONE:
-            inv = lead.inverse()
-            num, den = num * inv, den * inv
-        return RationalFn(num, den, _reduced=True)
+        return RationalFn(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__
 

@@ -1,22 +1,22 @@
 """Floating-point cross-checks of the exact constructions.
 
-Precision-controlled evaluation of exact expressions, a Dirichlet
+Correctly rounded evaluation of exact expressions, a Dirichlet
 finite-difference eigensolver for H = -d''/dx'' + V on a symmetric grid,
-and composite Gauss-Legendre inner products of modes.  All tolerances are
-centralized in NumericConfig.
+and composite Gauss-Legendre inner products of modes.  The default grid
+and every tolerance are the module constants below NumericGrid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import GridTooCoarse, PoleAtPoint
-from .exact_ring import ExactPoly, QuasiGaussian, RationalFn
+from .errors import GridTooCoarse
+from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar, _scalar_ints
 from .spectral import ModeFunction, energy, potential
 
 
@@ -44,57 +44,49 @@ class NumericGrid:
         return NumericGrid(self.half_width, 2 * self.points - 1)
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    """Default grid and tolerances for every floating-point check."""
-
-    grid: NumericGrid = NumericGrid()
-    quad_panel_width: float = 0.5
-    quad_order: int = 10
-    eigenvalue_tol: float = 1e-6
-    orthogonality_tol: float = 1e-8
-    coarse_shift_tol: float = 1e-3
+# Default grid and tolerances of every floating-point check.
+GRID = NumericGrid()
+QUAD_PANEL_WIDTH = 0.5
+QUAD_ORDER = 10
+EIGENVALUE_TOL = 1e-6
+ORTHOGONALITY_TOL = 1e-8
+COARSE_SHIFT_TOL = 1e-3
 
 
-DEFAULT_CONFIG = NumericConfig()
+def eval_float(expr, x: float) -> float:
+    """Value of an exact expression at x, correctly rounded to a double.
 
-
-def eval_float(expr, x: float, precision_bits: int = 53) -> float:
-    """Evaluate an exact expression at x with the requested working precision.
-
-    Exact coefficients are carried into an mpmath context of
-    precision_bits + guard bits, so the returned double is correctly
-    rounded for every practical purpose.
+    The expression is evaluated exactly at Fraction(x) in Q(sqrt2) and
+    rounded once; a quasi-Gaussian is its rounded rational part times the
+    double exp(s*x^2/6).
     """
-    with mpmath.workprec(precision_bits + 16):
-        return float(_eval_mp(expr, mpmath.mpf(x)))
-
-
-def _eval_mp(expr, x):
-    sqrt2 = mpmath.sqrt(2)
-
-    def poly_mp(p: ExactPoly):
-        acc = mpmath.mpf(0)
-        for c in reversed(p.coeffs):
-            term = mpmath.mpf(c.a.numerator) / c.a.denominator
-            if c.b:
-                term += (mpmath.mpf(c.b.numerator) / c.b.denominator) * sqrt2
-            acc = acc * x + term
-        return acc
-
-    if isinstance(expr, ExactPoly):
-        return poly_mp(expr)
-    if isinstance(expr, RationalFn):
-        den = poly_mp(expr.den)
-        if den == 0:
-            raise PoleAtPoint(f"pole at x = {x}")
-        return poly_mp(expr.num) / den
     if isinstance(expr, QuasiGaussian):
-        base = _eval_mp(expr.rational, x)
-        if expr.gauss_exponent:
-            base *= mpmath.exp(expr.gauss_exponent * x * x / 6)
-        return base
-    raise TypeError(f"cannot evaluate {type(expr).__name__}")
+        base = eval_float(expr.rational, x)
+        return base * math.exp(expr.gauss_exponent * x * x / 6) if expr.gauss_exponent else base
+    if not isinstance(expr, (ExactPoly, RationalFn)):
+        raise TypeError(f"cannot evaluate {type(expr).__name__}")
+    return _round(expr.eval(Fraction(x)))
+
+
+def _round(value: SqrtTwoScalar) -> float:
+    """The double nearest to value.
+
+    A rational value rounds by Fraction's correctly rounded division.  For
+    (a + b*sqrt2)/den with b != 0, sqrt2 lies between r/2^n and (r+1)/2^n
+    with r = isqrt(2*4^n); n doubles until both ends of the bracket round
+    to the same double.  An irrational value is never a tie, so it ends.
+    """
+    if not value.b:
+        return float(value.a)
+    a, b, den = _scalar_ints(value)
+    n = 64
+    while True:
+        r = math.isqrt(2 << 2 * n)
+        lo = ((a << n) + b * r) / (den << n)
+        hi = ((a << n) + b * (r + 1)) / (den << n)
+        if lo == hi:
+            return lo
+        n *= 2
 
 
 def _poly_array(p: ExactPoly) -> np.ndarray:
@@ -139,8 +131,10 @@ def fd_eigensolve(
     Raises GridTooCoarse when halving the spacing moves any eigenvalue by
     more than coarse_shift_tol, i.e. the h^2 error model is not yet valid.
     """
-    grid = grid or DEFAULT_CONFIG.grid
-    tol = DEFAULT_CONFIG.coarse_shift_tol if coarse_shift_tol is None else coarse_shift_tol
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    grid = grid or GRID
+    tol = COARSE_SHIFT_TOL if coarse_shift_tol is None else coarse_shift_tol
     v_fn = potential(k).potential_fn()
     coarse = _dirichlet_eigenvalues(v_fn, grid, count)
     fine = _dirichlet_eigenvalues(v_fn, grid.refined(), count)
@@ -159,37 +153,30 @@ def spectrum_exact(k: int, count: int) -> list[Fraction]:
     return sorted(levels)[:count]
 
 
-def _gauss_panels(grid: NumericGrid, panel_width: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.arange(-grid.half_width, grid.half_width - 1e-12, panel_width)
-    mids = edges + panel_width / 2.0
-    half = panel_width / 2.0
+def _gauss_panels() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of QUAD_ORDER-point Gauss-Legendre panels of width
+    QUAD_PANEL_WIDTH tiling the GRID window."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    edges = np.arange(-GRID.half_width, GRID.half_width - 1e-12, QUAD_PANEL_WIDTH)
+    half = QUAD_PANEL_WIDTH / 2.0
+    mids = edges + half
     xs = (mids[:, None] + half * nodes[None, :]).ravel()
-    ws = np.broadcast_to(half * weights[None, :], (mids.size, order)).ravel()
+    ws = np.broadcast_to(half * weights[None, :], (mids.size, QUAD_ORDER)).ravel()
     return xs, ws
 
 
-def quadrature_inner(
-    a: ModeFunction,
-    b: ModeFunction,
-    grid: NumericGrid | None = None,
-    config: NumericConfig | None = None,
-) -> float:
-    """Integral of a*b over the grid window by composite Gauss-Legendre
+def quadrature_inner(a: ModeFunction, b: ModeFunction) -> float:
+    """Integral of a*b over the GRID window by composite Gauss-Legendre
     panels; the modes are real so no conjugation is involved."""
     if a.k != b.k:
         raise ValueError("inner products are defined for modes of one Hamiltonian")
-    config = config or DEFAULT_CONFIG
-    grid = grid or config.grid
-    xs, ws = _gauss_panels(grid, config.quad_panel_width, config.quad_order)
+    xs, ws = _gauss_panels()
     return float(np.sum(ws * eval_array(a.phi(), xs) * eval_array(b.phi(), xs)))
 
 
-def normalized_cross_inner(
-    a: ModeFunction, b: ModeFunction, grid: NumericGrid | None = None
-) -> float:
+def normalized_cross_inner(a: ModeFunction, b: ModeFunction) -> float:
     """|<a,b>| / sqrt(<a,a><b,b>)."""
-    cross = quadrature_inner(a, b, grid)
-    na = quadrature_inner(a, a, grid)
-    nb = quadrature_inner(b, b, grid)
+    cross = quadrature_inner(a, b)
+    na = quadrature_inner(a, a)
+    nb = quadrature_inner(b, b)
     return abs(cross) / float(np.sqrt(na * nb))

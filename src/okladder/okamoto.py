@@ -26,21 +26,13 @@ def okamoto_degree(m: int, n: int) -> int:
     return m * m + n * n + m * n - m - n
 
 
-def _rhs_first_index(m: int, n: int, q: ExactPoly) -> ExactPoly:
-    """Right side of the first-index recurrence at (m, n):
-    (9/2)(q q'' - q'^2) + (2x^2 + 3(2m + n - 1)) q^2."""
+def _rhs(q: ExactPoly, c: int) -> ExactPoly:
+    """Right side (9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 of both recurrences:
+    c = 2m + n - 1 advances the first index at (m, n), c = 1 - m - 2n the
+    second."""
     dq = q.derivative()
     bilinear = q * dq.derivative() - dq * dq
-    shift = _TWO_X_SQ + ExactPoly.constant(3 * (2 * m + n - 1))
-    return bilinear * Fraction(9, 2) + shift * (q * q)
-
-
-def _rhs_second_index(m: int, n: int, q: ExactPoly) -> ExactPoly:
-    """Right side of the second-index recurrence at (m, n):
-    (9/2)(q q'' - q'^2) + (2x^2 + 3(1 - m - 2n)) q^2."""
-    dq = q.derivative()
-    bilinear = q * dq.derivative() - dq * dq
-    shift = _TWO_X_SQ + ExactPoly.constant(3 * (1 - m - 2 * n))
+    shift = _TWO_X_SQ + ExactPoly.constant(3 * c)
     return bilinear * Fraction(9, 2) + shift * (q * q)
 
 
@@ -82,11 +74,9 @@ class OkamotoTable:
         if n in (0, 1):
             value = self._fill_column(m, n)
         elif n == -1:
-            value = _rhs_second_index(m, 0, self.get(m, 0)).exact_div(self.get(m, 1))
+            value = _rhs(self.get(m, 0), 1 - m).exact_div(self.get(m, 1))
         else:
-            value = _rhs_second_index(m, n - 1, self.get(m, n - 1)).exact_div(
-                self.get(m, n - 2)
-            )
+            value = _rhs(self.get(m, n - 1), 3 - m - 2 * n).exact_div(self.get(m, n - 2))
         self._memo[(m, n)] = value
         return value
 
@@ -96,10 +86,8 @@ class OkamotoTable:
         known = list(self._memo)
         top = max(mm for (mm, nn) in known if nn == n and (mm - 1, n) in self._memo)
         for mm in range(top, m):
-            nxt = _rhs_first_index(mm, n, self._memo[(mm, n)]).exact_div(
-                self._memo[(mm - 1, n)]
-            )
-            self._memo[(mm + 1, n)] = nxt
+            q = _rhs(self._memo[(mm, n)], 2 * mm + n - 1)
+            self._memo[(mm + 1, n)] = q.exact_div(self._memo[(mm - 1, n)])
         return self._memo[(m, n)]
 
     # -- optional on-disk persistence (used by the CLI cache) ----------------

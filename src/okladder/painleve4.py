@@ -70,7 +70,7 @@ def product_form(family: int, m: int, n: int) -> RationalFn:
     return c * RationalFn(num, den)
 
 
-def rational_solution(family: int, m: int, n: int, check_product_form: bool = True) -> PIVSolution:
+def rational_solution(family: int, m: int, n: int) -> PIVSolution:
     """Family member w^[family]_{m,n} in logarithmic-derivative form.
 
     The index cone is m >= 0, n >= -1 (parameter maps land on the n = -1
@@ -82,7 +82,7 @@ def rational_solution(family: int, m: int, n: int, check_product_form: bool = Tr
         raise IndexOutOfCone("rational solutions are indexed by m >= 0, n >= -1")
     w = _log_form(family, m, n)
     alpha, beta = family_parameters(family, m, n)
-    if check_product_form and not (family == 2 and m == 0) and not (family == 1 and n == -1):
+    if not (family == 2 and m == 0) and not (family == 1 and n == -1):
         if product_form(family, m, n) != w:
             raise CertificateFailed(
                 f"product and logarithmic forms disagree for family {family}, ({m},{n})"

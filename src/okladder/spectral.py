@@ -235,9 +235,9 @@ def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
     return QuasiGaussian(RationalFn(num, q2 * q), -1)
 
 
-def intertwining_checks(k: int, test_fn: QuasiGaussian | None = None) -> list[bool]:
-    """Exact intertwining relations of the factor chain, applied to a test
-    function:
+def intertwining_checks(k: int) -> list[bool]:
+    """Exact intertwining relations of the factor chain, applied to the test
+    function (Q_{k,1}/Q_{k+1,0}) exp(-x^2/6):
 
         H M1! = M1! H2     H2 M1 = M1 H
         H1 M2 = M2 H2      H2 M2! = M2! H1
@@ -261,7 +261,7 @@ def intertwining_checks(k: int, test_fn: QuasiGaussian | None = None) -> list[bo
     ham = second_order(potential(k).potential_fn())
     ham1 = second_order(v1)
     ham2 = second_order(v2)
-    g = test_fn or QuasiGaussian(RationalFn(okamoto(k, 1), okamoto(k + 1, 0)), -1)
+    g = QuasiGaussian(RationalFn(okamoto(k, 1), okamoto(k + 1, 0)), -1)
     m1_up = lambda f: apply_first_order(1, w1, f)
     m1_dn = lambda f: apply_first_order(-1, w1, f)
     m2_up = lambda f: apply_first_order(1, w2, f)

@@ -7,7 +7,7 @@ report whose exit status is nonzero iff any check fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -39,7 +39,6 @@ class VerifySuiteConfig:
     k_max: int = 3
     n_max: int = 5
     which: tuple[str, ...] = ALL_SUITES
-    numeric: numerics.NumericConfig = field(default_factory=numerics.NumericConfig)
 
     def __post_init__(self) -> None:
         if self.k_max < 0:
@@ -499,11 +498,11 @@ def _zeros_checks(config: VerifySuiteConfig) -> list[Check]:
 
 def _spectrum_numeric_checks(config: VerifySuiteConfig) -> list[Check]:
     k_bound = min(config.k_max, 2)
-    tol = config.numeric.eigenvalue_tol
+    tol = numerics.EIGENVALUE_TOL
 
     def spectrum_check(k: int) -> Callable[[], tuple[bool, str]]:
         def run() -> tuple[bool, str]:
-            computed = numerics.fd_eigensolve(k, grid=config.numeric.grid, count=9)
+            computed = numerics.fd_eigensolve(k, count=9)
             exact = [float(e) for e in numerics.spectrum_exact(k, 9)]
             worst = max(abs(a - b) for a, b in zip(computed, exact))
             if worst > tol:
@@ -513,7 +512,7 @@ def _spectrum_numeric_checks(config: VerifySuiteConfig) -> list[Check]:
         return run
 
     def oscillator_check() -> tuple[bool, str]:
-        computed = numerics.fd_eigensolve(0, grid=config.numeric.grid, count=6)
+        computed = numerics.fd_eigensolve(0, count=6)
         ladder = [2 * n / 3 for n in range(6)]
         worst = max(abs(a - b) for a, b in zip(computed, ladder))
         if worst > tol:
@@ -535,7 +534,7 @@ def _spectrum_numeric_checks(config: VerifySuiteConfig) -> list[Check]:
 def _orthogonality_checks(config: VerifySuiteConfig) -> list[Check]:
     k_bound = min(config.k_max, 2)
     n_bound = min(config.n_max, 3)
-    tol = config.numeric.orthogonality_tol
+    tol = numerics.ORTHOGONALITY_TOL
 
     def orthogonality_check(k: int) -> Callable[[], tuple[bool, str]]:
         def run() -> tuple[bool, str]:
@@ -545,7 +544,7 @@ def _orthogonality_checks(config: VerifySuiteConfig) -> list[Check]:
             worst = 0.0
             for i, a in enumerate(modes):
                 for b in modes[i + 1 :]:
-                    worst = max(worst, numerics.normalized_cross_inner(a, b, config.numeric.grid))
+                    worst = max(worst, numerics.normalized_cross_inner(a, b))
             if worst > tol:
                 return _fail(f"worst normalized cross product {worst:.3e} > {tol:.1e}")
             return _ok(f"worst normalized cross product {worst:.3e} over {len(modes)} states")
@@ -557,9 +556,7 @@ def _orthogonality_checks(config: VerifySuiteConfig) -> list[Check]:
             import numpy as np
 
             up = spectral.ladder(k, "raise")
-            xs, ws = numerics._gauss_panels(
-                config.numeric.grid, config.numeric.quad_panel_width, config.numeric.quad_order
-            )
+            xs, ws = numerics._gauss_panels()
             for j in (1, 2, 3):
                 for mode in ttrr.ttrr_modes(k, j, 2):
                     raised_vals = numerics.eval_array(up.apply(mode.phi()), xs)

@@ -73,6 +73,12 @@ class TestPotentialCommand:
         payload = json.loads(out)
         assert abs(float(payload["value"]) - 178 / 225) < 1e-14
 
+    def test_eval_is_correctly_rounded_under_cancellation(self, capsys):
+        # Working at 69 bits gave 15.339935028314667 here; the exact value
+        # rounds to ...665.
+        _, out = run_cli(["potential", "--k", "3", "--eval", "10.156632586743747"], capsys)
+        assert json.loads(out)["value"] == "15.339935028314665"
+
     @pytest.mark.parametrize("via", ["rational", "deleting", "adding", "susy"])
     def test_vias_agree(self, via, capsys):
         _, out = run_cli(["potential", "--k", "1", "--via", via], capsys)
@@ -155,6 +161,13 @@ class TestSpectrumAndPlotData:
         payload = json.loads(out)
         assert payload["exact"] == ["0/1", "2/3", "4/3", "2/1"]
         assert float(payload["max_abs_error"]) < 1e-6
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exits_2(self, count, capsys):
+        assert main(["spectrum", "--k", "0", "--count", count, "--N", "201"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be >= 1\n"
 
     def test_plot_data_rows(self, capsys):
         _, out = run_cli(
@@ -428,3 +441,14 @@ def test_entry_point_subprocess():
         check=True,
     )
     assert proc.stdout.strip() == "2*x^2 + 3"
+
+
+def test_exact_command_does_not_load_mpmath():
+    script = "import sys, okladder.cli; okladder.cli.main(['okamoto', '--m', '3', '--n', '1'])\n"
+    script += "print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    env.pop("OKLADDER_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -405,6 +405,14 @@ def assert_canonical(p: ExactPoly) -> None:
         assert den == 1
 
 
+def horner_oracle(p: ExactPoly, x) -> SqrtTwoScalar:
+    """p(x) by Horner's rule over the scalar coefficients."""
+    acc = SqrtTwoScalar(0, 0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def det_oracle(matrix, zero):
     """Minor expansion memoized over column subsets, O(n 2^n) products: the
     determinant `wronskian` used before Bareiss elimination."""
@@ -516,6 +524,15 @@ class TestRepresentation:
             assert a is a0 and b is b0
             assert (list(a), list(b), den) == copy
 
+    @given(division_polys(8), st.one_of(st.integers(-9, 9), fractions, scalars, st.just(SQRT2)))
+    @settings(max_examples=150, deadline=None)
+    def test_eval_matches_horner_over_coeffs(self, p, x):
+        assert p.eval(x) == horner_oracle(p, x)
+
+    def test_eval_at_float_point(self):
+        p = ExactPoly((Fraction(1, 3), SQRT2, -2))
+        assert p.eval(0.1) == horner_oracle(p, Fraction(0.1))
+
     @given(division_polys(8))
     @settings(max_examples=150, deadline=None)
     def test_square_matches_fraction_oracle(self, p):
@@ -538,6 +555,13 @@ class TestRationalFn:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             RationalFn(ExactPoly.one(), ExactPoly.zero())
+
+    @given(small_polys(3), small_polys(3).filter(bool), st.one_of(scalars, st.just(SQRT2)))
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_construction_makes_denominator_monic(self, a, b, c):
+        f = RationalFn(a, b)
+        if c:
+            assert RationalFn(f.num * c, f.den * c, _reduced=True) == f
 
     @given(small_polys(3), small_polys(2), small_polys(2))
     @settings(max_examples=40)

@@ -1,11 +1,15 @@
 """Floating-point cross-checks: evaluation, eigenvalues, inner products."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okladder.errors import GridTooCoarse, PoleAtPoint
-from okladder.exact_ring import ExactPoly, RationalFn
+from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar
 from okladder.numerics import (
     NumericGrid,
     eval_array,
@@ -47,8 +51,21 @@ class TestEvalFloat:
         assert eval_float(zero_mode(0, 1).phi(), 0.0) == 1.0
 
     def test_high_precision_request(self):
-        v = eval_float(potential(2).potential_fn(), 0.5, precision_bits=200)
-        assert v == pytest.approx(eval_float(potential(2).potential_fn(), 0.5), rel=1e-15)
+        # The exact value at 1/2, rounded once.
+        v = potential(2).potential_fn()
+        assert eval_float(v, 0.5) == float(v.eval(Fraction(1, 2)).a)
+
+    def test_correctly_rounded_under_cancellation(self):
+        # Horner at 69 bits gave 15.339935028314667; the exact value rounds
+        # to ...665.
+        assert eval_float(potential(3).potential_fn(), 10.156632586743747) == 15.339935028314665
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_sqrt2_root_cancellation(self, power):
+        # (x - sqrt2)^power at the double nearest sqrt2 is about 1e-16^power.
+        p = ExactPoly((-SQRT2, 1)) ** power
+        x = math.sqrt(2.0)
+        assert eval_float(p, x) == mp_value(p, x)
 
     def test_pole_guard(self):
         f = RationalFn(ExactPoly.one(), ExactPoly((-1, 1)))  # 1/(x-1)
@@ -63,6 +80,61 @@ class TestEvalFloat:
         vals = eval_array(v, xs)
         for x, val in zip(xs, vals):
             assert val == pytest.approx(eval_float(v, float(x)), rel=1e-12)
+
+
+fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
+points = st.floats(min_value=-50, max_value=50, allow_nan=False)
+
+
+def polys(coefficients, max_degree):
+    return st.lists(coefficients, max_size=max_degree + 1).map(ExactPoly)
+
+
+def quotients(coefficients, max_degree):
+    return st.builds(RationalFn, polys(coefficients, max_degree), polys(coefficients, 2).filter(bool))
+
+
+rational_exprs = st.one_of(polys(fractions, 6), quotients(fractions, 4))
+sqrt2_scalars = st.builds(SqrtTwoScalar, fractions, fractions)
+sqrt2_exprs = st.one_of(polys(sqrt2_scalars, 4), quotients(sqrt2_scalars, 3))
+
+
+def mp_value(expr, x: float) -> float:
+    """expr at x in 300-bit mpmath arithmetic, rounded to a double."""
+    with mpmath.workprec(300):
+        root2 = mpmath.sqrt(2)
+
+        def poly(p):
+            acc = mpmath.mpf(0)
+            for c in reversed(p.coeffs):
+                term = mpmath.mpf(c.a.numerator) / c.a.denominator
+                term += mpmath.mpf(c.b.numerator) / c.b.denominator * root2
+                acc = acc * x + term
+            return acc
+
+        if isinstance(expr, ExactPoly):
+            return float(poly(expr))
+        return float(poly(expr.num) / poly(expr.den))
+
+
+class TestCorrectRounding:
+    @given(rational_exprs, points)
+    @settings(max_examples=150, deadline=None)
+    def test_rational_values_round_like_fraction(self, v, x):
+        try:
+            exact = v.eval(Fraction(x))
+        except PoleAtPoint:
+            return
+        assert eval_float(v, x) == float(exact)
+
+    @given(sqrt2_exprs, points)
+    @settings(max_examples=150, deadline=None)
+    def test_sqrt2_values_match_300_bit_mpmath(self, v, x):
+        try:
+            got = eval_float(v, x)
+        except PoleAtPoint:
+            return
+        assert got == mp_value(v, x)
 
 
 class TestEigensolve:
@@ -111,10 +183,10 @@ class TestInnerProducts:
     def test_norm_ratio_mirror(self):
         import numpy as np
 
-        from okladder.numerics import DEFAULT_CONFIG, _gauss_panels
+        from okladder.numerics import _gauss_panels
         from okladder.spectral import ladder, ladder_constant_sq
 
-        xs, ws = _gauss_panels(DEFAULT_CONFIG.grid, 0.5, 10)
+        xs, ws = _gauss_panels()
         up = ladder(1, "raise")
         seq = ttrr_sequence(1, 2, 1)
         mode = ModeFunction(1, 2, 0, seq[0], energy(1, 2, 0))
