@@ -52,7 +52,6 @@ from .ttrr import (
     downward_residual,
     normalization_sq,
     ode_residual,
-    ttrr_first,
     ttrr_next,
     ttrr_sequence,
 )

@@ -47,6 +47,22 @@ def _float_repr(value: float) -> str:
     return f"{value:.17g}"
 
 
+_DEFAULT_SPAN = (-5.0, 5.0)
+
+
+def _csv(expr, span, samples: int) -> str:
+    """CSV text: an x,value header, then expr at `samples` evenly spaced points of span."""
+    import numpy as np
+
+    xs = np.linspace(span[0], span[1], samples)
+    lines = ["x,value"]
+    lines.extend(
+        f"{_float_repr(float(x))},{_float_repr(float(v))}"
+        for x, v in zip(xs, numerics.eval_array(expr, xs))
+    )
+    return "\n".join(lines) + "\n"
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_okamoto(args) -> int:
@@ -86,13 +102,7 @@ def _potential_fn(k: int, via: str) -> RationalFn:
 def _cmd_potential(args) -> int:
     v = _potential_fn(args.k, args.via)
     if args.csv:
-        lo, hi = (args.range if args.range else (-5.0, 5.0))
-        import numpy as np
-
-        xs = np.linspace(lo, hi, args.samples)
-        print("x,value")
-        for x, value in zip(xs, numerics.eval_array(v, xs)):
-            print(f"{_float_repr(float(x))},{_float_repr(float(value))}")
+        sys.stdout.write(_csv(v, args.range or _DEFAULT_SPAN, args.samples))
         return 0
     payload = {"k": args.k, "via": args.via, "potential": v.to_json_dict()}
     if args.eval is not None:
@@ -191,8 +201,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    import numpy as np
-
     if args.what == "potential":
         expr = spectral.potential(args.k).potential_fn()
     elif args.what == "mode":
@@ -201,12 +209,7 @@ def _cmd_plot_data(args) -> int:
         expr = _mode(args.k, args.j, args.n).phi()
     else:
         raise InvalidIndices(f"unknown plot subject {args.what!r}")
-    lo, hi = args.range
-    xs = np.linspace(lo, hi, args.samples)
-    values = numerics.eval_array(expr, xs)
-    print("x,value")
-    for x, value in zip(xs, values):
-        print(f"{_float_repr(float(x))},{_float_repr(float(value))}")
+    sys.stdout.write(_csv(expr, args.range, args.samples))
     return 0
 
 
@@ -262,16 +265,7 @@ def _cmd_export(args) -> int:
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
-        import numpy as np
-
-        lo, hi = (args.range if args.range else (-5.0, 5.0))
-        xs = np.linspace(lo, hi, args.samples)
-        values = numerics.eval_array(expr, xs)
-        lines = ["x,value"]
-        lines.extend(
-            f"{_float_repr(float(x))},{_float_repr(float(v))}" for x, v in zip(xs, values)
-        )
-        text = "\n".join(lines) + "\n"
+        text = _csv(expr, args.range or _DEFAULT_SPAN, args.samples)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

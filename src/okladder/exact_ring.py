@@ -853,7 +853,7 @@ class RationalFn:
     def inverse(self) -> "RationalFn":
         if self.is_zero:
             raise ZeroDenominator("inverse of the zero function")
-        return RationalFn(self.den, self.num)
+        return RationalFn(self.den, self.num, _reduced=True)
 
     def __truediv__(self, other) -> "RationalFn":
         return self * RationalFn.coerce(other).inverse()
@@ -903,9 +903,22 @@ class RationalFn:
         return f"RationalFn(({self.num.pretty()}) / ({self.den.pretty()}))"
 
 
-def log_derivative(p: ExactPoly) -> RationalFn:
-    """(ln p)' = p'/p as a reduced rational function."""
-    return RationalFn(p.derivative(), p)
+def log_derivative(p: ExactPoly, q: ExactPoly | None = None) -> RationalFn:
+    """(ln p/q)' = (p'q - pq')/(pq), reduced once; (ln p)' = p'/p without q."""
+    if q is None:
+        return RationalFn(p.derivative(), p)
+    return RationalFn(p.derivative() * q - p * q.derivative(), p * q)
+
+
+# s*x/3 for s = +-1, the logarithmic derivative of exp(s*x^2/6).
+_GAUSS_SLOPE = {s: RationalFn.from_poly(ExactPoly((0, Fraction(s, 3)))) for s in (-1, 1)}
+
+
+def _gauss_derivative(r: RationalFn, s: int) -> RationalFn:
+    """R' + (s*x/3) R, the rational part of (R exp(s*x^2/6))'."""
+    if not s:
+        return r.derivative()
+    return r.derivative() + r * _GAUSS_SLOPE[s]
 
 
 class QuasiGaussian:
@@ -942,15 +955,8 @@ class QuasiGaussian:
         return hash((self.rational, self.gauss_exponent if not self.is_zero else 0))
 
     def derivative(self) -> "QuasiGaussian":
-        # (R e^{s x^2/6})' = (R' + (s x/3) R) e^{s x^2/6}
-        r = self.rational
-        term = r.derivative()
-        if self.gauss_exponent:
-            term = term + r * RationalFn(
-                ExactPoly((_ZERO, SqrtTwoScalar(Fraction(self.gauss_exponent, 3)))),
-                _reduced=True,
-            )
-        return QuasiGaussian(term, self.gauss_exponent)
+        s = self.gauss_exponent
+        return QuasiGaussian(_gauss_derivative(self.rational, s), s)
 
     def __mul__(self, other):
         if isinstance(other, QuasiGaussian):
@@ -1071,16 +1077,9 @@ def wronskian(fs: Sequence):
         if any(e.gauss_exponent != s for e in entries):
             raise MixedKinds("quasi-Gaussian wronskian entries with different exponents")
         # Wr(e^G R_i) = e^{n G} det[(d/dx + G')^r R_i] with G = s x^2/6.
-        gprime = RationalFn(
-            ExactPoly((_ZERO, SqrtTwoScalar(Fraction(s, 3)))), _reduced=True
-        )
         rows = [[e.rational for e in entries]]
         for _ in range(n - 1):
-            prev = rows[-1]
-            if s:
-                rows.append([r.derivative() + gprime * r for r in prev])
-            else:
-                rows.append([r.derivative() for r in prev])
+            rows.append([_gauss_derivative(r, s) for r in rows[-1]])
         det = _det(rows, RationalFn.zero())
         return GaussWronskian(det, n * s)
     raise MixedKinds(f"unsupported wronskian entry kind {type(entries[0]).__name__}")

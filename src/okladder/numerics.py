@@ -58,8 +58,10 @@ def eval_float(expr, x: float) -> float:
 
     The expression is evaluated exactly at Fraction(x) in Q(sqrt2) and
     rounded once; a quasi-Gaussian is its rounded rational part times the
-    double exp(s*x^2/6).
+    double exp(s*x^2/6).  A non-finite x raises ValueError.
     """
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cannot evaluate at x = {x}")
     if isinstance(expr, QuasiGaussian):
         base = eval_float(expr.rational, x)
         return base * math.exp(expr.gauss_exponent * x * x / 6) if expr.gauss_exponent else base

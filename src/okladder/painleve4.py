@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone, SingularMap, ZeroDenominator
-from .exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar
+from .exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar, log_derivative
 from .okamoto import okamoto
 
 _X = ExactPoly.x()
@@ -28,11 +28,6 @@ class PIVSolution:
     beta: Fraction
 
 
-def _log_diff(a: ExactPoly, b: ExactPoly) -> RationalFn:
-    """(ln(a/b))' as a reduced rational function."""
-    return RationalFn(a.derivative() * b - a * b.derivative(), a * b)
-
-
 def family_parameters(family: int, m: int, n: int) -> tuple[Fraction, Fraction]:
     if family == 1:
         return Fraction(2 * m + n), -2 * (Fraction(n) - Fraction(1, 3)) ** 2
@@ -45,10 +40,10 @@ def family_parameters(family: int, m: int, n: int) -> tuple[Fraction, Fraction]:
 
 def _log_form(family: int, m: int, n: int) -> RationalFn:
     if family == 1:
-        return _MINUS_2X3 + _log_diff(okamoto(m + 1, n), okamoto(m, n))
+        return _MINUS_2X3 + log_derivative(okamoto(m + 1, n), okamoto(m, n))
     if family == 2:
-        return _MINUS_2X3 + _log_diff(okamoto(m, n), okamoto(m, n + 1))
-    return _MINUS_2X3 + _log_diff(okamoto(m, n + 1), okamoto(m + 1, n))
+        return _MINUS_2X3 + log_derivative(okamoto(m, n), okamoto(m, n + 1))
+    return _MINUS_2X3 + log_derivative(okamoto(m, n + 1), okamoto(m + 1, n))
 
 
 def product_form(family: int, m: int, n: int) -> RationalFn:

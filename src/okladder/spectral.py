@@ -20,7 +20,6 @@ from .exact_ring import (
 )
 from .okamoto import okamoto
 
-_X_SQ = ExactPoly((0, 0, 1))
 _X_OVER_3 = RationalFn.from_poly(ExactPoly((0, Fraction(1, 3))))
 
 
@@ -48,47 +47,40 @@ def mode_degree(k: int, j: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class HamiltonianK:
-    """H = -d^2/dx^2 + V with V = x^2 + potential_rational + potential_shift.
+    """H = -d^2/dx^2 + v for a reduced potential v.
 
-    potential_rational is the improper rational term -(4/9) Q_{k+2} Q_k / Q_{k+1}^2
-    (it grows like -(8/9) x^2, bringing the full potential down to x^2/9 + const);
-    weight is the common eigenfunction factor exp(-x^2/6)/Q_{k+1}.
+    potential(k) holds the level-k V = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2
+    + 4k + 1, which grows like x^2/9 + const; intertwining_checks holds the
+    auxiliary potentials of the factor chain the same way.
     """
 
     k: int
-    potential_rational: RationalFn
-    potential_shift: Fraction
-    weight: QuasiGaussian
+    v: RationalFn
 
     def potential_fn(self) -> RationalFn:
-        return (
-            RationalFn.from_poly(_X_SQ)
-            + self.potential_rational
-            + RationalFn.constant(self.potential_shift)
-        )
+        return self.v
 
     def apply(self, g: QuasiGaussian) -> QuasiGaussian:
         """H g = -g'' + V g, exactly."""
         return QuasiGaussian(
-            -g.derivative().derivative().rational + self.potential_fn() * g.rational,
-            g.gauss_exponent,
+            -g.derivative().derivative().rational + self.v * g.rational, g.gauss_exponent
         )
 
     def asymptotic_constant(self) -> Fraction:
         """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
-        quot, _ = divmod(self.potential_rational.num, self.potential_rational.den)
-        # quot = -(8/9) x^2 + c with c rational
-        if not (quot.degree == 2 and quot.coeff(2) == Fraction(-8, 9) and quot.coeff(1).is_zero):
-            raise CertificateFailed(f"V - x^2 does not grow like -(8/9) x^2 at k={self.k}")
+        quot, _ = divmod(self.v.num, self.v.den)
+        # quot = x^2/9 + c with c rational
+        if not (quot.degree == 2 and quot.coeff(2) == Fraction(1, 9) and quot.coeff(1).is_zero):
+            raise CertificateFailed(f"V does not grow like x^2/9 at k={self.k}")
         c = quot.coeff(0)
         if not c.is_rational:
             raise CertificateFailed(f"asymptotic constant {c} is not rational at k={self.k}")
-        return self.potential_shift + c.a
+        return c.a
 
 
 @dataclass(frozen=True)
 class ModeFunction:
-    """Eigenfunction data phi_{n;j} = weight * P up to normalization."""
+    """Eigenfunction data phi_{n;j} = (P/Q_{k+1}) exp(-x^2/6) up to normalization."""
 
     k: int
     j: int
@@ -129,14 +121,8 @@ def _potential_parts(k: int) -> tuple[ExactPoly, ExactPoly, Fraction]:
 def potential(k: int) -> HamiltonianK:
     """V(x) = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
     top, q, shift = _potential_parts(k)
-    rational = RationalFn(top, q**2)
-    weight = QuasiGaussian(RationalFn(ExactPoly.one(), q), -1)
-    return HamiltonianK(
-        k=k,
-        potential_rational=rational,
-        potential_shift=shift,
-        weight=weight,
-    )
+    q2 = q * q
+    return HamiltonianK(k, RationalFn(ExactPoly((shift, 0, 1)) * q2 + top, q2))
 
 
 def superpotentials(k: int, branch: str = "+") -> tuple[RationalFn, RationalFn, RationalFn]:
@@ -152,9 +138,9 @@ def superpotentials(k: int, branch: str = "+") -> tuple[RationalFn, RationalFn, 
     q_k = okamoto(k, 0)
     q_k1 = okamoto(k + 1, 0)
     b = okamoto(k, 1) if branch == "+" else okamoto(k + 1, -1)
-    w = -(_X_OVER_3 + log_derivative(q_k1) - log_derivative(q_k))
-    w1 = _X_OVER_3 + log_derivative(b) - log_derivative(q_k1)
-    w2 = _X_OVER_3 + log_derivative(q_k) - log_derivative(b)
+    w = -(_X_OVER_3 + log_derivative(q_k1, q_k))
+    w1 = _X_OVER_3 + log_derivative(b, q_k1)
+    w2 = _X_OVER_3 + log_derivative(q_k, b)
     return w, w1, w2
 
 
@@ -171,6 +157,8 @@ def zero_mode(k: int, j: int, branch: str = "+") -> ModeFunction:
     """
     if j not in (1, 2, 3):
         raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    if branch not in ("+", "-"):
+        raise ValueError("branch must be '+' or '-'")
     jj = j
     if branch == "-" and j in (2, 3):
         jj = 5 - j
@@ -213,7 +201,7 @@ def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
 
 
 def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
-    """(-d^2/dx^2 + V - E) applied to weight * P; zero certifies the mode.
+    """(-d^2/dx^2 + V - E) applied to mode.phi(); zero certifies the mode.
 
     With phi = (P/Q) exp(-x^2/6), Q = Q_{k+1}, the result is N/Q^3 times
     exp(-x^2/6) where
@@ -250,17 +238,9 @@ def intertwining_checks(k: int) -> list[bool]:
     v2 = w1 * w1 - w1.derivative() + RationalFn.constant(e2)
     v1 = w2 * w2 - w2.derivative() + RationalFn.constant(e1)
 
-    def second_order(v: RationalFn):
-        def apply(g: QuasiGaussian) -> QuasiGaussian:
-            return QuasiGaussian(
-                -g.derivative().derivative().rational + v * g.rational, g.gauss_exponent
-            )
-
-        return apply
-
-    ham = second_order(potential(k).potential_fn())
-    ham1 = second_order(v1)
-    ham2 = second_order(v2)
+    ham = potential(k).apply
+    ham1 = HamiltonianK(k, v1).apply
+    ham2 = HamiltonianK(k, v2).apply
     g = QuasiGaussian(RationalFn(okamoto(k, 1), okamoto(k + 1, 0)), -1)
     m1_up = lambda f: apply_first_order(1, w1, f)
     m1_dn = lambda f: apply_first_order(-1, w1, f)

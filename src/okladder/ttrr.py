@@ -37,9 +37,9 @@ class RecurrenceState:
                 f"the two closed forms of the recurrence coefficient disagree at k={k}"
             )
         q_k_1 = okamoto(k, 1)
-        self.w1 = _MINUS_2X3 + log_derivative(q_k1) - log_derivative(q_k)
-        self.w2 = _MINUS_2X3 + log_derivative(q_k) - log_derivative(q_k_1)
-        self.w3 = _MINUS_2X3 + log_derivative(q_k_1) - log_derivative(q_k1)
+        self.w1 = _MINUS_2X3 + log_derivative(q_k1, q_k)
+        self.w2 = _MINUS_2X3 + log_derivative(q_k, q_k_1)
+        self.w3 = _MINUS_2X3 + log_derivative(q_k_1, q_k1)
         self.entries: list[ExactPoly] = [zero_mode(k, j).P]
 
     def g(self, n: int) -> RationalFn:
@@ -47,11 +47,7 @@ class RecurrenceState:
 
     def extend_to(self, n: int) -> None:
         while len(self.entries) <= n:
-            m = len(self.entries)
-            if m == 1:
-                self.entries.append(ttrr_first(self))
-            else:
-                self.entries.append(ttrr_next(self, m - 2))
+            self.entries.append(ttrr_next(self, len(self.entries) - 2))
 
 
 def _as_polynomial(value: RationalFn, context: str) -> ExactPoly:
@@ -60,41 +56,29 @@ def _as_polynomial(value: RationalFn, context: str) -> ExactPoly:
     return value.as_poly()
 
 
-def ttrr_first(state: RecurrenceState) -> ExactPoly:
-    """P_1 from P_0:
-    L~_0 P_1 = [-w2 g_1 + E_0 w1 g_1/g_0 + w3 (2/3 - 2k + E_0)] P_0."""
-    k, j = state.k, state.j
-    e0 = energy(k, j, 0)
-    g1 = state.g(1)
-    bracket = -state.w2 * g1 + state.w3 * RationalFn.constant(Fraction(2, 3) - 2 * k + e0)
-    if e0:
-        bracket = bracket + state.w1 * (g1 / state.g(0)) * RationalFn.constant(e0)
-    lt0 = ladder_constant_sq(k, j, 0)
-    result = bracket * RationalFn.from_poly(state.entries[0]) / RationalFn.constant(lt0)
-    return _as_polynomial(result, f"first recurrence step (k={k}, j={j})")
-
-
 def ttrr_next(state: RecurrenceState, n: int) -> ExactPoly:
     """P_{n+2} from P_{n+1}, P_n:
     L~_{n+1} P_{n+2} = [-w2 g_{n+2} + E_{n+1} w1 g_{n+2}/g_{n+1}
                         + w3 (2/3 - 2k + E_{n+1})] P_{n+1} - (g_{n+2}/g_{n+1}) P_n.
+
+    n = -1 gives P_1 from P_0 alone (P_{-1} = 0).
     """
     k, j = state.k, state.j
+    if n < -1:
+        raise ValueError(f"recurrence index n must be >= -1, got {n}")
     if len(state.entries) < n + 2:
         raise ValueError(f"entries {n} and {n + 1} must exist before computing {n + 2}")
     e_next = energy(k, j, n + 1)
     g_n2 = state.g(n + 2)
-    ratio = g_n2 / state.g(n + 1)
-    bracket = (
-        -state.w2 * g_n2
-        + state.w1 * ratio * RationalFn.constant(e_next)
-        + state.w3 * RationalFn.constant(Fraction(2, 3) - 2 * k + e_next)
-    )
-    lt = ladder_constant_sq(k, j, n + 1)
-    result = (
-        bracket * RationalFn.from_poly(state.entries[n + 1])
-        - ratio * RationalFn.from_poly(state.entries[n])
-    ) / RationalFn.constant(lt)
+    bracket = -state.w2 * g_n2 + state.w3 * RationalFn.constant(Fraction(2, 3) - 2 * k + e_next)
+    # Only P_1 of the j = 1 sequence (E_0 = 0, no P_{-1}) needs no ratio term.
+    if e_next or n >= 0:
+        ratio = g_n2 / state.g(n + 1)
+        bracket = bracket + state.w1 * ratio * RationalFn.constant(e_next)
+    result = bracket * RationalFn.from_poly(state.entries[n + 1])
+    if n >= 0:
+        result = result - ratio * RationalFn.from_poly(state.entries[n])
+    result = result / RationalFn.constant(ladder_constant_sq(k, j, n + 1))
     return _as_polynomial(result, f"recurrence step n={n + 2} (k={k}, j={j})")
 
 

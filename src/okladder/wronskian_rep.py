@@ -285,22 +285,6 @@ def xhermite_from_ttrr(k: int, j: int, n: int) -> ExactPoly:
     return rescaled
 
 
-def xhermite_scale_constant(k: int, j: int, n: int) -> float:
-    """The closed-form proportionality constant between the two routes:
-    3^{k(k+1)/4 + 3k^2/2 + sigma/2} * (prod_{p=1}^k nu_p!) * sigma!.
-
-    Exposed for reference only; every structural assertion in this module
-    is up-to-scalar, so nothing downstream depends on this value.
-    """
-    sigma = sigma_index(k, j, n)
-    nu = partition_nu_indices(list(range(1, k + 1)))
-    exponent = Fraction(k * (k + 1), 4) + Fraction(3 * k * k, 2) + Fraction(sigma, 2)
-    value = 3.0 ** float(exponent) * float(math.factorial(sigma))
-    for p in range(1, k + 1):
-        value *= math.factorial(nu[p - 1])
-    return value
-
-
 def wronskian_identity_check(
     indices: list[int], extra: tuple[int, int], kind: str = "psi"
 ) -> bool:

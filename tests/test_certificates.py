@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from okladder import wronskian_rep
 from okladder.errors import CertificateFailed
-from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, QuasiGaussian
+from okladder.exact_ring import SQRT2, ExactPoly, RationalFn
 from okladder.okamoto import DEFAULT_TABLE, okamoto
 from okladder.painleve4 import rational_solution
 from okladder.spectral import HamiltonianK
@@ -46,8 +46,7 @@ def product_form_check():
 
 
 def _hamiltonian(quotient):
-    weight = QuasiGaussian(RationalFn.one(), -1)
-    return HamiltonianK(0, RationalFn.from_poly(quotient), Fraction(1), weight)
+    return HamiltonianK(0, RationalFn.from_poly(ExactPoly((1, 0, 1)) + quotient))
 
 
 def asymptotic_growth():

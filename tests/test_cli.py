@@ -96,6 +96,22 @@ class TestPotentialCommand:
         assert lines[0] == "x,value"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_non_finite_eval_exits_2(self, x, capsys):
+        code = main(["potential", "--k", "1", f"--eval={x}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot evaluate at x = ")
+
+    def test_csv_writers_agree(self, capsys):
+        span = ["--range", "-2", "3", "--samples", "7"]
+        _, a = run_cli(["potential", "--k", "2", "--csv", *span], capsys)
+        _, b = run_cli(["plot-data", "--k", "2", "--what", "potential", *span], capsys)
+        _, c = run_cli(["export", "potential", "--k", "2", "--format", "csv", *span], capsys)
+        assert a == b == c
+        assert a.startswith("x,value\n-2,") and len(a.splitlines()) == 8
+
 
 class TestModesAndTtrr:
     def test_modes_energy(self, capsys):
@@ -236,6 +252,22 @@ class TestExportCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_non_finite_eval_exits_2(self, x, capsys):
+        code = main(["potential", "--k", "1", f"--eval={x}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot evaluate at x = ")
+
+    def test_csv_writers_agree(self, capsys):
+        span = ["--range", "-2", "3", "--samples", "7"]
+        _, a = run_cli(["potential", "--k", "2", "--csv", *span], capsys)
+        _, b = run_cli(["plot-data", "--k", "2", "--what", "potential", *span], capsys)
+        _, c = run_cli(["export", "potential", "--k", "2", "--format", "csv", *span], capsys)
+        assert a == b == c
+        assert a.startswith("x,value\n-2,") and len(a.splitlines()) == 8
 
     def test_invalid_indices(self, capsys):
         code, _ = run_cli(["export", "mode", "--k", "1"], capsys)

@@ -72,6 +72,13 @@ class TestEvalFloat:
         with pytest.raises(PoleAtPoint):
             eval_float(f, 1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_raises(self, x):
+        with pytest.raises(ValueError, match="cannot evaluate at x = "):
+            eval_float(potential(1).potential_fn(), x)
+        with pytest.raises(ValueError, match="cannot evaluate at x = "):
+            eval_float(zero_mode(1, 1).phi(), x)
+
     def test_array_agrees_with_scalar(self):
         import numpy as np
 

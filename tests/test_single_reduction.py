@@ -1,17 +1,28 @@
 """Single-reduction constructions against their per-operation oracles.
 
-`backlund` and `hamiltonian_residual` assemble each result as one quotient
-of polynomials and reduce it once.  The oracles below build the same values
-the long way, through `RationalFn` arithmetic that reduces after every
+`backlund`, `hamiltonian_residual`, `potential`, `log_derivative(p, q)` and
+`RationalFn.inverse` assemble each result as one quotient of polynomials
+and reduce it at most once.  The oracles below build the same values the
+long way, through `RationalFn` arithmetic that reduces after every
 operation, and every result must serialize identically.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okladder.errors import SingularMap
-from okladder.exact_ring import ExactPoly, QuasiGaussian, RationalFn
+from okladder.exact_ring import (
+    ExactPoly,
+    QuasiGaussian,
+    RationalFn,
+    SqrtTwoScalar,
+    _gauss_derivative,
+    log_derivative,
+)
+from okladder.okamoto import okamoto
 from okladder.painleve4 import (
     _W34_DENOMINATOR_SIGN_REL,
     BACKLUND_MAPS,
@@ -20,8 +31,14 @@ from okladder.painleve4 import (
     backlund,
     rational_solution,
 )
-from okladder.spectral import ModeFunction, energy, hamiltonian_residual, potential
-from okladder.ttrr import ttrr_sequence
+from okladder.spectral import (
+    ModeFunction,
+    energy,
+    hamiltonian_residual,
+    ladder_constant_sq,
+    potential,
+)
+from okladder.ttrr import RecurrenceState, ttrr_next, ttrr_sequence
 
 
 def backlund_per_op(s: PIVSolution, map_name: str, denominator_sign: int | None = None) -> PIVSolution:
@@ -135,3 +152,103 @@ class TestHamiltonianResidualOracle:
         new = hamiltonian_residual(mode)
         assert not new.is_zero
         assert _residual_json(new) == _residual_json(hamiltonian_residual_per_op(mode))
+
+
+def _json(f: RationalFn) -> dict:
+    return f.to_json_dict()
+
+
+class TestPotentialOracle:
+    @pytest.mark.parametrize("k", range(5))
+    def test_sum_of_parts(self, k):
+        top = okamoto(k + 2, 0) * okamoto(k, 0) * Fraction(-4, 9)
+        q = okamoto(k + 1, 0)
+        old = (
+            RationalFn.from_poly(ExactPoly((0, 0, 1)))
+            + RationalFn(top, q * q)
+            + RationalFn.constant(4 * k + 1)
+        )
+        assert _json(potential(k).potential_fn()) == _json(old)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_one_reduction(self, k, monkeypatch):
+        for m in (k, k + 1, k + 2):
+            okamoto(m, 0)
+        reductions = []
+        init = RationalFn.__init__
+
+        def counting(self, num, den=None, *, _reduced=False):
+            if not _reduced:
+                reductions.append((num, den))
+            init(self, num, den, _reduced=_reduced)
+
+        monkeypatch.setattr(RationalFn, "__init__", counting)
+        h = potential(k)
+        assert len(reductions) == 1
+        reductions.clear()
+        h.potential_fn()
+        assert reductions == []
+
+
+# Neighbouring Okamoto pairs (a, b) of the Painleve IV families, the
+# superpotentials and the recurrence coefficients.
+_PAIRS = [
+    pair
+    for m in range(4)
+    for n in range(-1, 3)
+    for pair in (((m + 1, n), (m, n)), ((m, n), (m, n + 1)), ((m, n + 1), (m + 1, n)))
+] + [((k + 1, -1), (k + 1, 0)) for k in range(4)]
+
+
+class TestLogDerivativeOracle:
+    @pytest.mark.parametrize("a,b", _PAIRS)
+    def test_difference_of_logs(self, a, b):
+        p, q = okamoto(*a), okamoto(*b)
+        assert _json(log_derivative(p, q)) == _json(log_derivative(p) - log_derivative(q))
+
+    def test_without_q(self):
+        p = okamoto(2, 1)
+        assert log_derivative(p) == RationalFn(p.derivative(), p)
+        assert log_derivative(p, ExactPoly.one()) == log_derivative(p)
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+_scalars = st.builds(SqrtTwoScalar, _fractions, _fractions)
+_polys = st.lists(_scalars, max_size=4).map(ExactPoly)
+_nonzero_polys = st.lists(_scalars, min_size=1, max_size=4).map(ExactPoly).filter(bool)
+_rationals = st.builds(RationalFn, _polys, _nonzero_polys)
+
+
+class TestGaussDerivativeOracle:
+    @given(_rationals, st.sampled_from((-1, 0, 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_old_row(self, r, s):
+        gprime = RationalFn(ExactPoly((0, SqrtTwoScalar(Fraction(s, 3)))), _reduced=True)
+        assert _json(_gauss_derivative(r, s)) == _json(r.derivative() + gprime * r)
+
+
+class TestInverseOracle:
+    @given(_rationals.filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_swapped_construction(self, f):
+        assert _json(f.inverse()) == _json(RationalFn(f.den, f.num))
+
+
+def ttrr_first_oracle(state: RecurrenceState) -> ExactPoly:
+    """P_1 from P_0 by the first-step formula
+    L~_0 P_1 = [-w2 g_1 + E_0 w1 g_1/g_0 + w3 (2/3 - 2k + E_0)] P_0."""
+    k, j = state.k, state.j
+    e0 = energy(k, j, 0)
+    g1 = state.g(1)
+    bracket = -state.w2 * g1 + state.w3 * RationalFn.constant(Fraction(2, 3) - 2 * k + e0)
+    if e0:
+        bracket = bracket + state.w1 * (g1 / state.g(0)) * RationalFn.constant(e0)
+    result = bracket * RationalFn.from_poly(state.entries[0]) / ladder_constant_sq(k, j, 0)
+    return result.as_poly()
+
+
+class TestRecurrenceFirstStepOracle:
+    @pytest.mark.parametrize("k,j", [(k, j) for k in range(4) for j in (1, 2, 3)])
+    def test_first_step(self, k, j):
+        state = RecurrenceState(k, j)
+        assert ttrr_next(state, -1).to_json_dict() == ttrr_first_oracle(state).to_json_dict()

@@ -124,6 +124,10 @@ class TestEnergies:
 
 
 class TestZeroModes:
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(ValueError, match="branch must be '\\+' or '-'"):
+            zero_mode(1, 2, branch="x")
+
     def test_k0_ground(self):
         zm = zero_mode(0, 1)
         assert zm.P == ExactPoly.one() and zm.energy == 0

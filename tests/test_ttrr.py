@@ -12,7 +12,6 @@ from okladder.ttrr import (
     RecurrenceState,
     normalization_sq,
     ode_residual,
-    ttrr_first,
     ttrr_next,
     ttrr_sequence,
 )
@@ -20,16 +19,16 @@ from okladder.ttrr import (
 
 class TestFirstStep:
     def test_oscillator_sequence_start(self):
-        p = ttrr_first(RecurrenceState(0, 1))
+        p = ttrr_next(RecurrenceState(0, 1), -1)
         assert p.proportionality(ExactPoly((0, -9, 0, 2))) is not None  # x(2x^2 - 9)
 
     def test_k1_j1(self):
-        p = ttrr_first(RecurrenceState(1, 1))
+        p = ttrr_next(RecurrenceState(1, 1), -1)
         c = p.proportionality(ExactPoly((0, 9, 0, 2)))  # x(2x^2 + 9)
         assert c is not None and c.sign() > 0
 
     def test_k1_j3(self):
-        p = ttrr_first(RecurrenceState(1, 3))
+        p = ttrr_next(RecurrenceState(1, 3), -1)
         table = ExactPoly((-1215, 0, 3240, 0, 360, 0, -288, 0, 16))
         c = p.proportionality(table)
         assert c is not None and c.sign() > 0
@@ -62,6 +61,12 @@ class TestIteration:
         state = RecurrenceState(1, 1)
         with pytest.raises(ValueError):
             ttrr_next(state, 3)
+
+    def test_index_below_minus_one_rejected(self):
+        state = RecurrenceState(1, 1)
+        state.extend_to(3)
+        with pytest.raises(ValueError, match=">= -1"):
+            ttrr_next(state, -2)
 
     def test_degrees_follow_the_ladder(self):
         for k in (0, 1, 2):

@@ -32,7 +32,6 @@ from okladder.wronskian_rep import (
     wronskian_mode,
     wronskian_potential,
     xhermite_from_ttrr,
-    xhermite_scale_constant,
 )
 
 
@@ -215,9 +214,6 @@ class TestExceptionalHermite:
         assert sigma_index(1, 1, 1) == 3
         assert sigma_index(1, 2, 0) == 4
         assert sigma_index(2, 3, 0) == 8
-
-    def test_scale_constant_positive(self):
-        assert xhermite_scale_constant(1, 1, 1) > 0
 
 
 class TestIndexSets:
