@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -54,6 +55,8 @@ def _csv(expr, span, samples: int) -> str:
     """CSV text: an x,value header, then expr at `samples` evenly spaced points of span."""
     import numpy as np
 
+    if not all(math.isfinite(v) for v in span):
+        raise ValueError(f"range must be finite, got {span[0]} {span[1]}")
     xs = np.linspace(span[0], span[1], samples)
     lines = ["x,value"]
     lines.extend(

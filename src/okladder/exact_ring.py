@@ -911,14 +911,29 @@ def log_derivative(p: ExactPoly, q: ExactPoly | None = None) -> RationalFn:
 
 
 # s*x/3 for s = +-1, the logarithmic derivative of exp(s*x^2/6).
-_GAUSS_SLOPE = {s: RationalFn.from_poly(ExactPoly((0, Fraction(s, 3)))) for s in (-1, 1)}
+_GAUSS_SLOPE = {s: ExactPoly((0, Fraction(s, 3))) for s in (-1, 1)}
+
+
+def _gauss_numerator(r: RationalFn, s: int) -> tuple[ExactPoly, ExactPoly]:
+    """(B, N*D) for R = N/D, with (R exp(s*x^2/6))' = (B/D^2) exp(s*x^2/6):
+    B = N'D - ND' + (s*x/3) N D, which is N' + (s*x/3) N over 1 when D = 1."""
+    n, d = r.num, r.den
+    if r.is_polynomial:
+        bracket, nd = n.derivative(), n
+    else:
+        bracket, nd = n.derivative() * d - n * d.derivative(), n * d
+    if s:
+        bracket = bracket + _GAUSS_SLOPE[s] * nd
+    return bracket, nd
 
 
 def _gauss_derivative(r: RationalFn, s: int) -> RationalFn:
-    """R' + (s*x/3) R, the rational part of (R exp(s*x^2/6))'."""
-    if not s:
-        return r.derivative()
-    return r.derivative() + r * _GAUSS_SLOPE[s]
+    """R' + (s*x/3) R, the rational part of (R exp(s*x^2/6))', reduced once
+    (not at all for a polynomial R)."""
+    bracket, _ = _gauss_numerator(r, s)
+    if r.is_polynomial:
+        return RationalFn.from_poly(bracket)
+    return RationalFn(bracket, r.den * r.den)
 
 
 class QuasiGaussian:
@@ -999,9 +1014,18 @@ def apply_first_order(op_sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGau
     """(op_sign * d/dx + f) applied to g, exactly."""
     if op_sign not in (-1, 1):
         raise ValueError("op_sign must be +1 or -1")
-    dg = g.derivative()
-    term = dg.rational if op_sign == 1 else -dg.rational
-    return QuasiGaussian(term + f * g.rational, g.gauss_exponent)
+    r, s = g.rational, g.gauss_exponent
+    if r.is_zero:
+        return g
+    # With f = a/b and R = N/D: (op_sign*B*b + a*N*D) / (D^2*b), reduced once.
+    bracket, nd = _gauss_numerator(r, s)
+    if op_sign < 0:
+        bracket = -bracket
+    den = f.den if r.is_polynomial else r.den * r.den * f.den
+    # Denominators are monic, so a constant one is 1 and there is nothing to reduce.
+    return QuasiGaussian(
+        RationalFn(bracket * f.den + f.num * nd, den, _reduced=den.degree == 0), s
+    )
 
 
 @dataclass(frozen=True)

@@ -71,24 +71,32 @@ def eval_float(expr, x: float) -> float:
 
 
 def _round(value: SqrtTwoScalar) -> float:
-    """The double nearest to value.
+    """The double nearest to value, +-inf beyond the largest double.
 
-    A rational value rounds by Fraction's correctly rounded division.  For
+    A rational value rounds by correctly rounded integer division.  For
     (a + b*sqrt2)/den with b != 0, sqrt2 lies between r/2^n and (r+1)/2^n
     with r = isqrt(2*4^n); n doubles until both ends of the bracket round
     to the same double.  An irrational value is never a tie, so it ends.
     """
     if not value.b:
-        return float(value.a)
+        return _quotient(value.a.numerator, value.a.denominator)
     a, b, den = _scalar_ints(value)
     n = 64
     while True:
         r = math.isqrt(2 << 2 * n)
-        lo = ((a << n) + b * r) / (den << n)
-        hi = ((a << n) + b * (r + 1)) / (den << n)
+        lo = _quotient((a << n) + b * r, den << n)
+        hi = _quotient((a << n) + b * (r + 1), den << n)
         if lo == hi:
             return lo
         n *= 2
+
+
+def _quotient(num: int, den: int) -> float:
+    """num/den for den > 0, correctly rounded; +-inf where that overflows."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _poly_array(p: ExactPoly) -> np.ndarray:

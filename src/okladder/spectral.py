@@ -7,6 +7,7 @@ energy unit is fixed by lambda = 1 (spectral shift 2 per ladder step).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,10 +62,11 @@ class HamiltonianK:
         return self.v
 
     def apply(self, g: QuasiGaussian) -> QuasiGaussian:
-        """H g = -g'' + V g, exactly."""
-        return QuasiGaussian(
-            -g.derivative().derivative().rational + self.v * g.rational, g.gauss_exponent
-        )
+        """H g = -g'' + V g, exactly: (-S v.den + v.num N D^2) / (D^3 v.den)
+        for g = (N/D) exp(s x^2/6), reduced once."""
+        r, s, v = g.rational, g.gauss_exponent, self.v
+        second, nd2 = _second_numerator(r.num, r.den, s)
+        return QuasiGaussian(RationalFn(v.num * nd2 - second * v.den, r.den**3 * v.den), s)
 
     def asymptotic_constant(self) -> Fraction:
         """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
@@ -111,6 +113,22 @@ class LadderOp:
         return LadderOp(tuple((-sign, f) for sign, f in reversed(self.factors)))
 
 
+def _second_numerator(n: ExactPoly, d: ExactPoly, s: int) -> tuple[ExactPoly, ExactPoly]:
+    """(S, N D^2) with ((N/D) exp(s x^2/6))'' = (S/D^3) exp(s x^2/6), s in {-1, 0, 1}:
+
+        S = N''D^2 - 2N'D'D - ND''D + 2ND'^2 + (2s x/3)(N'D - ND')D + (s/3 + x^2/9) N D^2.
+    """
+    dn, dd = n.derivative(), d.derivative()
+    d2 = d * d
+    nd2 = n * d2
+    second = dn.derivative() * d2 - (dn * dd * 2 + n * dd.derivative()) * d + n * dd * dd * 2
+    if s:
+        wr = dn * d - n * dd
+        second = second + ExactPoly((0, Fraction(2 * s, 3))) * wr * d
+        second = second + ExactPoly((Fraction(s, 3), 0, Fraction(1, 9))) * nd2
+    return second, nd2
+
+
 def _potential_parts(k: int) -> tuple[ExactPoly, ExactPoly, Fraction]:
     """(T, Q, s) with V = x^2 + T/Q^2 + s: T = -(4/9) Q_{k+2} Q_k, Q = Q_{k+1}, s = 4k + 1."""
     if k < 0:
@@ -125,6 +143,7 @@ def potential(k: int) -> HamiltonianK:
     return HamiltonianK(k, RationalFn(ExactPoly((shift, 0, 1)) * q2 + top, q2))
 
 
+@functools.cache
 def superpotentials(k: int, branch: str = "+") -> tuple[RationalFn, RationalFn, RationalFn]:
     """(W, W1, W2) for the three-step factorization.
 
@@ -132,6 +151,7 @@ def superpotentials(k: int, branch: str = "+") -> tuple[RationalFn, RationalFn, 
     W1 = x/3 + (ln B/Q_{k+1})',   W2 = x/3 + (ln Q_k/B)'
     with B = Q_{k,1} on the '+' branch and B = Q_{k+1,-1} on the '-' branch;
     the '-' branch swaps the roles of the j = 2 and j = 3 zero-modes.
+    Memoized per (k, branch); the RationalFn entries are immutable.
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
@@ -175,14 +195,13 @@ def ladder(k: int, direction: str) -> LadderOp:
     """Third-order ladder operators in factored form.
 
     raise:  (+d/dx + W) o (-d/dx + W2) o (-d/dx + W1)
-    lower:  (+d/dx + W1) o (+d/dx + W2) o (-d/dx + W)
+    lower:  (+d/dx + W1) o (+d/dx + W2) o (-d/dx + W), the adjoint of raise
     """
+    if direction not in ("raise", "lower"):
+        raise ValueError("direction must be 'raise' or 'lower'")
     w, w1, w2 = superpotentials(k)
-    if direction == "raise":
-        return LadderOp(((1, w), (-1, w2), (-1, w1)))
-    if direction == "lower":
-        return LadderOp(((1, w1), (1, w2), (-1, w)))
-    raise ValueError("direction must be 'raise' or 'lower'")
+    up = LadderOp(((1, w), (-1, w2), (-1, w1)))
+    return up if direction == "raise" else up.adjoint()
 
 
 def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
@@ -203,24 +222,18 @@ def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
 def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
     """(-d^2/dx^2 + V - E) applied to mode.phi(); zero certifies the mode.
 
-    With phi = (P/Q) exp(-x^2/6), Q = Q_{k+1}, the result is N/Q^3 times
-    exp(-x^2/6) where
+    With phi = (P/Q) exp(-x^2/6), Q = Q_{k+1} and phi'' = (S/Q^3) exp(-x^2/6),
+    the result is N/Q^3 times exp(-x^2/6) where
 
-        N = -(P''Q^2 - 2P'Q'Q - PQ''Q + 2PQ'^2) + (2x/3)(P'Q - PQ')Q
-            + ((8/9)x^2 + 4k + 4/3 - E) P Q^2 - (4/9) Q_{k+2} Q_k P,
+        N = -S + (x^2 + 4k + 1 - E) P Q^2 - (4/9) Q_{k+2} Q_k P,
 
     so N is assembled as one polynomial and reduced at most once; a
     certified mode has N = 0 and needs no reduction at all.
     """
     top, q, shift = _potential_parts(mode.k)
-    p = mode.P
-    dp, dq = p.derivative(), q.derivative()
-    q2 = q * q
-    wr = dp * q - p * dq
-    second = dp.derivative() * q2 - (dp * dq * 2 + p * dq.derivative()) * q + p * dq * dq * 2
-    coeff = ExactPoly((shift + Fraction(1, 3) - mode.energy, 0, Fraction(8, 9)))
-    num = -second + ExactPoly((0, Fraction(2, 3))) * wr * q + coeff * p * q2 + top * p
-    return QuasiGaussian(RationalFn(num, q2 * q), -1)
+    second, pq2 = _second_numerator(mode.P, q, -1)
+    num = ExactPoly((shift - mode.energy, 0, 1)) * pq2 - second + top * mode.P
+    return QuasiGaussian(RationalFn(num, q**3), -1)
 
 
 def intertwining_checks(k: int) -> list[bool]:

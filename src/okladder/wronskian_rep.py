@@ -2,8 +2,9 @@
 
 The same objects built in okamoto/spectral/ttrr reappear here as Wronskians
 of Hermite-type seeds: the Okamoto polynomials, the potential (in
-state-deleting, state-adding, and general chained-factorization form), the
-higher modes, and the exceptional Hermite bridge with its three-term route.
+state-deleting and state-adding form, and as the Darboux chain those
+Wronskians close), the higher modes, and the exceptional Hermite bridge
+with its three-term route.
 Proportionality, not equality, is the acceptance relation wherever a free
 normalization constant is involved.
 """
@@ -26,6 +27,8 @@ from .exact_ring import (
     GaussWronskian,
     QuasiGaussian,
     RationalFn,
+    apply_first_order,
+    log_derivative,
     wronskian,
 )
 from .okamoto import okamoto
@@ -34,6 +37,8 @@ from .spectral import ModeFunction, energy
 from .ttrr import ttrr_sequence
 
 _X_SQ_OVER_9 = RationalFn.from_poly(ExactPoly((0, 0, Fraction(1, 9))))
+# -x/3, the logarithmic derivative of exp(-x^2/6).
+_MINUS_X_OVER_3 = RationalFn.from_poly(ExactPoly((0, Fraction(-1, 3))))
 
 
 def psi_poly(r: int) -> ExactPoly:
@@ -216,27 +221,30 @@ def wronskian_potential(k: int, form: str) -> RationalFn:
 
 
 def susy_chain_potential(deleted_levels: list[int]) -> RationalFn:
-    """Chained first-order factorization of the oscillator x^2/9 - 1/3 with
-    the given bound levels deleted:
-    x^2/9 - 2 (ln Wr(phi_{n_1}, .., phi_{n_j}))'' - 1/3.
+    """The oscillator x^2/9 - 1/3 with the given bound levels deleted by an
+    iterated Darboux chain (Crum 1955), one level per step.
 
-    Raises SingularWronskian when the seed Wronskian has a real zero, in
-    which case the chained potential is singular and rejected.
+    The seeds are u_i = psi_{n_i} exp(-x^2/6), in increasing level.  Each
+    step takes L = u_1'/u_1, sets V <- V - 2L' and maps the remaining seeds
+    through d/dx - L.  The result is x^2/9 - 2 (ln Wr(u_1, .., u_j))'' - 1/3,
+    reached without building that Wronskian.
+
+    Raises SingularWronskian when V has a real pole; those are exactly the
+    real zeros of the seed Wronskian.
     """
     levels = list(deleted_levels)
     if len(set(levels)) != len(levels) or any(v < 1 for v in levels):
         raise ValueError("deleted levels must be distinct integers >= 1")
-    if not levels:
-        return _X_SQ_OVER_9 + RationalFn.constant(Fraction(-1, 3))
-    entries = [QuasiGaussian(RationalFn.from_poly(psi_poly(i)), -1) for i in sorted(levels)]
-    gw = wronskian(entries)
-    w_poly = gw.rational_part.as_poly()
-    census = sturm_count(w_poly)
-    if census.n_total:
-        raise SingularWronskian(
-            f"seed wronskian for levels {sorted(levels)} has {census.n_total} real zeros"
-        )
-    return _potential_from_gauss_wronskian(gw, Fraction(-1, 3))
+    v = _X_SQ_OVER_9 + RationalFn.constant(Fraction(-1, 3))
+    seeds = [QuasiGaussian(RationalFn.from_poly(psi_poly(i)), -1) for i in sorted(levels)]
+    while seeds:
+        u = seeds.pop(0).rational
+        log_u = log_derivative(u.num, u.den) + _MINUS_X_OVER_3
+        v = v - log_u.derivative() * 2
+        seeds = [apply_first_order(1, -log_u, seed) for seed in seeds]
+    if sturm_count(v.den).n_total:
+        raise SingularWronskian(f"chained potential for levels {sorted(levels)} has a real pole")
+    return v
 
 
 def partition_nu_indices(lam: list[int]) -> list[int]:

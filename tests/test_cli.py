@@ -112,6 +112,28 @@ class TestPotentialCommand:
         assert a == b == c
         assert a.startswith("x,value\n-2,") and len(a.splitlines()) == 8
 
+    @pytest.mark.parametrize("span", [["0", "inf"], ["nan", "1"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["potential", "--k", "1", "--csv"],
+            ["plot-data", "--k", "0", "--what", "potential"],
+            ["export", "potential", "--k", "1", "--format", "csv"],
+        ],
+        ids=["potential", "plot-data", "export"],
+    )
+    def test_non_finite_range_exits_2(self, command, span, capsys):
+        code = main([*command, "--range", *span, "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: range must be finite")
+
+    def test_eval_overflow_is_inf(self, capsys):
+        code, out = run_cli(["potential", "--k", "1", "--eval", "1e308"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == "inf"
+
 
 class TestModesAndTtrr:
     def test_modes_energy(self, capsys):
@@ -466,10 +488,13 @@ def test_tampered_cache_exits_2_under_optimize(tmp_path):
 
 
 def test_entry_point_subprocess():
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    env.pop("OKLADDER_CACHE_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-m", "okladder.cli", "okamoto", "--m", "2", "--n", "0", "--pretty"],
         capture_output=True,
         text=True,
+        env=env,
         check=True,
     )
     assert proc.stdout.strip() == "2*x^2 + 3"

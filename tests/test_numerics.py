@@ -1,6 +1,7 @@
 """Floating-point cross-checks: evaluation, eigenvalues, inner products."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -78,6 +79,25 @@ class TestEvalFloat:
             eval_float(potential(1).potential_fn(), x)
         with pytest.raises(ValueError, match="cannot evaluate at x = "):
             eval_float(zero_mode(1, 1).phi(), x)
+
+    @pytest.mark.parametrize("c", [1, -1, SQRT2, -SQRT2])
+    def test_overflow_rounds_to_signed_inf(self, c):
+        # c*x^2 at 1e308 is about 1e616, beyond the largest double.
+        value = eval_float(ExactPoly((0, 0, c)), 1e308)
+        assert value == math.copysign(math.inf, float(c))
+
+    def test_largest_double_is_not_inf(self):
+        # 2^1024 - 2^970 is the first value that rounds to inf.
+        threshold = 2**1024 - 2**970
+        assert eval_float(ExactPoly.constant(threshold - 1), 0.0) == sys.float_info.max
+        assert eval_float(ExactPoly.constant(threshold), 0.0) == math.inf
+        # p - q*sqrt2 is about -1/(2.8 q) with p^2 - 2q^2 = -1, so the value
+        # sits just below the threshold and the first sqrt2 bracket straddles it.
+        p, q = 1, 1
+        while q < 2**40 or p * p - 2 * q * q != -1:
+            p, q = p + 2 * q, p + q
+        near = ExactPoly.constant(SqrtTwoScalar(threshold + p, -q))
+        assert eval_float(near, 0.0) == sys.float_info.max
 
     def test_array_agrees_with_scalar(self):
         import numpy as np

@@ -1,10 +1,11 @@
 """Single-reduction constructions against their per-operation oracles.
 
-`backlund`, `hamiltonian_residual`, `potential`, `log_derivative(p, q)` and
-`RationalFn.inverse` assemble each result as one quotient of polynomials
-and reduce it at most once.  The oracles below build the same values the
-long way, through `RationalFn` arithmetic that reduces after every
-operation, and every result must serialize identically.
+`backlund`, `hamiltonian_residual`, `potential`, `log_derivative(p, q)`,
+`RationalFn.inverse`, the quasi-Gaussian derivative, `apply_first_order`
+and `HamiltonianK.apply` assemble each result as one quotient of
+polynomials and reduce it at most once.  The oracles below build the same
+values the long way, through `RationalFn` arithmetic that reduces after
+every operation, and every result must serialize identically.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from okladder.exact_ring import (
     RationalFn,
     SqrtTwoScalar,
     _gauss_derivative,
+    apply_first_order,
     log_derivative,
 )
 from okladder.okamoto import okamoto
@@ -32,11 +34,15 @@ from okladder.painleve4 import (
     rational_solution,
 )
 from okladder.spectral import (
+    HamiltonianK,
+    LadderOp,
     ModeFunction,
     energy,
     hamiltonian_residual,
+    ladder,
     ladder_constant_sq,
     potential,
+    superpotentials,
 )
 from okladder.ttrr import RecurrenceState, ttrr_next, ttrr_sequence
 
@@ -158,6 +164,20 @@ def _json(f: RationalFn) -> dict:
     return f.to_json_dict()
 
 
+def count_reductions(monkeypatch) -> list:
+    """Record the (num, den) of every reducing RationalFn construction."""
+    reductions = []
+    init = RationalFn.__init__
+
+    def counting(self, num, den=None, *, _reduced=False):
+        if not _reduced:
+            reductions.append((num, den))
+        init(self, num, den, _reduced=_reduced)
+
+    monkeypatch.setattr(RationalFn, "__init__", counting)
+    return reductions
+
+
 class TestPotentialOracle:
     @pytest.mark.parametrize("k", range(5))
     def test_sum_of_parts(self, k):
@@ -174,15 +194,7 @@ class TestPotentialOracle:
     def test_one_reduction(self, k, monkeypatch):
         for m in (k, k + 1, k + 2):
             okamoto(m, 0)
-        reductions = []
-        init = RationalFn.__init__
-
-        def counting(self, num, den=None, *, _reduced=False):
-            if not _reduced:
-                reductions.append((num, den))
-            init(self, num, den, _reduced=_reduced)
-
-        monkeypatch.setattr(RationalFn, "__init__", counting)
+        reductions = count_reductions(monkeypatch)
         h = potential(k)
         assert len(reductions) == 1
         reductions.clear()
@@ -219,12 +231,102 @@ _nonzero_polys = st.lists(_scalars, min_size=1, max_size=4).map(ExactPoly).filte
 _rationals = st.builds(RationalFn, _polys, _nonzero_polys)
 
 
+def gauss_derivative_per_op(r: RationalFn, s: int) -> RationalFn:
+    """R' + (s*x/3) R, reducing after each operation."""
+    gprime = RationalFn(ExactPoly((0, SqrtTwoScalar(Fraction(s, 3)))), _reduced=True)
+    return r.derivative() + gprime * r
+
+
 class TestGaussDerivativeOracle:
     @given(_rationals, st.sampled_from((-1, 0, 1)))
     @settings(max_examples=60, deadline=None)
     def test_old_row(self, r, s):
-        gprime = RationalFn(ExactPoly((0, SqrtTwoScalar(Fraction(s, 3)))), _reduced=True)
-        assert _json(_gauss_derivative(r, s)) == _json(r.derivative() + gprime * r)
+        assert _json(_gauss_derivative(r, s)) == _json(gauss_derivative_per_op(r, s))
+
+
+def apply_first_order_per_op(sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGaussian:
+    """(sign * d/dx + f) g as derivative, sign, product and sum, each reduced."""
+    dg = gauss_derivative_per_op(g.rational, g.gauss_exponent)
+    term = dg if sign == 1 else -dg
+    return QuasiGaussian(term + f * g.rational, g.gauss_exponent)
+
+
+def hamiltonian_apply_per_op(h: HamiltonianK, g: QuasiGaussian) -> QuasiGaussian:
+    """-g'' + V g with two per-operation derivatives."""
+    s = g.gauss_exponent
+    second = gauss_derivative_per_op(gauss_derivative_per_op(g.rational, s), s)
+    return QuasiGaussian(-second + h.v * g.rational, s)
+
+
+def lowering_tuple(k: int) -> LadderOp:
+    """(+d/dx + W1) o (+d/dx + W2) o (-d/dx + W), written out by hand."""
+    w, w1, w2 = superpotentials(k)
+    return LadderOp(((1, w1), (1, w2), (-1, w)))
+
+
+def _modes():
+    for k in range(3):
+        for j in (1, 2, 3):
+            for n, p in enumerate(ttrr_sequence(k, j, 3)):
+                yield k, ModeFunction(k, j, n, p, energy(k, j, n)).phi()
+
+
+# Non-polynomial seeds (Q_{k,1}/Q_{k+1,0}) exp(s*x^2/6), one for each s.
+_SEEDS = [(1, QuasiGaussian(RationalFn(okamoto(1, 1), okamoto(2, 0)), s)) for s in (-1, 0, 1)]
+
+
+class TestOperatorApplicationOracle:
+    def test_gauss_derivative(self):
+        for _, g in [*_modes(), *_SEEDS]:
+            r, s = g.rational, g.gauss_exponent
+            assert _json(_gauss_derivative(r, s)) == _json(gauss_derivative_per_op(r, s))
+
+    def test_first_order_factors(self):
+        for k, g in [*_modes(), *_SEEDS]:
+            for f in superpotentials(k):
+                for sign in (-1, 1):
+                    new = apply_first_order(sign, f, g)
+                    assert _residual_json(new) == _residual_json(
+                        apply_first_order_per_op(sign, f, g)
+                    ), (k, g, sign)
+
+    def test_ladders(self):
+        for k, g in _modes():
+            assert ladder(k, "lower").factors == lowering_tuple(k).factors
+            for op in (ladder(k, "raise"), ladder(k, "lower")):
+                old = g
+                for sign, f in reversed(op.factors):
+                    old = apply_first_order_per_op(sign, f, old)
+                assert _residual_json(op.apply(g)) == _residual_json(old)
+
+    def test_hamiltonian_apply(self):
+        for k, g in [*_modes(), *_SEEDS]:
+            h = potential(k)
+            assert _residual_json(h.apply(g)) == _residual_json(hamiltonian_apply_per_op(h, g))
+
+    @given(_rationals, _rationals, st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_quotients(self, f, r, s, sign):
+        g = QuasiGaussian(r, s)
+        assert _residual_json(apply_first_order(sign, f, g)) == _residual_json(
+            apply_first_order_per_op(sign, f, g)
+        )
+        if f:
+            h = HamiltonianK(0, f)
+            assert _residual_json(h.apply(g)) == _residual_json(hamiltonian_apply_per_op(h, g))
+
+    def test_one_reduction_per_application(self, monkeypatch):
+        cases = [(k, g, superpotentials(k), potential(k)) for k, g in [*_modes(), *_SEEDS]]
+        reductions = count_reductions(monkeypatch)
+        for k, g, factors, h in cases:
+            for f in factors:
+                for sign in (-1, 1):
+                    reductions.clear()
+                    apply_first_order(sign, f, g)
+                    assert len(reductions) <= 1, (k, g, sign)
+            reductions.clear()
+            h.apply(g)
+            assert len(reductions) <= 1, (k, g)
 
 
 class TestInverseOracle:

@@ -67,6 +67,13 @@ class TestSuperpotentials:
         )
         assert w == expected
 
+    def test_memoized_per_branch(self):
+        for branch in ("+", "-"):
+            assert superpotentials(2, branch) is superpotentials(2, branch)
+        assert superpotentials(2, "+") != superpotentials(2, "-")
+        with pytest.raises(ValueError, match="branch"):
+            superpotentials(2, "x")
+
     def test_zero_mode_from_ground_factorization(self):
         # (-d^2/dx^2 + V) e^{int W} = 0 exactly, via the quasi-Gaussian form
         for k in range(3):

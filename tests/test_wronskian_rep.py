@@ -126,6 +126,24 @@ class TestPotentials:
         with pytest.raises(SingularWronskian):
             susy_chain_potential([1])
 
+    @pytest.mark.parametrize("levels", [[2], [1, 3], [2, 4]])
+    def test_susy_singular_chains(self, levels):
+        with pytest.raises(SingularWronskian, match="real pole"):
+            susy_chain_potential(levels)
+
+    def test_susy_chain_builds_no_wronskian(self, monkeypatch):
+        from okladder import exact_ring, wronskian_rep
+
+        def refuse(entries):
+            raise AssertionError("the chained route built a Wronskian")
+
+        monkeypatch.setattr(wronskian_rep, "wronskian", refuse)
+        monkeypatch.setattr(exact_ring, "wronskian", refuse)
+        for k in range(4):
+            assert susy_chain_potential(index_set_deleted(k)) == potential(k).potential_fn()
+        # A nonsingular pair off the deleting sets, in either order.
+        assert susy_chain_potential([4, 3]) == susy_chain_potential([3, 4])
+
     def test_susy_validates_levels(self):
         with pytest.raises(ValueError):
             susy_chain_potential([0, 1])
