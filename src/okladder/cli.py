@@ -57,6 +57,8 @@ def _csv(expr, span, samples: int) -> str:
 
     if not all(math.isfinite(v) for v in span):
         raise ValueError(f"range must be finite, got {span[0]} {span[1]}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     xs = np.linspace(span[0], span[1], samples)
     lines = ["x,value"]
     lines.extend(

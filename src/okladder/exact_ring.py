@@ -405,6 +405,16 @@ class ExactPoly:
             b = [x * cb + y * ca for x, y in zip(A, B)]
         return _make(a, b, self._den * cd)
 
+    def _line(self) -> tuple[tuple[int, ...], int] | None:
+        """(X, r) with self = sqrt2**r * X/den and r in {0, 1} when self lies
+        in Q[x] or sqrt2*Q[x]; None when both parts are nonzero."""
+        A, B = self._a, self._b
+        if not any(B):
+            return A, 0
+        if not any(A):
+            return B, 1
+        return None
+
     def __mul__(self, other) -> "ExactPoly":
         if not isinstance(other, ExactPoly):
             if isinstance(other, (int, Fraction, SqrtTwoScalar)):
@@ -414,20 +424,23 @@ class ExactPoly:
             return ExactPoly.zero()
         if other is self:
             return self._square()
+        line1, line2 = self._line(), other._line()
+        if line1 is not None and line2 is not None:
+            # Each factor in Q[x] or sqrt2*Q[x], as almost every product
+            # here is: one integer convolution instead of four.
+            (X1, r1), (X2, r2) = line1, line2
+            out = [0] * (len(X1) + len(X2) - 1)
+            terms = [(j, x2) for j, x2 in enumerate(X2) if x2]
+            for i, x1 in enumerate(X1):
+                if x1:
+                    for j, x2 in terms:
+                        out[i + j] += x1 * x2
+            return _lift(out, r1 + r2, self._den * other._den)
         A1, B1, d1 = self._a, self._b, self._den
         A2, B2, d2 = other._a, other._b, other._den
         n1, n2 = len(A1), len(A2)
         ra = [0] * (n1 + n2 - 1)
         rb = [0] * (n1 + n2 - 1)
-        if not any(B1) and not any(B2):
-            # Both factors rational, as almost every product here is: one
-            # integer convolution instead of four.
-            terms = [(j, a2) for j, a2 in enumerate(A2) if a2]
-            for i, a1 in enumerate(A1):
-                if a1:
-                    for j, a2 in terms:
-                        ra[i + j] += a1 * a2
-            return _make(ra, rb, d1 * d2)
         terms = [(j, A2[j], B2[j]) for j in range(n2) if A2[j] or B2[j]]
         for i in range(n1):
             a1 = A1[i]
@@ -446,16 +459,19 @@ class ExactPoly:
         """self * self, nonzero, with each cross term computed once and
         doubled: about half the products of a general multiplication."""
         A, B, d = self._a, self._b, self._den
+        line = self._line()
+        if line is not None:
+            X, r = line
+            out = [0] * (2 * len(X) - 1)
+            terms = [(i, x) for i, x in enumerate(X) if x]
+            for t, (i, x1) in enumerate(terms):
+                out[2 * i] += x1 * x1
+                x1 *= 2
+                for j, x2 in terms[t + 1 :]:
+                    out[i + j] += x1 * x2
+            return _lift(out, 2 * r, d * d)
         ra = [0] * (2 * len(A) - 1)
         rb = [0] * (2 * len(A) - 1)
-        if not any(B):
-            terms = [(i, a) for i, a in enumerate(A) if a]
-            for t, (i, a1) in enumerate(terms):
-                ra[2 * i] += a1 * a1
-                a1 *= 2
-                for j, a2 in terms[t + 1 :]:
-                    ra[i + j] += a1 * a2
-            return _make(ra, rb, d * d)
         terms = [(i, A[i], B[i]) for i in range(len(A)) if A[i] or B[i]]
         for t, (i, a1, b1) in enumerate(terms):
             ra[2 * i] += a1 * a1 + 2 * b1 * b1
@@ -466,6 +482,30 @@ class ExactPoly:
                 ra[i + j] += a1 * a2 + 2 * b1 * b2
                 rb[i + j] += a1 * b2 + b1 * a2
         return _make(ra, rb, d * d)
+
+    def _toda_rhs(self, c: int) -> "ExactPoly":
+        """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 for q = self: the right side
+        of both Okamoto recurrences, built by one `_make`.
+
+        The form is quadratic in q, so q = sqrt2*r gives 2 rhs(r), and
+        q = r + sqrt2*s gives rhs(r) + 2 rhs(s) + sqrt2 (rhs(r+s) - rhs(r)
+        - rhs(s)): every case runs the one integer kernel `_toda_ints`."""
+        A, B, d = self._a, self._b, self._den
+        if not A:
+            return ExactPoly.zero()
+        if not any(B):
+            out = _toda_ints(A, c)
+            return _make(out, [0] * len(out), 2 * d * d)
+        s = _toda_ints(B, c)
+        if not any(A):
+            return _make([2 * v for v in s], [0] * len(s), 2 * d * d)
+        r = _toda_ints(A, c)
+        t = _toda_ints([x + y for x, y in zip(A, B)], c)
+        return _make(
+            [x + 2 * y for x, y in zip(r, s)],
+            [z - x - y for x, y, z in zip(r, s, t)],
+            2 * d * d,
+        )
 
     def __pow__(self, exponent: int) -> "ExactPoly":
         if exponent < 0:
@@ -485,6 +525,13 @@ class ExactPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return ExactPoly.zero(), self
+        line1, line2 = self._line(), other._line()
+        if line1 is not None and line2 is not None:
+            # sqrt2**r1 X = (sqrt2**(r1-r2) Q) (sqrt2**r2 Y) + sqrt2**r1 R
+            # from X = Q Y + R: one integer update per inner step.
+            (X, r1), (Y, r2) = line1, line2
+            quot, rem, den = _divmod_ints(X, self._den, Y, other._den)
+            return _lift(quot, r1 - r2, den), _lift(rem, r1, den)
         # Fraction-free long division on the integer arrays.  The dividend is
         # (A + B*sqrt2)/dp and the divisor (C + D*sqrt2)/dg; the remainder is
         # held as (ra + rb*sqrt2)/(dp*scale) with integer ra, rb.  A quotient
@@ -651,6 +698,92 @@ def _make(a: list[int], b: list[int], den: int) -> ExactPoly:
         if g > 1:
             return _raw(tuple(v // g for v in a), tuple(v // g for v in b), den // g)
     return _raw(tuple(a), tuple(b), den)
+
+
+def _lift(x: list[int], r: int, den: int) -> ExactPoly:
+    """sqrt2**r * x/den in canonical form, for r in {-1, 0, 1, 2}: the
+    result of a single-line product or quotient put back on its line."""
+    zeros = [0] * len(x)
+    if r == 0:
+        return _make(x, zeros, den)
+    if r == 2:
+        return _make([2 * v for v in x], zeros, den)
+    return _make(zeros, x, den if r == 1 else 2 * den)
+
+
+def _divmod_ints(
+    X: Sequence[int], dp: int, Y: Sequence[int], dg: int
+) -> tuple[list[int], list[int], int]:
+    """(Q, R, den) with X/dp = (Q/den)(Y/dg) + R/den for integer arrays with
+    len(X) >= len(Y): the long division of `ExactPoly.__divmod__` on one
+    line.  The remainder is held as r/(dp*scale) and moves to a finer scale
+    only when a quotient step is not integral."""
+    r = list(X)
+    last = len(Y) - 1
+    lead = Y[last]
+    terms = [(j, Y[j]) for j in range(last) if Y[j]]
+    scale = 1
+    steps = []
+    for i in range(len(X) - 1 - last, -1, -1):
+        u = r[i + last]
+        if not u:
+            continue
+        if u % lead:
+            f = abs(lead) // math.gcd(lead, u)
+            top = i + last
+            r[:top] = [v * f for v in r[:top]]
+            scale *= f
+            u *= f
+        q = u // lead
+        steps.append((i, q, scale))
+        for j, y in terms:
+            r[i + j] -= q * y
+    # The quotient entry made at scale s is q*dg/(dp*s); the final scale is
+    # a multiple of every earlier one.
+    quot = [0] * (len(X) - last)
+    for i, q, s in steps:
+        quot[i] = q * dg * (scale // s)
+    del r[last:]
+    return quot, r, dp * scale
+
+
+def _toda_ints(A: Sequence[int], c: int) -> list[int]:
+    """Integer array of 2*(9/2 (a a'' - a'^2) + (2x^2 + 3c) a^2) for the
+    integer polynomial a = sum A_i x^i, length 2*len(A) + 1.
+
+    One pass over the nonzero pairs i <= j: each product A_i*A_j is made
+    once and feeds both the bilinear sum, with weight (j-i)^2 - (i+j) at
+    x^(i+j-2) (-i on the diagonal), and the square sum at x^(i+j).  Pairs
+    with i + j < 2 have weight zero, so no negative power arises."""
+    n = len(A)
+    bil = [0] * (2 * n - 1)
+    diag = [0] * (2 * n - 1)
+    cross = [0] * (2 * n - 1)
+    terms = [(i, a) for i, a in enumerate(A) if a]
+    for t, (i, a1) in enumerate(terms):
+        p = a1 * a1
+        diag[2 * i] += p
+        if i:
+            bil[2 * i] -= i * p
+        for j, a2 in terms[t + 1 :]:
+            p = a1 * a2
+            s = i + j
+            cross[s] += p
+            w = (j - i) * (j - i) - s
+            if w:
+                bil[s] += w * p
+    sq = [x + 2 * y for x, y in zip(diag, cross)]
+    # 9 bil(x^(s-2)) + (4x^2 + 6c) sq, over twice the squared denominator.
+    out = [0] * (2 * n + 1)
+    c6 = 6 * c
+    for s, v in enumerate(sq):
+        if v:
+            out[s] += c6 * v
+            out[s + 2] += 4 * v
+    for s in range(2, 2 * n - 1):
+        if bil[s]:
+            out[s - 2] += 9 * bil[s]
+    return out
 
 
 def _mod_image(p: ExactPoly, prime: int, sqrt2_image: int) -> list[int] | None:

@@ -11,14 +11,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import threading
-from fractions import Fraction
 
 from .errors import CorruptCache, IndexOutOfCone
 from .exact_ring import SQRT2, ExactPoly
-
-# 2x^2 reused by both recurrence right-hand sides.
-_TWO_X_SQ = ExactPoly((0, 0, 2))
 
 
 def okamoto_degree(m: int, n: int) -> int:
@@ -29,20 +24,14 @@ def okamoto_degree(m: int, n: int) -> int:
 def _rhs(q: ExactPoly, c: int) -> ExactPoly:
     """Right side (9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 of both recurrences:
     c = 2m + n - 1 advances the first index at (m, n), c = 1 - m - 2n the
-    second."""
-    dq = q.derivative()
-    bilinear = q * dq.derivative() - dq * dq
-    shift = _TWO_X_SQ + ExactPoly.constant(3 * c)
-    return bilinear * Fraction(9, 2) + shift * (q * q)
+    second.  One pass over q's integer arrays, reduced once."""
+    return q._toda_rhs(c)
 
 
 class OkamotoTable:
     """Append-only memo of Q_{m,n}; fills columns n = 0 and n = 1 by the
     first-index recurrence, the n = -1 column by the second-index recurrence
     at n = 0, and columns n >= 2 by the second-index recurrence ascending n.
-
-    Concurrent fills of one key recompute the identical polynomial, so the
-    insert is idempotent and reads need no locking.
     """
 
     def __init__(self) -> None:
@@ -55,8 +44,7 @@ class OkamotoTable:
         }
         # (path, raw bytes, memo size if the file held the whole memo else
         # None): what the cache file held when this table last validated or
-        # wrote it.  Replaced as one tuple, so concurrent dumps never leave
-        # it half-updated.
+        # wrote it.
         self._seen: tuple[str, bytes, int | None] | None = None
 
     def __contains__(self, key: tuple[int, int]) -> bool:
@@ -81,10 +69,8 @@ class OkamotoTable:
         return value
 
     def _fill_column(self, m: int, n: int) -> ExactPoly:
-        # Ascend the first index from the two seeds of column n.  The keys
-        # are snapshotted because other threads may insert while we scan.
-        known = list(self._memo)
-        top = max(mm for (mm, nn) in known if nn == n and (mm - 1, n) in self._memo)
+        # Ascend the first index from the two seeds of column n.
+        top = max(mm for (mm, nn) in self._memo if nn == n and (mm - 1, n) in self._memo)
         for mm in range(top, m):
             q = _rhs(self._memo[(mm, n)], 2 * mm + n - 1)
             self._memo[(mm + 1, n)] = q.exact_div(self._memo[(mm - 1, n)])
@@ -103,9 +89,9 @@ class OkamotoTable:
                 if _read_bytes(path) == seen[1]:
                     return
         data = {f"{m},{n}": poly.to_json_dict() for (m, n), poly in items}
-        # One temp name per process and thread, so concurrent dumps never
+        # One temp name per process, so dumps from several processes never
         # share a file; it is created like `path` itself, under the umask.
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(data, fh, sort_keys=True)

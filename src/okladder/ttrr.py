@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CertificateFailed, NonPolynomialResult
+from .errors import CertificateFailed, IndexOutOfCone, NonPolynomialResult
 from .exact_ring import ExactPoly, RationalFn, log_derivative
 from .okamoto import okamoto
 from .spectral import ModeFunction, energy, ladder_constant_sq, zero_mode
@@ -21,6 +21,8 @@ class RecurrenceState:
     """Cached coefficient data and generated entries for one (k, j) sequence."""
 
     def __init__(self, k: int, j: int) -> None:
+        if k < 0:
+            raise IndexOutOfCone("potential index k must be >= 0")
         self.k = k
         self.j = j
         q_k = okamoto(k, 0)

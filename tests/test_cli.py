@@ -129,6 +129,23 @@ class TestPotentialCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: range must be finite")
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["potential", "--k", "1", "--csv"],
+            ["plot-data", "--k", "0", "--what", "potential"],
+            ["export", "potential", "--k", "1", "--format", "csv"],
+        ],
+        ids=["potential", "plot-data", "export"],
+    )
+    def test_samples_below_one_exits_2(self, command, samples, capsys):
+        code = main([*command, "--range", "0", "1", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: samples must be >= 1, got {samples}\n"
+
     def test_eval_overflow_is_inf(self, capsys):
         code, out = run_cli(["potential", "--k", "1", "--eval", "1e308"], capsys)
         assert code == 0
@@ -168,6 +185,25 @@ class TestModesAndTtrr:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: level index n must be >= 0\n"
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "modes --k -1 --j 1 --n 0",
+            "ttrr --k -1 --j 1 --max-n 2",
+            "xhermite --k -1 --j 1 --n 0",
+            "zeros --poly-from mode --k -1 --j 1 --n 0",
+            "plot-data --k -1 --what mode --j 1 --n 0 --range 0 1 --samples 3",
+            "export mode --k -1 --j 1 --n 0",
+        ],
+        ids=lambda command: command.split()[0],
+    )
+    def test_negative_potential_index_exits_2(self, command, capsys):
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: potential index k must be >= 0\n"
 
 
 class TestZerosCommand:
@@ -274,22 +310,6 @@ class TestExportCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 4
-
-    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
-    def test_non_finite_eval_exits_2(self, x, capsys):
-        code = main(["potential", "--k", "1", f"--eval={x}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot evaluate at x = ")
-
-    def test_csv_writers_agree(self, capsys):
-        span = ["--range", "-2", "3", "--samples", "7"]
-        _, a = run_cli(["potential", "--k", "2", "--csv", *span], capsys)
-        _, b = run_cli(["plot-data", "--k", "2", "--what", "potential", *span], capsys)
-        _, c = run_cli(["export", "potential", "--k", "2", "--format", "csv", *span], capsys)
-        assert a == b == c
-        assert a.startswith("x,value\n-2,") and len(a.splitlines()) == 8
 
     def test_invalid_indices(self, capsys):
         code, _ = run_cli(["export", "mode", "--k", "1"], capsys)

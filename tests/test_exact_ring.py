@@ -211,6 +211,20 @@ def divisors(draw, max_degree=5):
     return ExactPoly(body + [draw(nonzero_leads)])
 
 
+@pytest.fixture
+def line_divisions(monkeypatch):
+    """Counts the calls of the single-line division kernel."""
+    calls = []
+    kernel = exact_ring._divmod_ints
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(exact_ring, "_divmod_ints", counting)
+    return calls
+
+
 class TestDivisionKernel:
     @given(division_polys(), divisors())
     @settings(max_examples=200, deadline=None)
@@ -268,7 +282,7 @@ class TestDivisionKernel:
         with pytest.raises(ZeroDivisionError):
             divmod(ExactPoly.one(), ExactPoly.zero())
 
-    def test_okamoto_fill_divisions_match_oracle(self, monkeypatch):
+    def test_okamoto_fill_divisions_match_oracle(self, monkeypatch, line_divisions):
         from okladder.okamoto import OkamotoTable
 
         seen = []
@@ -285,6 +299,8 @@ class TestDivisionKernel:
                 table.get(m, n)
         monkeypatch.undo()
         assert len(seen) == 7 * 8 - 4  # every entry but the four seeds
+        # Each entry lies in Q[x] or sqrt2*Q[x]: every division is single-line.
+        assert len(line_divisions) == len(seen)
         for p, d in seen:
             _, r = same_division(p, d)
             assert r.is_zero
@@ -541,6 +557,113 @@ class TestRepresentation:
             fq = FractionPoly.of(q)
             same_json(q * q, fq * fq)
             same_json(q**3, fq * fq * fq)
+
+
+def rhs_oracle(q, c):
+    """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 as composed products, the way
+    `okamoto._rhs` built it before it became one pass over the arrays; works
+    on ExactPoly and FractionPoly alike."""
+    dq = q.derivative()
+    shift = type(q)((3 * c, 0, 2))
+    return (q * dq.derivative() - dq * dq) * Fraction(9, 2) + shift * (q * q)
+
+
+# One factor per line: Q[x] and sqrt2*Q[x].
+_LINE_FACTORS = (1, SQRT2)
+_LINE_PAIRS = [(a, b) for a in _LINE_FACTORS for b in _LINE_FACTORS]
+_line_coeffs = st.one_of(st.just(0), st.just(0), fractions)
+
+
+def line_polys(max_degree=8):
+    """Polynomials in Q[x] or in sqrt2*Q[x]."""
+    return st.builds(
+        lambda cs, f: ExactPoly(cs) * f,
+        st.lists(_line_coeffs, max_size=max_degree + 1),
+        st.sampled_from(_LINE_FACTORS),
+    )
+
+
+@st.composite
+def line_divisors(draw, max_degree=5):
+    body = draw(st.lists(_line_coeffs, max_size=max_degree))
+    lead = draw(fractions.filter(bool))
+    return ExactPoly(body + [lead]) * draw(st.sampled_from(_LINE_FACTORS))
+
+
+def mixed(p: ExactPoly) -> ExactPoly:
+    """p with a nonzero part on each line."""
+    return p + ExactPoly((SqrtTwoScalar(1, 2), 0, Fraction(-1, 3)))
+
+
+class TestOkamotoKernels:
+    def test_rhs_matches_composed_oracle_on_the_table(self):
+        from okladder.okamoto import OkamotoTable, _rhs
+
+        table = OkamotoTable()
+        for m in range(11):
+            for n in range(-1, 11):
+                q = table.get(m, n)
+                for c in (2 * m + n - 1, 1 - m - 2 * n, -7):
+                    got = _rhs(q, c)
+                    assert_canonical(got)
+                    assert got._int_arrays() == rhs_oracle(q, c)._int_arrays(), (m, n, c)
+
+    @given(
+        st.one_of(line_polys(), division_polys(8), division_polys(6).map(mixed)),
+        st.integers(-9, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rhs_matches_fraction_oracle(self, q, c):
+        same_json(q._toda_rhs(c), rhs_oracle(FractionPoly.of(q), c))
+
+    @given(line_polys(), line_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_line_products_match_fraction_oracle(self, p, q):
+        fp, fq = FractionPoly.of(p), FractionPoly.of(q)
+        same_json(p * q, fp * fq)
+        same_json(p * p, fp * fp)
+
+    @given(line_polys(10), line_divisors(), line_polys(5), line_polys(4))
+    @settings(max_examples=100, deadline=None)
+    def test_line_division_matches_oracle(self, p, d, q, r):
+        same_division(p, d)
+        assert same_division(q * d, d) == (q, ExactPoly.zero())
+        assert (q * d).exact_div(d) == q
+        r = ExactPoly(r.coeffs[: d.degree])
+        if r:
+            assert same_division(q * d + r, d) == (q, r)
+            with pytest.raises(NonZeroRemainder):
+                (q * d + r).exact_div(d)
+
+    @pytest.mark.parametrize(
+        "fp,fd", _LINE_PAIRS, ids=["Q/Q", "Q/sqrt2Q", "sqrt2Q/Q", "sqrt2Q/sqrt2Q"]
+    )
+    @pytest.mark.parametrize(
+        "p,d",
+        [
+            ((1, 0, 1), (1, 3)),  # 1/3 is the first quotient step: the scale grows
+            ((2, -1, 0, 5, Fraction(1, 2)), (1, 0, Fraction(-2, 7))),  # negative lead
+            ((1, 2, 3, 4, 5), (0, 0, Fraction(5, 3))),  # divisor with zero lower terms
+            ((1, 1), (1, 0, 0, 2)),  # divisor of higher degree
+        ],
+        ids=["inexact-step", "negative-lead", "zero-lower-terms", "higher-degree-divisor"],
+    )
+    def test_line_division_cases(self, p, d, fp, fd, line_divisions):
+        p, d = ExactPoly(p) * fp, ExactPoly(d) * fd
+        same_division(p, d)
+        q = ExactPoly((Fraction(1, 3), 0, -2)) * fp
+        assert same_division(q * d, d) == (q, ExactPoly.zero())
+        with pytest.raises(NonZeroRemainder):
+            (q * d + ExactPoly.constant(fp * fd)).exact_div(d)
+        # Every division above took the single-line path, except a dividend
+        # of lower degree, which needs no division at all.
+        assert len(line_divisions) == (3 if p.degree >= d.degree else 2)
+
+    def test_mixed_operands_take_the_general_loop(self, line_divisions):
+        d = ExactPoly((1, 0, 3))
+        for p, g in ((mixed(d), d), (d * d, mixed(d))):
+            same_division(p, g)
+        assert not line_divisions
 
 
 class TestRationalFn:

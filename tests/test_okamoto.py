@@ -2,10 +2,10 @@
 
 import json
 import os
+import subprocess
 import sys
-import threading
-import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +17,8 @@ from okladder.reference_data import (
     OKAMOTO_COLUMN_MINUS_1,
     OKAMOTO_COLUMN_PLUS_1,
 )
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_seeds():
@@ -102,21 +104,6 @@ def test_cone_errors():
         okamoto(0, -2)
 
 
-def test_concurrent_fills_converge(tmp_path):
-    table = OkamotoTable()
-    results = []
-
-    def worker():
-        results.append(table.get(4, 1))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
-
-
 def test_disk_roundtrip(tmp_path):
     table = OkamotoTable()
     table.get(3, 1)
@@ -128,39 +115,6 @@ def test_disk_roundtrip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     assert "3,1" in data
-
-
-def test_concurrent_fills_of_many_columns():
-    # Threads fill different columns of one table, so one thread scans the
-    # memo in _fill_column while others insert into it.
-    keys = [(m, n) for m in range(2, 6) for n in (-1, 0, 1, 2)]
-    reference = OkamotoTable()
-    expected = {k: reference.get(*k) for k in keys}
-    orders = [keys[i::4] for i in range(4)] + [keys[::-1]]
-    errors = []
-    previous = sys.getswitchinterval()
-    deadline = time.monotonic() + 2
-    sys.setswitchinterval(1e-6)
-    try:
-        while time.monotonic() < deadline and not errors:
-            table = OkamotoTable()
-
-            def worker(order):
-                try:
-                    for k in order:
-                        assert table.get(*k) == expected[k], k
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not errors, errors[0]
 
 
 def _valid_entry(m, n):
@@ -228,34 +182,59 @@ def test_dump_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["table.json"]
 
 
-def test_concurrent_dumps_leave_a_whole_file(tmp_path):
+_DUMP_SCRIPT = r"""
+import sys
+import time
+from pathlib import Path
+
+from okladder.okamoto import OkamotoTable
+
+path, me, other = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
+me.touch()
+deadline = time.monotonic() + 60
+while not other.exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+for _ in range(20):
+    # A new table writes even when the file already holds its bytes.
     table = OkamotoTable()
     table.get(5, 2)
-    path = str(tmp_path / "table.json")
-    errors = []
+    table.dump(path)
+"""
 
-    def worker():
-        try:
-            table.dump(path)
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
 
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_two_processes_dumping_one_path_leave_a_whole_file(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "table.json"
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    ready = [str(tmp_path / "ready-a"), str(tmp_path / "ready-b")]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DUMP_SCRIPT, str(path), *order],
+            env=env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for order in (ready, ready[::-1])
+    ]
     try:
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        for child in children:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
     finally:
-        sys.setswitchinterval(previous)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors[0]
-    assert os.listdir(tmp_path) == ["table.json"]
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    assert os.listdir(cache) == ["table.json"]
+    expected = OkamotoTable()
+    expected.get(5, 2)
+    single = tmp_path / "single.json"
+    expected.dump(str(single))
+    assert path.read_bytes() == single.read_bytes()
     fresh = OkamotoTable()
-    fresh.load(path)
-    assert fresh.get(5, 2) == table.get(5, 2)
+    fresh.load(str(path))
+    assert fresh.get(5, 2) == expected.get(5, 2)
 
 
 def test_dump_skips_only_when_nothing_changed(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from okladder import ttrr
+from okladder.errors import IndexOutOfCone
 from okladder.exact_ring import ExactPoly
 from okladder.reference_data import MODE_TABLE
 from okladder.spectral import energy, mode_degree
@@ -67,6 +68,11 @@ class TestIteration:
         state.extend_to(3)
         with pytest.raises(ValueError, match=">= -1"):
             ttrr_next(state, -2)
+
+    def test_negative_potential_index_rejected(self):
+        with pytest.raises(IndexOutOfCone, match="^potential index k must be >= 0$"):
+            ttrr_sequence(-1, 1, 0)
+        assert (-1, 1) not in ttrr._STATES
 
     def test_degrees_follow_the_ladder(self):
         for k in (0, 1, 2):
