@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from okladder.verify import ALL_SUITES, VerifySuiteConfig, run_verify
 

@@ -134,13 +134,8 @@ BACKLUND_MAPS = ("w1+", "w1-", "w2+", "w2-", "w3+", "w3-", "w4+", "w4-")
 _W34_DENOMINATOR_SIGN_REL = {"w3": +1, "w4": -1}
 
 
-def backlund(s: PIVSolution, map_name: str, denominator_sign: int | None = None) -> PIVSolution:
-    """One of the eight nonlinear maps generating new solutions.
-
-    denominator_sign (+1 or -1, multiplying sqrt(-2*beta0)) overrides the
-    resolved pairing of the w3/w4 denominators for experimentation; only
-    the default pairing produces images that pass the residual test.
-    """
+def backlund(s: PIVSolution, map_name: str) -> PIVSolution:
+    """One of the eight nonlinear maps generating new solutions."""
     if map_name not in BACKLUND_MAPS:
         raise ValueError(f"unknown map {map_name!r}")
     kind, e = map_name[:2], (1 if map_name[2] == "+" else -1)
@@ -166,11 +161,7 @@ def backlund(s: PIVSolution, map_name: str, denominator_sign: int | None = None)
         alpha = -(2 + 2 * a0 + 3 * ec) / 4
         beta = -Fraction(1, 2) * (1 - a0 + ec / 2) ** 2
         return PIVSolution(w2, alpha, beta)
-    dc = (
-        Fraction(denominator_sign) * c
-        if denominator_sign is not None
-        else _W34_DENOMINATOR_SIGN_REL[kind] * ec
-    )
+    dc = _W34_DENOMINATOR_SIGN_REL[kind] * ec
     # w3/w4 = w0 + 2 kappa w0 / (f+- + dc) = (N G + 2 kappa N D^2) / (D G)
     # with G = wr +- quad + dc D^2.
     if kind == "w3":

@@ -19,6 +19,7 @@ from .errors import (
     CertificateFailed,
     DuplicateIndex,
     ExcludedDegree,
+    IndexOutOfCone,
     MalformedIndexList,
     SingularWronskian,
 )
@@ -110,6 +111,10 @@ def index_set_added(k: int) -> list[int]:
 
 
 def sigma_index(k: int, j: int, n: int) -> int:
+    """Oscillator level sigma_{n;j} whose state-deleting image is mode (n, j)
+    of potential k; every Wronskian and definition route starts here."""
+    if k < 0:
+        raise IndexOutOfCone("potential index k must be >= 0")
     if j == 1:
         return 3 * n
     if j == 2:

@@ -205,6 +205,13 @@ class TestModesAndTtrr:
         assert captured.out == ""
         assert captured.err == "error: potential index k must be >= 0\n"
 
+    @pytest.mark.parametrize("via", ["ttrr", "wronskian", "definition"])
+    def test_xhermite_negative_potential_index_exits_2(self, via, capsys):
+        assert main(["xhermite", "--k", "-1", "--j", "1", "--n", "0", "--via", via]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: potential index k must be >= 0\n"
+
 
 class TestZerosCommand:
     def test_mode_census(self, capsys):
@@ -270,6 +277,12 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "--suite", "tables"], capsys)
         assert code == 1
         assert "0/1 checks passed" in out
+
+    def test_duplicate_suite_reports_once(self, capsys):
+        once = run_cli(["verify", "--suite", "tables", "--k-max", "0"], capsys)
+        twice = run_cli(["verify", "--suite", "tables", "--suite", "tables", "--k-max", "0"], capsys)
+        assert twice == once
+        assert once[1].endswith("\n9/9 checks passed\n")
 
     def test_json_report(self, capsys):
         code, out = run_cli(["--json", "verify", "--suite", "identities", "--k-max", "1"], capsys)

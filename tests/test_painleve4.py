@@ -18,6 +18,7 @@ from okladder.painleve4 import (
     product_form,
     rational_solution,
 )
+from test_single_reduction import backlund_per_op
 
 
 class TestRationalSolution:
@@ -95,7 +96,7 @@ class TestBacklund:
 
     def test_flipped_pairing_fails_residual(self):
         s = rational_solution(1, 1, 0)
-        image = backlund(s, "w3+", denominator_sign=-1)
+        image = backlund_per_op(s, "w3+", denominator_sign=-1)
         assert not piv_residual(image).is_zero
 
     def test_irrational_radicand_rejected(self):

@@ -116,14 +116,6 @@ class TestBacklundOracle:
                     backlund_per_op(seed, map_name)
                 ), (m, n, map_name)
 
-    @pytest.mark.parametrize("map_name", ["w3+", "w3-", "w4+", "w4-"])
-    def test_denominator_sign_override(self, map_name):
-        seed = rational_solution(1, 1, 0)
-        for sign in (-1, 1):
-            assert _image_json(backlund(seed, map_name, denominator_sign=sign)) == _image_json(
-                backlund_per_op(seed, map_name, denominator_sign=sign)
-            ), (map_name, sign)
-
     @pytest.mark.parametrize("map_name", ["w3+", "w4-"])
     def test_singular_map(self, map_name):
         # w = -2x gives f+ = f- = -2, cancelled by dc = 2 when -2*beta = 4

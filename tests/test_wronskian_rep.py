@@ -8,6 +8,7 @@ import pytest
 from okladder.errors import (
     DuplicateIndex,
     ExcludedDegree,
+    IndexOutOfCone,
     MalformedIndexList,
     SingularWronskian,
 )
@@ -232,6 +233,11 @@ class TestExceptionalHermite:
         assert sigma_index(1, 1, 1) == 3
         assert sigma_index(1, 2, 0) == 4
         assert sigma_index(2, 3, 0) == 8
+
+    def test_negative_potential_index_rejected(self):
+        for route in (sigma_index, wronskian_mode, xhermite_from_ttrr):
+            with pytest.raises(IndexOutOfCone, match="potential index k must be >= 0"):
+                route(-1, 1, 0)
 
 
 class TestIndexSets:
