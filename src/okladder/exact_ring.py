@@ -220,7 +220,8 @@ def _scalar_ints(c: SqrtTwoScalar) -> tuple[int, int, int]:
 _CERT_PRIMES: list[tuple[int, int]] = []
 for _p in (2**61 - 1, 2**31 - 1):
     _s = pow(2, (_p + 1) // 4, _p)
-    assert _s * _s % _p == 2
+    if _s * _s % _p != 2:
+        raise ArithmeticError(f"2 is not a square mod {_p}")
     _CERT_PRIMES.append((_p, _s))
 
 
@@ -233,6 +234,12 @@ class ExactPoly:
     arrays over den = 1 and reports degree -1.  The arrays are tuples and
     are never replaced; `coeffs` is a view of them as scalars, built on
     first use.
+
+    Arithmetic runs on integer kernels for one line, Q[x] or sqrt2*Q[x]:
+    `_conv`, `_square_ints` and `_divmod_ints`.  An operand with both parts
+    is reduced to them: three convolutions per product (Karatsuba), three
+    squares by polarization, a dividend divided part by part, and a divisor
+    G replaced by its norm G*conj(G), which lies in Q[x].
     """
 
     __slots__ = ("_a", "_b", "_den", "_coeffs")
@@ -424,88 +431,31 @@ class ExactPoly:
             return ExactPoly.zero()
         if other is self:
             return self._square()
+        den = self._den * other._den
         line1, line2 = self._line(), other._line()
         if line1 is not None and line2 is not None:
-            # Each factor in Q[x] or sqrt2*Q[x], as almost every product
-            # here is: one integer convolution instead of four.
             (X1, r1), (X2, r2) = line1, line2
-            out = [0] * (len(X1) + len(X2) - 1)
-            terms = [(j, x2) for j, x2 in enumerate(X2) if x2]
-            for i, x1 in enumerate(X1):
-                if x1:
-                    for j, x2 in terms:
-                        out[i + j] += x1 * x2
-            return _lift(out, r1 + r2, self._den * other._den)
-        A1, B1, d1 = self._a, self._b, self._den
-        A2, B2, d2 = other._a, other._b, other._den
-        n1, n2 = len(A1), len(A2)
-        ra = [0] * (n1 + n2 - 1)
-        rb = [0] * (n1 + n2 - 1)
-        terms = [(j, A2[j], B2[j]) for j in range(n2) if A2[j] or B2[j]]
-        for i in range(n1):
-            a1 = A1[i]
-            b1 = B1[i]
-            if a1 == 0 and b1 == 0:
-                continue
-            for j, a2, b2 in terms:
-                k = i + j
-                ra[k] += a1 * a2 + 2 * b1 * b2
-                rb[k] += a1 * b2 + b1 * a2
-        return _make(ra, rb, d1 * d2)
+            return _lift(_conv(X1, X2), r1 + r2, den)
+        # (A1 + B1 sqrt2)(A2 + B2 sqrt2) by three convolutions (Karatsuba):
+        # A1 A2 + 2 B1 B2 and (A1 + B1)(A2 + B2) - A1 A2 - B1 B2.
+        A1, B1, A2, B2 = self._a, self._b, other._a, other._b
+        aa, bb = _conv(A1, A2), _conv(B1, B2)
+        t = _conv([x + y for x, y in zip(A1, B1)], [x + y for x, y in zip(A2, B2)])
+        return _make(
+            [x + 2 * y for x, y in zip(aa, bb)], [z - x - y for x, y, z in zip(aa, bb, t)], den
+        )
 
     __rmul__ = __mul__
 
     def _square(self) -> "ExactPoly":
         """self * self, nonzero, with each cross term computed once and
         doubled: about half the products of a general multiplication."""
-        A, B, d = self._a, self._b, self._den
-        line = self._line()
-        if line is not None:
-            X, r = line
-            out = [0] * (2 * len(X) - 1)
-            terms = [(i, x) for i, x in enumerate(X) if x]
-            for t, (i, x1) in enumerate(terms):
-                out[2 * i] += x1 * x1
-                x1 *= 2
-                for j, x2 in terms[t + 1 :]:
-                    out[i + j] += x1 * x2
-            return _lift(out, 2 * r, d * d)
-        ra = [0] * (2 * len(A) - 1)
-        rb = [0] * (2 * len(A) - 1)
-        terms = [(i, A[i], B[i]) for i in range(len(A)) if A[i] or B[i]]
-        for t, (i, a1, b1) in enumerate(terms):
-            ra[2 * i] += a1 * a1 + 2 * b1 * b1
-            rb[2 * i] += 2 * a1 * b1
-            a1 *= 2
-            b1 *= 2
-            for j, a2, b2 in terms[t + 1 :]:
-                ra[i + j] += a1 * a2 + 2 * b1 * b2
-                rb[i + j] += a1 * b2 + b1 * a2
-        return _make(ra, rb, d * d)
+        return _quadratic(_square_ints, self, self._den * self._den)
 
     def _toda_rhs(self, c: int) -> "ExactPoly":
         """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 for q = self: the right side
-        of both Okamoto recurrences, built by one `_make`.
-
-        The form is quadratic in q, so q = sqrt2*r gives 2 rhs(r), and
-        q = r + sqrt2*s gives rhs(r) + 2 rhs(s) + sqrt2 (rhs(r+s) - rhs(r)
-        - rhs(s)): every case runs the one integer kernel `_toda_ints`."""
-        A, B, d = self._a, self._b, self._den
-        if not A:
-            return ExactPoly.zero()
-        if not any(B):
-            out = _toda_ints(A, c)
-            return _make(out, [0] * len(out), 2 * d * d)
-        s = _toda_ints(B, c)
-        if not any(A):
-            return _make([2 * v for v in s], [0] * len(s), 2 * d * d)
-        r = _toda_ints(A, c)
-        t = _toda_ints([x + y for x, y in zip(A, B)], c)
-        return _make(
-            [x + 2 * y for x, y in zip(r, s)],
-            [z - x - y for x, y, z in zip(r, s, t)],
-            2 * d * d,
-        )
+        of both Okamoto recurrences, on the integer kernel `_toda_ints`."""
+        return _quadratic(lambda X: _toda_ints(X, c), self, 2 * self._den * self._den)
 
     def __pow__(self, exponent: int) -> "ExactPoly":
         if exponent < 0:
@@ -525,62 +475,25 @@ class ExactPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return ExactPoly.zero(), self
-        line1, line2 = self._line(), other._line()
-        if line1 is not None and line2 is not None:
-            # sqrt2**r1 X = (sqrt2**(r1-r2) Q) (sqrt2**r2 Y) + sqrt2**r1 R
-            # from X = Q Y + R: one integer update per inner step.
-            (X, r1), (Y, r2) = line1, line2
+        line2 = other._line()
+        if line2 is None:
+            # With N = G conj(G) in Q[x], P conj(G) = Q N + R conj(G) and
+            # deg(R conj(G)) < deg N: dividing by N gives the same quotient.
+            conj = _raw(other._a, tuple(-v for v in other._b), other._den)
+            q, _ = divmod(self * conj, other * conj)
+            return q, self - q * other
+        # sqrt2**r1 X = (sqrt2**(r1-r2) Q) (sqrt2**r2 Y) + sqrt2**r1 R
+        # from X = Q Y + R: one integer update per inner step.
+        Y, r2 = line2
+        line1 = self._line()
+        if line1 is not None:
+            X, r1 = line1
             quot, rem, den = _divmod_ints(X, self._den, Y, other._den)
             return _lift(quot, r1 - r2, den), _lift(rem, r1, den)
-        # Fraction-free long division on the integer arrays.  The dividend is
-        # (A + B*sqrt2)/dp and the divisor (C + D*sqrt2)/dg; the remainder is
-        # held as (ra + rb*sqrt2)/(dp*scale) with integer ra, rb.  A quotient
-        # step multiplies the top remainder entry by the conjugate of the
-        # divisor's lead and divides by the lead's norm; only when that
-        # division is inexact does the whole remainder move to a finer scale.
-        A, B, dp = self._a, self._b, self._den
-        C, D, dg = other._a, other._b, other._den
-        ra, rb = list(A), list(B)
-        last = len(C) - 1
-        lc, ld = C[last], D[last]
-        g = math.gcd(lc, ld)
-        ca, cb, norm = lc // g, -ld // g, (lc * lc - 2 * ld * ld) // g
-        if norm < 0:
-            ca, cb, norm = -ca, -cb, -norm
-        terms = [(j, C[j], D[j]) for j in range(last) if C[j] or D[j]]
-        scale = 1
-        steps = []
-        for i in range(len(A) - 1 - last, -1, -1):
-            ua, ub = ra[i + last], rb[i + last]
-            if not ua and not ub:
-                continue
-            qa = ua * ca + 2 * ub * cb
-            qb = ua * cb + ub * ca
-            if qa % norm or qb % norm:
-                f = norm // math.gcd(norm, qa, qb)
-                top = i + last
-                ra[:top] = [v * f for v in ra[:top]]
-                rb[:top] = [v * f for v in rb[:top]]
-                scale *= f
-                qa *= f
-                qb *= f
-            qa //= norm
-            qb //= norm
-            steps.append((i, qa, qb, scale))
-            for j, cj, dj in terms:
-                k = i + j
-                ra[k] -= qa * cj + 2 * qb * dj
-                rb[k] -= qa * dj + qb * cj
-        # The quotient entry made at scale s is (qa + qb*sqrt2)*dg/(dp*s); the
-        # final scale is a multiple of every earlier one.
-        n = len(A) - last
-        qa_out, qb_out = [0] * n, [0] * n
-        for i, qa, qb, s in steps:
-            f = dg * (scale // s)
-            qa_out[i] = qa * f
-            qb_out[i] = qb * f
-        den = dp * scale
-        return _make(qa_out, qb_out, den), _make(ra[:last], rb[:last], den)
+        # A dividend with both parts is divided line by line.
+        qa, ra, da = _divmod_ints(self._a, self._den, Y, other._den)
+        qb, rb, db = _divmod_ints(self._b, self._den, Y, other._den)
+        return _lift(qa, -r2, da) + _lift(qb, 1 - r2, db), _lift(ra, 0, da) + _lift(rb, 1, db)
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
         q, r = divmod(self, other)
@@ -709,6 +622,44 @@ def _lift(x: list[int], r: int, den: int) -> ExactPoly:
     if r == 2:
         return _make([2 * v for v in x], zeros, den)
     return _make(zeros, x, den if r == 1 else 2 * den)
+
+
+def _conv(X: Sequence[int], Y: Sequence[int]) -> list[int]:
+    """Integer array of the product of the integer polynomials X and Y, both
+    nonempty, skipping zero entries."""
+    out = [0] * (len(X) + len(Y) - 1)
+    terms = [(j, y) for j, y in enumerate(Y) if y]
+    for i, x in enumerate(X):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _square_ints(X: Sequence[int]) -> list[int]:
+    """Integer array of X squared, each cross product made once and doubled."""
+    out = [0] * (2 * len(X) - 1)
+    terms = [(i, x) for i, x in enumerate(X) if x]
+    for t, (i, x1) in enumerate(terms):
+        out[2 * i] += x1 * x1
+        x1 *= 2
+        for j, x2 in terms[t + 1 :]:
+            out[i + j] += x1 * x2
+    return out
+
+
+def _quadratic(kernel, p: ExactPoly, den: int) -> ExactPoly:
+    """phi(p) over den, for a quadratic form phi whose integer kernel maps X
+    to den * phi(X/p._den).  phi(sqrt2 s) = 2 phi(s) and, by polarization,
+    phi(r + sqrt2 s) = phi(r) + 2 phi(s) + sqrt2 (phi(r + s) - phi(r) - phi(s))."""
+    line = p._line()
+    if line is not None:
+        X, r = line
+        return _lift(kernel(X), 2 * r, den)
+    A, B = p._a, p._b
+    r, s = kernel(A), kernel(B)
+    t = kernel([x + y for x, y in zip(A, B)])
+    return _make([x + 2 * y for x, y in zip(r, s)], [z - x - y for x, y, z in zip(r, s, t)], den)
 
 
 def _divmod_ints(

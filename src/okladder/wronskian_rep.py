@@ -85,16 +85,6 @@ def plain_hermite(r: int) -> ExactPoly:
     return cur
 
 
-def scaled_hermite(r: int) -> ExactPoly:
-    """3^{r/2} H_r(x/sqrt3), an integer-coefficient oracle for psi_r * r!."""
-    prev, cur = ExactPoly.one(), ExactPoly((0, 2))
-    if r == 0:
-        return prev
-    for i in range(1, r):
-        prev, cur = cur, ExactPoly((0, 2)) * cur - prev * (6 * i)
-    return cur
-
-
 def index_set_deleted(k: int) -> list[int]:
     """Oscillator levels removed by the state-deleting chain: the two
     nonmultiples of 3 in each block of three, {1,2,4,5,...,3k-2,3k-1}."""
@@ -115,6 +105,8 @@ def sigma_index(k: int, j: int, n: int) -> int:
     of potential k; every Wronskian and definition route starts here."""
     if k < 0:
         raise IndexOutOfCone("potential index k must be >= 0")
+    if n < 0:
+        raise ValueError("level index n must be >= 0")
     if j == 1:
         return 3 * n
     if j == 2:
@@ -171,8 +163,6 @@ def okamoto_via_wronskian(m: int, n: int, form: str) -> ExactPoly:
 def wronskian_mode(k: int, j: int, n: int) -> ModeFunction:
     """Mode (n, j) with polynomial part Wr(psi over I(k) + {sigma}), the
     state-deleting image of the oscillator level sigma."""
-    if n < 0:
-        raise ValueError("level index n must be >= 0")
     base = index_set_deleted(k)
     sigma = sigma_index(k, j, n)
     if sigma in base:

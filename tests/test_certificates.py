@@ -5,6 +5,7 @@ started with -O (which strips `assert` statements) and expects the typed
 error, so no certificate can silently vanish.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -103,3 +104,16 @@ def test_corrupted_certificates_raise_under_optimize():
         "okamoto_wronskian raised",
         "xhermite raised",
     ]
+
+
+def test_library_has_no_assert():
+    # `python -O` strips assert statements, so no check in the library may be one.
+    paths = sorted((_SRC / "okladder").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

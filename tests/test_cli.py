@@ -212,6 +212,13 @@ class TestModesAndTtrr:
         assert captured.out == ""
         assert captured.err == "error: potential index k must be >= 0\n"
 
+    @pytest.mark.parametrize("via", ["ttrr", "wronskian", "definition"])
+    def test_xhermite_negative_level_index_exits_2(self, via, capsys):
+        assert main(["xhermite", "--k", "1", "--j", "1", "--n", "-1", "--via", via]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level index n must be >= 0\n"
+
 
 class TestZerosCommand:
     def test_mode_census(self, capsys):

@@ -211,18 +211,23 @@ def divisors(draw, max_degree=5):
     return ExactPoly(body + [draw(nonzero_leads)])
 
 
-@pytest.fixture
-def line_divisions(monkeypatch):
-    """Counts the calls of the single-line division kernel."""
+def kernel_calls(monkeypatch, name: str) -> list:
+    """Records the calls of the integer kernel `exact_ring.<name>`."""
     calls = []
-    kernel = exact_ring._divmod_ints
+    kernel = getattr(exact_ring, name)
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(exact_ring, "_divmod_ints", counting)
+    monkeypatch.setattr(exact_ring, name, counting)
     return calls
+
+
+@pytest.fixture
+def line_divisions(monkeypatch):
+    """Counts the calls of the single-line division kernel."""
+    return kernel_calls(monkeypatch, "_divmod_ints")
 
 
 class TestDivisionKernel:
@@ -659,11 +664,36 @@ class TestOkamotoKernels:
         # of lower degree, which needs no division at all.
         assert len(line_divisions) == (3 if p.degree >= d.degree else 2)
 
-    def test_mixed_operands_take_the_general_loop(self, line_divisions):
+    def test_mixed_operands_reduce_to_line_kernels(self, monkeypatch, line_divisions):
+        convolutions = kernel_calls(monkeypatch, "_conv")
+        squares = kernel_calls(monkeypatch, "_square_ints")
         d = ExactPoly((1, 0, 3))
-        for p, g in ((mixed(d), d), (d * d, mixed(d))):
-            same_division(p, g)
-        assert not line_divisions
+        m = mixed(ExactPoly((0, Fraction(2, 5), 0, 1)))
+        # Lead norm 1/4 - 2/9 = 1/36, not an integer.
+        g = ExactPoly((SqrtTwoScalar(1, 1), 0, 2, SqrtTwoScalar(Fraction(1, 2), Fraction(1, 3))))
+        fm, fg = FractionPoly.of(m), FractionPoly.of(g)
+
+        same_json(m * g, fm * fg)  # three convolutions
+        assert (len(convolutions), len(squares)) == (3, 0)
+        same_json(g * g, fg * fg)  # three squares by polarization
+        assert (len(convolutions), len(squares)) == (3, 3)
+
+        for line in (d, d * SQRT2):  # a mixed dividend, divided part by part
+            before = len(line_divisions)
+            same_division(m * m + ExactPoly.x(), line)
+            assert (m * line).exact_div(line) == m
+            assert len(line_divisions) == before + 4
+
+        # A mixed divisor: P conj(G) over the norm G conj(G), which lies in Q[x].
+        before = len(line_divisions)
+        same_division(m * m, g)
+        assert same_division(m * g, g) == (m, ExactPoly.zero())
+        assert len(line_divisions) == before + 4
+        A, B, _ = (g * ExactPoly(c.conjugate() for c in g.coeffs))._int_arrays()
+        assert not any(B)
+        assert all(call[2] == A for call in line_divisions[before:])
+        with pytest.raises(NonZeroRemainder):
+            (m * g + ExactPoly.one()).exact_div(g)
 
 
 class TestRationalFn:

@@ -25,7 +25,6 @@ from okladder.wronskian_rep import (
     plain_hermite,
     pseudo_psi_poly,
     psi_poly,
-    scaled_hermite,
     sigma_index,
     sqrt3_rescale,
     susy_chain_potential,
@@ -34,6 +33,16 @@ from okladder.wronskian_rep import (
     wronskian_potential,
     xhermite_from_ttrr,
 )
+
+
+def scaled_hermite(r: int) -> ExactPoly:
+    """3^{r/2} H_r(x/sqrt3), an integer-coefficient oracle for psi_r * r!."""
+    prev, cur = ExactPoly.one(), ExactPoly((0, 2))
+    if r == 0:
+        return prev
+    for i in range(1, r):
+        prev, cur = cur, ExactPoly((0, 2)) * cur - prev * (6 * i)
+    return cur
 
 
 class TestSeeds:
@@ -238,6 +247,11 @@ class TestExceptionalHermite:
         for route in (sigma_index, wronskian_mode, xhermite_from_ttrr):
             with pytest.raises(IndexOutOfCone, match="potential index k must be >= 0"):
                 route(-1, 1, 0)
+
+    def test_negative_level_index_rejected(self):
+        for route in (sigma_index, wronskian_mode, xhermite_from_ttrr):
+            with pytest.raises(ValueError, match="^level index n must be >= 0$"):
+                route(1, 1, -1)
 
 
 class TestIndexSets:
