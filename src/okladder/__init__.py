@@ -5,7 +5,6 @@ representations, and zero-count laws."""
 
 from .exact_ring import (
     ExactPoly,
-    GaussWronskian,
     QuasiGaussian,
     RationalFn,
     SQRT2,

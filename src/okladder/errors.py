@@ -10,7 +10,7 @@ class NonPolynomialResult(ArithmeticError):
 
 
 class MixedKinds(TypeError):
-    """A Wronskian was requested over entries of different kinds."""
+    """A Wronskian or determinant was requested over entries that are not all polynomials."""
 
 
 class EmptyList(ValueError):
@@ -49,7 +49,7 @@ class PoleAtPoint(ZeroDivisionError):
     """Evaluation requested at a pole of a rational function."""
 
 
-class GridTooCoarse(RuntimeError):
+class GridTooCoarse(ValueError):
     """Grid refinement moved an eigenvalue by more than the allowed tolerance."""
 
 

@@ -9,7 +9,6 @@ All values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -1011,21 +1010,13 @@ def _gauss_numerator(r: RationalFn, s: int) -> tuple[ExactPoly, ExactPoly]:
     return bracket, nd
 
 
-def _gauss_derivative(r: RationalFn, s: int) -> RationalFn:
-    """R' + (s*x/3) R, the rational part of (R exp(s*x^2/6))', reduced once
-    (not at all for a polynomial R)."""
-    bracket, _ = _gauss_numerator(r, s)
-    if r.is_polynomial:
-        return RationalFn.from_poly(bracket)
-    return RationalFn(bracket, r.den * r.den)
-
-
 class QuasiGaussian:
     """R(x) * exp(s*x^2/6) with R rational and s in {-1, 0, +1}.
 
-    Closed under d/dx, multiplication by rational functions, and every
-    first-order factor (+-d/dx + f); products only exist while the summed
-    exponent stays in the class.
+    Closed under multiplication by rational functions and under every
+    first-order factor (+-d/dx + f) through `apply_first_order`; the
+    derivative is apply_first_order(+1, RationalFn.zero(), g). Two
+    quasi-Gaussians are never multiplied.
     """
 
     __slots__ = ("rational", "gauss_exponent")
@@ -1053,16 +1044,7 @@ class QuasiGaussian:
     def __hash__(self) -> int:
         return hash((self.rational, self.gauss_exponent if not self.is_zero else 0))
 
-    def derivative(self) -> "QuasiGaussian":
-        s = self.gauss_exponent
-        return QuasiGaussian(_gauss_derivative(self.rational, s), s)
-
     def __mul__(self, other):
-        if isinstance(other, QuasiGaussian):
-            s = self.gauss_exponent + other.gauss_exponent
-            if abs(s) > 1:
-                raise ValueError("product leaves the quasi-Gaussian class")
-            return QuasiGaussian(self.rational * other.rational, s)
         return QuasiGaussian(self.rational * RationalFn.coerce(other), self.gauss_exponent)
 
     __rmul__ = __mul__
@@ -1112,28 +1094,26 @@ def apply_first_order(op_sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGau
     )
 
 
-@dataclass(frozen=True)
-class GaussWronskian:
-    """Wronskian of quasi-Gaussians: rational part and the total multiplier
-    t of x^2/6 in the factored-out exponential prefactor exp(t*x^2/6)."""
-
-    rational_part: RationalFn
-    exponent_multiplier: int
+def _require_polys(entries: Iterable) -> None:
+    kinds = {type(e) for e in entries}
+    if kinds - {ExactPoly}:
+        raise MixedKinds(f"entries must be ExactPoly, got {sorted(k.__name__ for k in kinds)}")
 
 
-def _det(matrix: Sequence[Sequence], zero):
-    """Determinant by Bareiss fraction-free elimination (Bareiss 1968).
+def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
+    """Determinant of a matrix of polynomials by Bareiss fraction-free
+    elimination (Bareiss 1968).
 
     Step k sets a_ij <- (a_kk*a_ij - a_ik*a_kj) / a_{k-1,k-1} below and right
-    of the pivot; the division is exact, by `exact_div` for ExactPoly entries
-    and by `/` for RationalFn entries, and the last pivot is the determinant.
-    A zero pivot is replaced by a lower row with a nonzero entry in its
-    column (a Wronskian entry vanishes when deg f < row); with none, the
-    determinant is `zero`.
+    of the pivot; the division is an exact polynomial division, and the last
+    pivot is the determinant. A zero pivot is replaced by a lower row with a
+    nonzero entry in its column (a Wronskian entry vanishes when deg f < row);
+    with none, the determinant is zero.
     """
+    _require_polys(e for row in matrix for e in row)
+    zero = ExactPoly.zero()
     a = [list(row) for row in matrix]
     n = len(a)
-    exact = isinstance(zero, ExactPoly)
     negate = False
     prev = None
     for k in range(n - 1):
@@ -1153,41 +1133,25 @@ def _det(matrix: Sequence[Sequence], zero):
                 if lead and row_k[j]:
                     v = v - lead * row_k[j]
                 if prev is not None and v:
-                    v = v.exact_div(prev) if exact else v / prev
+                    v = v.exact_div(prev)
                 row[j] = v
         prev = pivot
     det = a[n - 1][n - 1]
     return -det if negate else det
 
 
-def wronskian(fs: Sequence):
-    """Wronskian determinant of an ordered list of same-kind entries.
+def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:
+    """Wronskian determinant of an ordered list of polynomials.
 
-    ExactPoly entries yield an ExactPoly.  QuasiGaussian entries must share
-    one gauss exponent s; the result is returned as a GaussWronskian whose
-    exponential factor exp(l*s*x^2/6) is reported separately because l*s
-    generally leaves the class.
+    A common factor f comes out as f^l, Wr(f*y_1, .., f*y_l) =
+    f^l Wr(y_1, .., y_l), so seeds dressed by one Gaussian exp(s*x^2/6)
+    enter as their polynomial parts.
     """
     entries = list(fs)
     if not entries:
         raise EmptyList("wronskian of an empty list")
-    kinds = {type(e) for e in entries}
-    if len(kinds) != 1:
-        raise MixedKinds(f"wronskian entries of mixed kinds: {sorted(k.__name__ for k in kinds)}")
-    n = len(entries)
-    if isinstance(entries[0], ExactPoly):
-        rows = [entries]
-        for _ in range(n - 1):
-            rows.append([p.derivative() for p in rows[-1]])
-        return _det(rows, ExactPoly.zero())
-    if isinstance(entries[0], QuasiGaussian):
-        s = entries[0].gauss_exponent
-        if any(e.gauss_exponent != s for e in entries):
-            raise MixedKinds("quasi-Gaussian wronskian entries with different exponents")
-        # Wr(e^G R_i) = e^{n G} det[(d/dx + G')^r R_i] with G = s x^2/6.
-        rows = [[e.rational for e in entries]]
-        for _ in range(n - 1):
-            rows.append([_gauss_derivative(r, s) for r in rows[-1]])
-        det = _det(rows, RationalFn.zero())
-        return GaussWronskian(det, n * s)
-    raise MixedKinds(f"unsupported wronskian entry kind {type(entries[0]).__name__}")
+    _require_polys(entries)
+    rows = [entries]
+    for _ in range(len(entries) - 1):
+        rows.append([p.derivative() for p in rows[-1]])
+    return _det(rows)

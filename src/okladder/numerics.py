@@ -28,8 +28,8 @@ class NumericGrid:
     points: int = 8001
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (0 < self.half_width < math.inf):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd integer >= 3")
 
@@ -145,6 +145,9 @@ def fd_eigensolve(
         raise ValueError("count must be >= 1")
     grid = grid or GRID
     tol = COARSE_SHIFT_TOL if coarse_shift_tol is None else coarse_shift_tol
+    # Written so that NaN fails too: no shift compares greater than NaN.
+    if not tol >= 0:
+        raise ValueError(f"coarse_shift_tol must be >= 0, got {tol}")
     v_fn = potential(k).potential_fn()
     coarse = _dirichlet_eigenvalues(v_fn, grid, count)
     fine = _dirichlet_eigenvalues(v_fn, grid.refined(), count)

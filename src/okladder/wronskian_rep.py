@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exact_ring import (
     ExactPoly,
-    GaussWronskian,
     QuasiGaussian,
     RationalFn,
     apply_first_order,
@@ -42,26 +41,25 @@ _X_SQ_OVER_9 = RationalFn.from_poly(ExactPoly((0, 0, Fraction(1, 9))))
 _MINUS_X_OVER_3 = RationalFn.from_poly(ExactPoly((0, Fraction(-1, 3))))
 
 
-def psi_poly(r: int) -> ExactPoly:
-    """Coefficient of t^r in exp(2xt - 3t^2); satisfies psi_r' = 2 psi_{r-1}."""
+def _seed_poly(r: int, c: int) -> ExactPoly:
+    """Coefficient of t^r in exp(2xt + c*t^2)."""
     if r < 0:
         raise ValueError("seed index must be >= 0")
     coeffs = [Fraction(0)] * (r + 1)
     for b in range(r // 2 + 1):
         a = r - 2 * b
-        coeffs[a] = Fraction(2**a * (-3) ** b, math.factorial(a) * math.factorial(b))
+        coeffs[a] = Fraction(2**a * c**b, math.factorial(a) * math.factorial(b))
     return ExactPoly(coeffs)
+
+
+def psi_poly(r: int) -> ExactPoly:
+    """Coefficient of t^r in exp(2xt - 3t^2); satisfies psi_r' = 2 psi_{r-1}."""
+    return _seed_poly(r, -3)
 
 
 def pseudo_psi_poly(r: int) -> ExactPoly:
     """Coefficient of t^r in exp(2xt + 3t^2), the pseudo companion of psi_r."""
-    if r < 0:
-        raise ValueError("seed index must be >= 0")
-    coeffs = [Fraction(0)] * (r + 1)
-    for b in range(r // 2 + 1):
-        a = r - 2 * b
-        coeffs[a] = Fraction(2**a * 3**b, math.factorial(a) * math.factorial(b))
-    return ExactPoly(coeffs)
+    return _seed_poly(r, 3)
 
 
 def _seed(kind: str) -> Callable[[int], ExactPoly]:
@@ -177,19 +175,6 @@ def _log_second_derivative(p: ExactPoly) -> RationalFn:
     return RationalFn(dp.derivative() * p - dp * dp, p * p)
 
 
-def _potential_from_gauss_wronskian(gw: GaussWronskian, shift: Fraction) -> RationalFn:
-    """x^2/9 - 2 (ln [R exp(t x^2/6)])'' + shift, as one rational function."""
-    rational = gw.rational_part
-    if not rational.is_polynomial:
-        raise SingularWronskian("wronskian with a nonpolynomial rational part")
-    w_poly = rational.as_poly()
-    return (
-        _X_SQ_OVER_9
-        + RationalFn.constant(shift - Fraction(2 * gw.exponent_multiplier, 3))
-        - _log_second_derivative(w_poly) * 2
-    )
-
-
 def wronskian_potential(k: int, form: str) -> RationalFn:
     """The potential as a Wronskian of dressed seeds.
 
@@ -197,22 +182,22 @@ def wronskian_potential(k: int, form: str) -> RationalFn:
     adding:   x^2/9 - 2 (ln Wr(Psi~ over {2,5,..,3k-1}))'' + 2k - 1/3, with
               Psi~ = e^{+x^2/6} Psi, the shift re-anchoring the ground level
               after k states are inserted below it.
+    The Gaussian of l seeds factors out as e^{l*s*x^2/6} (Crum 1955), so the
+    determinant is Wr(p_1, .., p_l) of the seed polynomials and the Gaussian
+    adds the constant -2*l*s/3.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if form == "deleting":
-        entries = [QuasiGaussian(RationalFn.from_poly(psi_poly(i)), -1) for i in index_set_deleted(k)]
-        shift = Fraction(-1, 3)
+        seeds, s, shift = [psi_poly(i) for i in index_set_deleted(k)], -1, Fraction(-1, 3)
     elif form == "adding":
-        entries = [
-            QuasiGaussian(RationalFn.from_poly(pseudo_psi_poly(i)), +1) for i in index_set_added(k)
-        ]
-        shift = 2 * k - Fraction(1, 3)
+        seeds, s, shift = [pseudo_psi_poly(i) for i in index_set_added(k)], 1, 2 * k - Fraction(1, 3)
     else:
         raise ValueError("form must be 'deleting' or 'adding'")
-    if not entries:
-        return _X_SQ_OVER_9 + RationalFn.constant(Fraction(-1, 3))
-    return _potential_from_gauss_wronskian(wronskian(entries), shift)
+    v = _X_SQ_OVER_9 + RationalFn.constant(shift - Fraction(2 * len(seeds) * s, 3))
+    if not seeds:
+        return v
+    return v - _log_second_derivative(wronskian(seeds)) * 2
 
 
 def susy_chain_potential(deleted_levels: list[int]) -> RationalFn:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,23 @@ class TestSpectrumAndPlotData:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: count must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--count", "3", "--N", "5"], r"halving the grid moved an eigenvalue by \d\.\d{3}e\+\d\d"),
+            (["--tol", "-1", "--N", "201"], "coarse_shift_tol must be >= 0, got -1.0"),
+            (["--tol", "nan", "--N", "11"], "coarse_shift_tol must be >= 0, got nan"),
+            (["--L", "inf"], "half_width must be positive and finite, got inf"),
+            (["--L", "nan"], "half_width must be positive and finite, got nan"),
+        ],
+        ids=["grid-too-coarse", "negative-tol", "nan-tol", "inf-width", "nan-width"],
+    )
+    def test_bad_grid_or_tolerance_exits_2(self, args, message, capsys):
+        assert main(["spectrum", "--k", "1", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {message}\n", captured.err)
 
     def test_plot_data_rows(self, capsys):
         _, out = run_cli(

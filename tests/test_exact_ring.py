@@ -462,13 +462,13 @@ def det_oracle(matrix, zero):
 
 
 def recorded_determinants(monkeypatch, build):
-    """(matrix, zero, determinant) of every `_det` call made by build()."""
+    """(matrix, determinant) of every `_det` call made by build()."""
     seen = []
     det = exact_ring._det
 
-    def recording(matrix, zero):
-        value = det(matrix, zero)
-        seen.append((matrix, zero, value))
+    def recording(matrix):
+        value = det(matrix)
+        seen.append((matrix, value))
         return value
 
     monkeypatch.setattr(exact_ring, "_det", recording)
@@ -759,17 +759,34 @@ class TestWronskian:
             wronskian([])
         with pytest.raises(MixedKinds):
             wronskian([ExactPoly.one(), QuasiGaussian(RationalFn.one(), 0)])
+        # only polynomials: a shared Gaussian is factored out by the caller
+        for entries in ([QuasiGaussian(RationalFn.x(), -1)],
+                        [QuasiGaussian(RationalFn.x(), -1), QuasiGaussian(RationalFn.one(), -1)],
+                        [RationalFn.x(), RationalFn.one()]):
+            with pytest.raises(MixedKinds):
+                wronskian(entries)
 
     def test_quasi_gaussian_factoring(self):
-        # Wr of two entries sharing exp(-x^2/6) reports multiplier -2, and the
-        # common Gaussian factors out of the determinant entirely
-        entries = [
-            QuasiGaussian(RationalFn.from_poly(ExactPoly((0, 2))), -1),
-            QuasiGaussian(RationalFn.from_poly(ExactPoly((-3, 0, 2))), -1),
-        ]
-        gw = wronskian(entries)
-        assert gw.exponent_multiplier == -2
-        assert gw.rational_part == RationalFn.from_poly(ExactPoly((6, 0, 4)))
+        # Wr(e^{-x^2/6}(2x), e^{-x^2/6}(2x^2 - 3)) = e^{-x^2/3} (4x^2 + 6): the
+        # rows (d/dx - x/3)^r p_i of the dressed seeds have the determinant
+        # of the plain seeds
+        seeds = [ExactPoly((0, 2)), ExactPoly((-3, 0, 2))]
+        rows = gauss_rows(seeds, -1)
+        assert rows[1] == [RationalFn.from_poly(ExactPoly((2, 0, Fraction(-2, 3)))),
+                           RationalFn.from_poly(ExactPoly((0, 5, 0, Fraction(-2, 3))))]
+        assert det_oracle(rows, RationalFn.zero()) == RationalFn.from_poly(ExactPoly((6, 0, 4)))
+        assert wronskian(seeds) == ExactPoly((6, 0, 4))
+
+
+def gauss_rows(seeds, s):
+    """[(d/dx + s*x/3)^r p_i] over RationalFn, one operation at a time: the
+    matrix whose determinant is the polynomial part of Wr(e^{s x^2/6} p_i),
+    built the way `wronskian` did before the Gaussian was factored out."""
+    slope = RationalFn.from_poly(ExactPoly((0, Fraction(s, 3))))
+    rows = [[RationalFn.from_poly(p) for p in seeds]]
+    for _ in range(len(seeds) - 1):
+        rows.append([r.derivative() + slope * r for r in rows[-1]])
+    return rows
 
 
 _det_entries = st.one_of(st.just(ExactPoly.zero()), division_polys(3))
@@ -784,9 +801,9 @@ def square_matrices(draw):
 class TestDeterminant:
     """Bareiss elimination in `_det` against the memoized minor expansion."""
 
-    def same_det(self, matrix, zero):
-        value = exact_ring._det(matrix, zero)
-        assert value == det_oracle(matrix, zero)
+    def same_det(self, matrix):
+        value = exact_ring._det(matrix)
+        assert value == det_oracle(matrix, ExactPoly.zero())
         return value
 
     def test_okamoto_index_sets(self, monkeypatch):
@@ -801,9 +818,9 @@ class TestDeterminant:
                         okamoto_via_wronskian(m, n, "Psi")
 
         seen = recorded_determinants(monkeypatch, build)
-        assert max(len(matrix) for matrix, _, _ in seen) == 13
-        for matrix, zero, value in seen:
-            assert value == det_oracle(matrix, zero)
+        assert max(len(matrix) for matrix, _ in seen) == 13
+        for matrix, value in seen:
+            assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_wronskian_modes(self, monkeypatch):
         from okladder.wronskian_rep import wronskian_mode
@@ -814,8 +831,8 @@ class TestDeterminant:
                     for n in (0, 1):
                         wronskian_mode(k, j, n)
 
-        for matrix, zero, value in recorded_determinants(monkeypatch, build):
-            assert value == det_oracle(matrix, zero)
+        for matrix, value in recorded_determinants(monkeypatch, build):
+            assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_exceptional_hermite(self, monkeypatch):
         from okladder.wronskian_rep import exceptional_hermite, sigma_index
@@ -827,60 +844,72 @@ class TestDeterminant:
                         exceptional_hermite(list(range(1, k + 1)), sigma_index(k, j, n))
             exceptional_hermite([1], 0)
 
-        for matrix, zero, value in recorded_determinants(monkeypatch, build):
-            assert value == det_oracle(matrix, zero)
+        for matrix, value in recorded_determinants(monkeypatch, build):
+            assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_quasi_gaussian_rows(self, monkeypatch):
-        from okladder.wronskian_rep import wronskian_potential
+        # The seed sets of wronskian_potential in both forms, k <= 4: the rows
+        # (d/dx + s*x/3)^r p_i of the dressed seeds have the plain seeds'
+        # Wronskian as their determinant, so the Gaussian never enters `_det`.
+        from okladder.wronskian_rep import (
+            index_set_added,
+            index_set_deleted,
+            pseudo_psi_poly,
+            psi_poly,
+            wronskian_potential,
+        )
+
+        for k in range(1, 5):
+            for seed, indices, s in ((psi_poly, index_set_deleted(k), -1),
+                                     (pseudo_psi_poly, index_set_added(k), 1)):
+                seeds = [seed(i) for i in indices]
+                want = det_oracle(gauss_rows(seeds, s), RationalFn.zero())
+                assert want == RationalFn.from_poly(wronskian(seeds)), (k, s)
 
         def build():
-            for k in range(1, 4):
+            for k in range(5):
                 wronskian_potential(k, "deleting")
                 wronskian_potential(k, "adding")
 
-        seen = recorded_determinants(monkeypatch, build)
-        assert all(isinstance(zero, RationalFn) for _, zero, _ in seen)
-        for matrix, zero, value in seen:
-            assert value == det_oracle(matrix, zero)
+        for matrix, value in recorded_determinants(monkeypatch, build):
+            assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_zero_pivot_swaps_rows(self):
         x, one, zero = ExactPoly.x(), ExactPoly.one(), ExactPoly.zero()
-        assert self.same_det([[zero, x], [one, zero]], zero) == -x
-        self.same_det([[zero, one, x], [x, zero, one], [one, x, zero]], zero)
+        assert self.same_det([[zero, x], [one, zero]]) == -x
+        self.same_det([[zero, one, x], [x, zero, one], [one, x, zero]])
         # the zero pivot appears only after the first elimination step
-        assert self.same_det([[one, zero, zero], [zero, zero, one], [zero, one, zero]], zero) == -one
-        f, g = RationalFn(one, x), RationalFn.from_poly(x)
-        self.same_det([[RationalFn.zero(), f], [g, f]], RationalFn.zero())
+        assert self.same_det([[one, zero, zero], [zero, zero, one], [zero, one, zero]]) == -one
 
     def test_no_pivot_gives_zero(self):
         x, zero = ExactPoly.x(), ExactPoly.zero()
-        assert exact_ring._det([[zero, x], [zero, x * x]], zero) == zero
-        assert exact_ring._det([[x, x], [x, x]], zero) == zero
+        assert exact_ring._det([[zero, x], [zero, x * x]]) == zero
+        assert exact_ring._det([[x, x], [x, x]]) == zero
 
     def test_equal_columns_give_zero(self):
         x, one = ExactPoly.x(), ExactPoly.one()
         p = ExactPoly((1, SQRT2, 0, 3))
         matrix = [[x, p, x], [one, p.derivative(), one], [p, x * x, p]]
-        assert self.same_det(matrix, ExactPoly.zero()) == ExactPoly.zero()
-        f = RationalFn(p, x)
-        rows = [[f, RationalFn.one(), f], [f.derivative(), RationalFn.x(), f.derivative()],
-                [RationalFn.one(), f, RationalFn.one()]]
-        assert self.same_det(rows, RationalFn.zero()) == RationalFn.zero()
+        assert self.same_det(matrix) == ExactPoly.zero()
 
     def test_one_and_two_by_two(self):
         p, q = ExactPoly((1, SQRT2)), ExactPoly((Fraction(1, 3), 0, 2))
-        assert self.same_det([[p]], ExactPoly.zero()) == p
-        assert self.same_det([[p, q], [q, p]], ExactPoly.zero()) == p * p - q * q
-        f = RationalFn(p, q)
-        assert self.same_det([[f]], RationalFn.zero()) == f
-        self.same_det([[f, RationalFn.one()], [RationalFn.x(), f]], RationalFn.zero())
+        assert self.same_det([[p]]) == p
+        assert self.same_det([[p, q], [q, p]]) == p * p - q * q
+
+    def test_rational_entries_rejected(self):
+        f = RationalFn(ExactPoly.one(), ExactPoly.x())
+        with pytest.raises(MixedKinds):
+            exact_ring._det([[f]])
+        with pytest.raises(MixedKinds):
+            exact_ring._det([[ExactPoly.one(), f], [ExactPoly.x(), ExactPoly.one()]])
 
     @given(square_matrices())
     @settings(max_examples=100, deadline=None)
     def test_random_matrices(self, matrix):
-        self.same_det(matrix, ExactPoly.zero())
+        self.same_det(matrix)
         singular = [row[:-1] + [row[0]] for row in matrix]
-        assert exact_ring._det(singular, ExactPoly.zero()) == ExactPoly.zero()
+        assert exact_ring._det(singular) == ExactPoly.zero()
 
 
 class TestQuasiGaussian:
@@ -901,19 +930,12 @@ class TestQuasiGaussian:
         out = apply_first_order(-1, f, g)
         assert out == QuasiGaussian(RationalFn.from_poly(ExactPoly((0, Fraction(2, 3)))), -1)
 
-    def test_product_exponent_rule(self):
-        a = QuasiGaussian(RationalFn.one(), -1)
-        b = QuasiGaussian(RationalFn.from_poly(ExactPoly.x()), 1)
-        assert (a * b).gauss_exponent == 0
-        with pytest.raises(ValueError):
-            _ = a * a
-
     def test_derivative_vs_difference_quotient(self):
         from okladder.numerics import eval_float
 
         rng = random.Random(11)
         g = QuasiGaussian(RationalFn(ExactPoly((1, 2)), ExactPoly((3, 0, 2))), -1)
-        dg = g.derivative()
+        dg = apply_first_order(1, RationalFn.zero(), g)
         for _ in range(100):
             x0 = rng.uniform(-4, 4)
             h = 1e-6

@@ -34,6 +34,9 @@ class TestGrid:
             NumericGrid(25.0, 8000)  # even
         with pytest.raises(ValueError):
             NumericGrid(-1.0, 8001)
+        for width in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                NumericGrid(width, 8001)
 
     def test_refined_shares_nodes(self):
         g = NumericGrid(10.0, 11)
@@ -186,6 +189,13 @@ class TestEigensolve:
     def test_grid_too_coarse_detected(self):
         with pytest.raises(GridTooCoarse):
             fd_eigensolve(1, grid=NumericGrid(25.0, 201), count=5, coarse_shift_tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_tolerance_must_be_a_nonnegative_number(self, tol):
+        # With a NaN tolerance no shift compares greater, so the grid check
+        # would pass whatever the grid.
+        with pytest.raises(ValueError, match="coarse_shift_tol"):
+            fd_eigensolve(1, grid=NumericGrid(25.0, 11), count=3, coarse_shift_tol=tol)
 
 
 class TestInnerProducts:

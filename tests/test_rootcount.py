@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okladder.exact_ring import ExactPoly
+from okladder import exact_ring, rootcount
+from okladder.exact_ring import SQRT2, ExactPoly, poly_gcd
 from okladder.okamoto import okamoto
 from okladder.rootcount import (
     predicted_mode_count,
@@ -47,6 +48,22 @@ class TestSturm:
         report = sturm_count(p)
         assert not report.simple
         assert report.n_plus == report.n_minus == 1
+
+    def test_one_remainder_sequence_for_a_repeated_sqrt2_root(self, monkeypatch):
+        # x (sqrt2 x - 1)^2 (x^2 - 3): roots 0, a double 1/sqrt2, and +-sqrt3.
+        # The Sturm chain itself ends in gcd(p, p'); no separate gcd is taken.
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return poly_gcd(p, q)
+
+        monkeypatch.setattr(exact_ring, "poly_gcd", counting)
+        monkeypatch.setattr(rootcount, "poly_gcd", counting, raising=False)
+        p = ExactPoly.x() * ExactPoly((-1, SQRT2)) ** 2 * ExactPoly((-3, 0, 1))
+        report = sturm_count(p)
+        assert (report.n0, report.n_plus, report.n_minus, report.simple) == (1, 2, 1, False)
+        assert calls == []
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -155,3 +172,34 @@ class TestWronskianPredictions:
     def test_monotonicity_guard(self):
         with pytest.raises(ValueError):
             predicted_wronskian_count([2, 1])
+
+
+def squarefree_census(p: ExactPoly) -> tuple[int, int, int, bool]:
+    """(n0, n_plus, n_minus, simple) by the older route: divide out
+    gcd(p, p') first, then run Sturm on the squarefree part."""
+    n0 = 0
+    while p.degree > 0 and p.coeff(0).is_zero:
+        p = ExactPoly(p.coeffs[1:])
+        n0 += 1
+    g = poly_gcd(p, p.derivative())
+    report = sturm_count(p.exact_div(g))
+    assert report.simple
+    return n0, report.n_plus, report.n_minus, g.degree == 0
+
+
+_roots = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+_factors = st.one_of(
+    st.builds(lambda r: ExactPoly((-r, 1)), _roots),
+    st.builds(lambda r: ExactPoly((-r, SQRT2)), _roots),
+    st.builds(lambda a, b: ExactPoly((a, b, 1)), _roots, _roots),
+)
+
+
+@given(st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_repeated_factors_match_squarefree_route(factors):
+    p = ExactPoly.one()
+    for f, mult in factors:
+        p = p * f**mult
+    report = sturm_count(p)
+    assert (report.n0, report.n_plus, report.n_minus, report.simple) == squarefree_census(p)

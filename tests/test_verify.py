@@ -91,3 +91,18 @@ def test_json_shape():
         "detail": "d",
         "certifies": "c",
     }
+
+
+# SHA-256 over the `verify --json` payload (json.dumps with sorted keys) of
+# every exact suite at the default bounds. The float suites are left out:
+# their details carry values that depend on the scipy/BLAS build.
+_EXACT_REPORT_ROWS = 313
+_EXACT_REPORT_DIGEST = "aba366bf1ee8b32c1ca0d0d1cee6e14b5b58a9e671cb85363bccabd336f7a501"
+
+
+def test_exact_report_is_pinned():
+    which = tuple(s for s in ALL_SUITES if s not in ("spectrum-numeric", "orthogonality"))
+    rows = [r.to_json_dict() for r in run_verify(VerifySuiteConfig(which=which))]
+    assert len(rows) == _EXACT_REPORT_ROWS
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _EXACT_REPORT_DIGEST
