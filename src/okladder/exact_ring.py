@@ -1100,44 +1100,118 @@ def _require_polys(entries: Iterable) -> None:
         raise MixedKinds(f"entries must be ExactPoly, got {sorted(k.__name__ for k in kinds)}")
 
 
-def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
-    """Determinant of a matrix of polynomials by Bareiss fraction-free
-    elimination (Bareiss 1968).
-
-    Step k sets a_ij <- (a_kk*a_ij - a_ik*a_kj) / a_{k-1,k-1} below and right
-    of the pivot; the division is an exact polynomial division, and the last
-    pivot is the determinant. A zero pivot is replaced by a lower row with a
-    nonzero entry in its column (a Wronskian entry vanishes when deg f < row);
-    with none, the determinant is zero.
-    """
-    _require_polys(e for row in matrix for e in row)
-    zero = ExactPoly.zero()
-    a = [list(row) for row in matrix]
+def _int_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    with row pivoting (Bareiss 1968): every `//` is exact.  Overwrites a."""
     n = len(a)
-    negate = False
-    prev = None
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return zero
+                return 0
             a[k], a[swap] = a[swap], a[k]
-            negate = not negate
-        row_k = a[k]
-        pivot = row_k[k]
+            sign = -sign
+        tail = a[k][k + 1 :]
+        pivot = a[k][k]
         for row in a[k + 1 :]:
             lead = row[k]
-            for j in range(k + 1, n):
-                # Lower rows of a Wronskian are sparse: skip the zero products.
-                v = pivot * row[j] if row[j] else zero
-                if lead and row_k[j]:
-                    v = v - lead * row_k[j]
-                if prev is not None and v:
-                    v = v.exact_div(prev)
-                row[j] = v
+            if lead:
+                row[k + 1 :] = [(pivot * x - lead * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            else:
+                row[k + 1 :] = [pivot * x // prev for x in row[k + 1 :]]
         prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if negate else det
+    return sign * a[n - 1][n - 1]
+
+
+def _interpolate(values: Sequence[int], x0: int) -> list[int]:
+    """Integer array of D!*P for the polynomial P of degree <= D with
+    P(x0 + j) = values[j], j = 0..D: Newton's forward differences, the k-th
+    weighted by D!/k!, summed over the falling factorials
+    (x - x0)(x - x0 - 1)..(x - x0 - k + 1) by Horner's rule."""
+    heads = list(values)
+    d = len(heads) - 1
+    for k in range(1, d + 1):
+        for j in range(d, k - 1, -1):
+            heads[j] -= heads[j - 1]
+    acc = [heads[d]]
+    weight = 1
+    for k in range(d - 1, -1, -1):
+        # acc <- acc*(x - x0 - k) + heads[k]*D!/k!
+        weight *= k + 1
+        root = x0 + k
+        acc.insert(0, 0)
+        if root:
+            for i in range(len(acc) - 1):
+                acc[i] -= root * acc[i + 1]
+        acc[0] += heads[k] * weight
+    return acc
+
+
+def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
+    """Determinant of a matrix of polynomials by evaluation at integer points
+    and interpolation (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 5).
+
+    With column potentials v_c = max_i deg a_ic and row potentials
+    u_i = max_c (deg a_ic - v_c) over the nonzero entries, D = sum u + sum v
+    bounds the degree of the determinant (for a Wronskian it is
+    sum deg f_c - l(l-1)/2); a zero row or column, or D < 0, gives zero.
+    Each column is scaled to integer arrays over its lcm denominator, and
+    sqrt2 is replaced by an integer t: det(A + tB) has t-degree at most the
+    number c of columns with a sqrt2 part.  At each of the D + 1 integers
+    centred on 0 and each t = 0..c, the entries are evaluated by Horner's
+    rule and the integer determinant taken; interpolation in t, reduced by
+    t^2 = 2, and then in x gives the result.
+    """
+    _require_polys(e for row in matrix for e in row)
+    zero = ExactPoly.zero()
+    cols = list(zip(*matrix))
+    col_pot = [max((p.degree for p in col if p._a), default=None) for col in cols]
+    if None in col_pot:
+        return zero
+    bound = sum(col_pot)
+    for row in matrix:
+        row_pot = max((p.degree - v for p, v in zip(row, col_pot) if p._a), default=None)
+        if row_pot is None:
+            return zero
+        bound += row_pot
+    if bound < 0:
+        return zero
+    scales = [math.lcm(*(p._den for p in col)) for col in cols]
+    mixed = sum(any(any(p._b) for p in col) for col in cols)
+    x0 = -(bound // 2)
+    # dets[t][j]: the integer determinant at x = x0 + j, with sqrt2 -> t and
+    # column c scaled by scales[c].
+    dets = []
+    for t in range(mixed + 1):
+        rows = [
+            [[(ca + t * cb) * (s // p._den) for ca, cb in zip(reversed(p._a), reversed(p._b))]
+             for p, s in zip(row, scales)]
+            for row in matrix
+        ]
+        at_t = []
+        for x in range(x0, x0 + bound + 1):
+            m = []
+            for row in rows:
+                vals = []
+                for rev in row:
+                    y = 0
+                    for co in rev:
+                        y = y * x + co
+                    vals.append(y)
+                m.append(vals)
+            at_t.append(_int_det(m))
+        dets.append(at_t)
+    # mixed! * det in powers of t at each point, then t^2 = 2.
+    alpha, beta = [], []
+    for at_x in zip(*dets):
+        tc = _interpolate(at_x, 0)
+        alpha.append(sum(w << (j // 2) for j, w in enumerate(tc) if not j % 2))
+        beta.append(sum(w << (j // 2) for j, w in enumerate(tc) if j % 2))
+    a = _interpolate(alpha, x0)
+    b = _interpolate(beta, x0) if any(beta) else [0] * len(a)
+    return _make(a, b, math.prod(scales) * math.factorial(mixed) * math.factorial(bound))
 
 
 def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:

@@ -9,6 +9,7 @@ and every tolerance are the module constants below NumericGrid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,13 @@ class NumericGrid:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be an odd integer >= 3")
+        # The finite-difference matrix holds 2/h^2: h^2 must be a finite
+        # normal double.
+        if not sys.float_info.min <= self.spacing * self.spacing < math.inf:
+            raise ValueError(
+                f"half_width {self.half_width} with {self.points} points gives a grid "
+                f"spacing {self.spacing} that cannot be squared"
+            )
 
     @property
     def spacing(self) -> float:
@@ -144,6 +152,11 @@ def fd_eigensolve(
     if count < 1:
         raise ValueError("count must be >= 1")
     grid = grid or GRID
+    if count > grid.points - 2:
+        raise ValueError(
+            f"count {count} exceeds the number of interior nodes, {grid.points - 2}, "
+            f"of a {grid.points}-point grid"
+        )
     tol = COARSE_SHIFT_TOL if coarse_shift_tol is None else coarse_shift_tol
     # Written so that NaN fails too: no shift compares greater than NaN.
     if not tol >= 0:

@@ -184,14 +184,28 @@ def backlund(s: PIVSolution, map_name: str) -> PIVSolution:
 
 def match_hierarchy_parameters(alpha: Fraction, beta: Fraction, bound: int = 12) -> list[tuple[int, int, int]]:
     """All (family, m, n) inside the cone m in [0, bound], n in [-1, bound]
-    whose parameter pair equals (alpha, beta)."""
-    matches = []
-    for family in (1, 2, 3):
-        for m in range(bound + 1):
-            for n in range(-1, bound + 1):
-                if family_parameters(family, m, n) == (alpha, beta):
-                    matches.append((family, m, n))
-    return matches
+    whose parameter pair equals (alpha, beta), in (family, m, n) order.
+
+    `family_parameters` is inverted in closed form: beta = -2 s^2 fixes s up
+    to sign, with s = n - 1/3, m - 1/3 and m + n + 1/3 in families 1, 2 and
+    3, and alpha = 2m + n, -m - 2n and n - m then fixes the other index.
+    """
+    alpha = Fraction(alpha)
+    try:
+        r = _sqrt_fraction(-Fraction(beta) / 2)
+    except SingularMap:
+        return []
+    third = Fraction(1, 3)
+    candidates = []
+    for s in {r, -r}:
+        candidates.append((1, (alpha - s - third) / 2, s + third))
+        candidates.append((2, s + third, (-alpha - s - third) / 2))
+        candidates.append((3, (s - third - alpha) / 2, (s - third + alpha) / 2))
+    return sorted(
+        (family, int(m), int(n))
+        for family, m, n in candidates
+        if m.denominator == 1 and n.denominator == 1 and 0 <= m <= bound and -1 <= n <= bound
+    )
 
 
 def bilinear_identities(m: int, n: int) -> list[bool]:

@@ -266,8 +266,15 @@ class TestSpectrumAndPlotData:
             (["--tol", "nan", "--N", "11"], "coarse_shift_tol must be >= 0, got nan"),
             (["--L", "inf"], "half_width must be positive and finite, got inf"),
             (["--L", "nan"], "half_width must be positive and finite, got nan"),
+            (["--count", "2", "--L", "1e300", "--N", "5"],
+             r"half_width 1e\+300 with 5 points gives a grid spacing 5e\+299 that cannot be squared"),
+            (["--count", "2", "--L", "1e-300", "--N", "5"],
+             "half_width 1e-300 with 5 points gives a grid spacing 5e-301 that cannot be squared"),
+            (["--count", "5", "--N", "3"],
+             "count 5 exceeds the number of interior nodes, 1, of a 3-point grid"),
         ],
-        ids=["grid-too-coarse", "negative-tol", "nan-tol", "inf-width", "nan-width"],
+        ids=["grid-too-coarse", "negative-tol", "nan-tol", "inf-width", "nan-width",
+             "spacing-overflows", "spacing-underflows", "count-above-nodes"],
     )
     def test_bad_grid_or_tolerance_exits_2(self, args, message, capsys):
         assert main(["spectrum", "--k", "1", *args]) == 2

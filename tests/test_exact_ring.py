@@ -799,7 +799,9 @@ def square_matrices(draw):
 
 
 class TestDeterminant:
-    """Bareiss elimination in `_det` against the memoized minor expansion."""
+    """`_det` (evaluation at integer points up to the degree bound, integer
+    determinants, interpolation; sqrt2 replaced by an integer t) against
+    the memoized minor expansion."""
 
     def same_det(self, matrix):
         value = exact_ring._det(matrix)
@@ -891,6 +893,38 @@ class TestDeterminant:
         p = ExactPoly((1, SQRT2, 0, 3))
         matrix = [[x, p, x], [one, p.derivative(), one], [p, x * x, p]]
         assert self.same_det(matrix) == ExactPoly.zero()
+
+    def test_below_degree_bound(self):
+        # the bound is 2 + 2 - 1 = 3; the leading terms cancel
+        x2 = ExactPoly((0, 0, 1))
+        assert wronskian([x2, x2 + ExactPoly.one()]) == ExactPoly((0, -2))
+
+    def test_sqrt2_parts(self):
+        x, one = ExactPoly.x(), ExactPoly.one()
+        # one column in sqrt2*Q[x], one in Q[x], one with both parts
+        line = ExactPoly((0, SQRT2, 0, 3 * SQRT2))
+        both = ExactPoly((Fraction(1, 2), SQRT2, 3))
+        value = self.same_det([[line, x, both], [one, line, x * x], [both, one, line]])
+        assert value._line() is None  # both parts
+        seeds = [ExactPoly((SQRT2, Fraction(2, 3), 0, 1)), ExactPoly((1, 0, SQRT2 / 5)),
+                 ExactPoly((0, SQRT2, Fraction(-1, 7), 2, SQRT2))]
+        rows = [seeds, [p.derivative() for p in seeds]]
+        rows.append([p.derivative() for p in rows[-1]])
+        assert wronskian(seeds) == det_oracle(rows, ExactPoly.zero())
+
+    def test_zero_row(self):
+        x, one, zero = ExactPoly.x(), ExactPoly.one(), ExactPoly.zero()
+        assert exact_ring._det([[x, one, x], [zero, zero, zero], [one, x, one]]) == zero
+        # constant seeds: the derivative row is zero
+        assert wronskian([one, one * 3]) == zero
+
+    def test_rational_wronskian_makes_no_division(self, monkeypatch):
+        from okladder.wronskian_rep import psi_poly
+
+        divisions = kernel_calls(monkeypatch, "_divmod_ints")
+        value = wronskian([psi_poly(i) for i in (1, 2, 4, 5)])
+        assert not divisions
+        assert value.degree == 1 + 2 + 4 + 5 - 6
 
     def test_one_and_two_by_two(self):
         p, q = ExactPoly((1, SQRT2)), ExactPoly((Fraction(1, 3), 0, 2))

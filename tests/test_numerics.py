@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okladder import numerics
 from okladder.errors import GridTooCoarse, PoleAtPoint
 from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar
 from okladder.numerics import (
@@ -37,6 +38,10 @@ class TestGrid:
         for width in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 NumericGrid(width, 8001)
+        # 2/h^2 needs h^2 to be a finite normal double
+        for width in (1e300, 1e-160):
+            with pytest.raises(ValueError, match="cannot be squared"):
+                NumericGrid(width, 5)
 
     def test_refined_shares_nodes(self):
         g = NumericGrid(10.0, 11)
@@ -189,6 +194,16 @@ class TestEigensolve:
     def test_grid_too_coarse_detected(self):
         with pytest.raises(GridTooCoarse):
             fd_eigensolve(1, grid=NumericGrid(25.0, 201), count=5, coarse_shift_tol=1e-9)
+
+    def test_count_above_interior_nodes(self, monkeypatch):
+        # rejected before the potential is built or any solve runs
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(numerics, "potential", no_solve)
+        monkeypatch.setattr(numerics, "_dirichlet_eigenvalues", no_solve)
+        with pytest.raises(ValueError, match="count 4 exceeds the number of interior nodes, 3"):
+            fd_eigensolve(0, grid=NumericGrid(25.0, 5), count=4)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_tolerance_must_be_a_nonnegative_number(self, tol):

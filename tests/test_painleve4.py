@@ -1,5 +1,6 @@
 """Rational solutions, residuals, parameter maps, and bilinear identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -142,3 +143,55 @@ def test_family_parameter_tables():
     assert family_parameters(1, 2, 1) == (Fraction(5), Fraction(-2) * Fraction(2, 3) ** 2)
     assert family_parameters(2, 1, 1) == (Fraction(-3), Fraction(-2) * Fraction(2, 3) ** 2)
     assert family_parameters(3, 1, 2) == (Fraction(1), Fraction(-2) * Fraction(10, 3) ** 2)
+
+
+def scan_hierarchy_parameters(alpha, beta, bound):
+    """Every (family, m, n) of the cone m in [0, bound], n in [-1, bound] whose
+    parameter pair equals (alpha, beta), found by scanning the cone: the
+    oracle of the closed-form inverse."""
+    return [
+        (family, m, n)
+        for family in (1, 2, 3)
+        for m in range(bound + 1)
+        for n in range(-1, bound + 1)
+        if family_parameters(family, m, n) == (alpha, beta)
+    ]
+
+
+class TestMatchHierarchyParameters:
+    def test_backlund_images_match_the_scan(self):
+        for m in range(5):
+            for n in range(5):
+                seed = rational_solution(1, m, n)
+                for map_name in BACKLUND_MAPS:
+                    image = backlund(seed, map_name)
+                    scan = scan_hierarchy_parameters(image.alpha, image.beta, 12)
+                    for bound in (2, 8, 12):
+                        want = [(f, i, j) for f, i, j in scan if i <= bound and j <= bound]
+                        assert match_hierarchy_parameters(image.alpha, image.beta, bound) == want, (
+                            m, n, map_name, bound
+                        )
+
+    def test_random_pairs_match_the_scan(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                # a member's pair, which may lie outside the cone of the bound
+                alpha, beta = family_parameters(
+                    rng.randint(1, 3), rng.randint(0, 15), rng.randint(-1, 15)
+                )
+            else:
+                alpha = Fraction(rng.randint(-30, 30), rng.choice((1, 1, 1, 2)))
+                s = rng.randint(-15, 15) + rng.choice((Fraction(1, 3), Fraction(-1, 3), Fraction(1, 6)))
+                beta = rng.choice((-2 * s * s, -s * s, 2 * s * s, s))
+            bound = rng.randint(0, 12)
+            assert match_hierarchy_parameters(alpha, beta, bound) == (
+                scan_hierarchy_parameters(alpha, beta, bound)
+            ), (alpha, beta, bound)
+
+    def test_every_member_is_found(self):
+        for family in (1, 2, 3):
+            for m in range(7):
+                for n in range(-1, 7):
+                    alpha, beta = family_parameters(family, m, n)
+                    assert (family, m, n) in match_hierarchy_parameters(alpha, beta, 6)
