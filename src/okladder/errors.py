@@ -9,6 +9,11 @@ class NonPolynomialResult(ArithmeticError):
     """A computation that must produce a polynomial produced a proper rational function."""
 
 
+class MixedGrade(ArithmeticError):
+    """A polynomial would need both a rational and a sqrt2 part: a sum of two
+    nonzero operands of different grades, or such coefficients as input."""
+
+
 class MixedKinds(TypeError):
     """A Wronskian or determinant was requested over entries that are not all polynomials."""
 

@@ -1,8 +1,9 @@
 """Exact arithmetic over Q(sqrt2).
 
 Scalars a + b*sqrt(2) with arbitrary-precision rational a, b; dense
-polynomials over them; reduced rational functions; and quasi-Gaussian
-functions R(x)*exp(s*x^2/6) closed under first-order ladder factors.
+polynomials over them, each in Q[x] or in sqrt2*Q[x]; reduced rational
+functions; and quasi-Gaussian functions R(x)*exp(s*x^2/6) closed under
+first-order ladder factors.
 All values are immutable and every operation is a pure function.
 """
 
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyList, MixedKinds, NonZeroRemainder, ZeroDenominator
+from .errors import EmptyList, MixedGrade, MixedKinds, NonZeroRemainder, ZeroDenominator
 
 ScalarLike = Union["SqrtTwoScalar", Fraction, int]
 
@@ -214,49 +215,57 @@ def _scalar_ints(c: SqrtTwoScalar) -> tuple[int, int, int]:
     return c.a.numerator * (den // da), c.b.numerator * (den // db), den
 
 
-# Primes p = 7 (mod 8), so 2 is a quadratic residue and sqrt2 has a mod-p
-# image; used for fast coprimality certificates in the polynomial gcd.
-_CERT_PRIMES: list[tuple[int, int]] = []
-for _p in (2**61 - 1, 2**31 - 1):
-    _s = pow(2, (_p + 1) // 4, _p)
-    if _s * _s % _p != 2:
-        raise ArithmeticError(f"2 is not a square mod {_p}")
-    _CERT_PRIMES.append((_p, _s))
+def _graded(c: ScalarLike) -> tuple[int, int, int]:
+    """(v, r, den) with c = sqrt2**r * v/den, integers, r in {0, 1}, den > 0
+    and gcd(v, den) = 1; MixedGrade when c has both parts."""
+    if type(c) is int:
+        return c, 0, 1
+    c = SqrtTwoScalar.coerce(c)
+    if not c.b:
+        return c.a.numerator, 0, c.a.denominator
+    if c.a:
+        raise MixedGrade(f"{c} has both a rational and a sqrt2 part")
+    return c.b.numerator, 1, c.b.denominator
+
+
+# Primes for the coprimality certificate of `poly_gcd`.  It reads only the
+# integer array X of each operand sqrt2**r * X/den, so sqrt2 needs no image
+# mod p and any prime serves.
+_CERT_PRIMES = (2**61 - 1, 2**31 - 1)
 
 
 class ExactPoly:
-    """Dense polynomial over Q(sqrt2), ascending coefficients.
+    """Dense polynomial over Q(sqrt2), ascending coefficients, of one grade.
 
-    Stored as integer arrays: coefficient i is (A_i + B_i*sqrt2)/den, in the
-    one canonical form den > 0, gcd(den, all A_i, all B_i) = 1 and a nonzero
-    top entry, so equality is structural.  The zero polynomial stores empty
-    arrays over den = 1 and reports degree -1.  The arrays are tuples and
-    are never replaced; `coeffs` is a view of them as scalars, built on
-    first use.
+    Stored as sqrt2**r * X/den with one integer tuple X, r in {0, 1} and
+    den > 0, in the one canonical form gcd(den, all X_i) = 1 with a nonzero
+    top entry, so equality is structural.  The zero polynomial stores
+    ((), 0, 1) and reports degree -1.  The tuple is never replaced;
+    `coeffs` is a view of it as scalars, built on first use.
 
-    Arithmetic runs on integer kernels for one line, Q[x] or sqrt2*Q[x]:
-    `_conv`, `_square_ints` and `_divmod_ints`.  An operand with both parts
-    is reduced to them: three convolutions per product (Karatsuba), three
-    squares by polarization, a dividend divided part by part, and a divisor
-    G replaced by its norm G*conj(G), which lies in Q[x].
+    Every polynomial the Okamoto recurrences build lies in Q[x] or
+    sqrt2*Q[x], so products, squares, quotients and derivatives run on the
+    integer kernels `_conv`, `_square_ints` and `_divmod_ints` over X, and
+    the grades add mod 2.  A sum of two nonzero operands of different
+    grades, a product with a scalar that has both parts, and coefficients
+    with both parts given to a constructor raise MixedGrade; equality with
+    such a scalar is False.  `SqrtTwoScalar` keeps both parts: a value at a point a + b*sqrt2, and
+    the exact sign and rounding of such values, need them.
     """
 
-    __slots__ = ("_a", "_b", "_den", "_coeffs")
+    __slots__ = ("_x", "_r", "_den", "_coeffs")
 
     def __new__(cls, coeffs: Iterable[ScalarLike] = ()) -> "ExactPoly":
         cs = [SqrtTwoScalar.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        den = 1
-        for c in cs:
-            den = math.lcm(den, c.a.denominator, c.b.denominator)
-        # den is the lcm of the denominators, so the arrays are canonical.
-        return _raw(
-            tuple(c.a.numerator * (den // c.a.denominator) for c in cs),
-            tuple(c.b.numerator * (den // c.b.denominator) for c in cs),
-            den,
-            tuple(cs),
-        )
+        r = 1 if any(c.b for c in cs) else 0
+        if r and any(c.a for c in cs):
+            raise MixedGrade("coefficients with both a rational and a sqrt2 part")
+        parts = [c.b if r else c.a for c in cs]
+        # den is the lcm of the denominators, so the array is canonical.
+        den = math.lcm(1, *(f.denominator for f in parts))
+        return _raw(tuple(f.numerator * (den // f.denominator) for f in parts), r, den, tuple(cs))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ExactPoly is immutable")
@@ -264,70 +273,63 @@ class ExactPoly:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls) -> "ExactPoly":
-        return _raw((), (), 1)
+        return _raw((), 0, 1)
 
     @classmethod
     def one(cls) -> "ExactPoly":
-        return _raw((1,), (0,), 1)
+        return _raw((1,), 0, 1)
 
     @classmethod
     def x(cls) -> "ExactPoly":
-        return _raw((0, 1), (0, 0), 1)
+        return _raw((0, 1), 0, 1)
 
     @classmethod
     def monomial(cls, coeff: ScalarLike, degree: int) -> "ExactPoly":
-        c = SqrtTwoScalar.coerce(coeff)
-        if c.is_zero:
-            return cls.zero()
-        a, b, den = _scalar_ints(c)
-        return _raw((0,) * degree + (a,), (0,) * degree + (b,), den)
+        v, r, den = _graded(coeff)
+        return _raw((0,) * degree + (v,), r, den) if v else cls.zero()
 
     @classmethod
     def constant(cls, c: ScalarLike) -> "ExactPoly":
-        c = SqrtTwoScalar.coerce(c)
-        if c.is_zero:
-            return cls.zero()
-        a, b, den = _scalar_ints(c)
-        return _raw((a,), (b,), den)
+        return cls.monomial(c, 0)
 
     # -- basic queries ------------------------------------------------------
     @property
     def coeffs(self) -> tuple[SqrtTwoScalar, ...]:
         """The coefficients as scalars, ascending; built from the integer
-        arrays on first use and cached."""
+        array on first use and cached."""
         cs = self._coeffs
         if cs is None:
-            den = self._den
-            cs = tuple(_scalar(a, b, den) for a, b in zip(self._a, self._b))
+            cs = tuple(self.coeff(i) for i in range(len(self._x)))
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
     @property
     def is_zero(self) -> bool:
-        return not self._a
+        return not self._x
 
     @property
     def degree(self) -> int:
-        return len(self._a) - 1
+        return len(self._x) - 1
 
     @property
     def leading(self) -> SqrtTwoScalar:
-        if not self._a:
+        if not self._x:
             raise ValueError("zero polynomial has no leading coefficient")
-        return _scalar(self._a[-1], self._b[-1], self._den)
+        return self.coeff(len(self._x) - 1)
 
     def coeff(self, i: int) -> SqrtTwoScalar:
-        if 0 <= i < len(self._a):
-            return _scalar(self._a[i], self._b[i], self._den)
+        if 0 <= i < len(self._x) and self._x[i]:
+            v = Fraction(self._x[i], self._den)
+            return SqrtTwoScalar(0, v) if self._r else SqrtTwoScalar(v, 0)
         return _ZERO
 
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
-        a, b = self._a, self._b
-        if not a:
+        X = self._x
+        if not X:
             return 0
-        p = (len(a) - 1) % 2
-        if any(a[i] or b[i] for i in range(1 - p, len(a), 2)):
+        p = (len(X) - 1) % 2
+        if any(X[i] for i in range(1 - p, len(X), 2)):
             return None
         return p
 
@@ -336,38 +338,41 @@ class ExactPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactPoly):
-            return self._den == other._den and self._a == other._a and self._b == other._b
+            return self._den == other._den and self._r == other._r and self._x == other._x
+        if isinstance(other, SqrtTwoScalar) and other.a and other.b:
+            return False  # no polynomial of one grade equals it
         if isinstance(other, (int, Fraction, SqrtTwoScalar)):
             return self == ExactPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        cs = self.coeffs
-        if len(cs) <= 1:
-            return hash(cs[0]) if cs else hash(0)
-        return hash(cs)
+        # A constant hashes like its scalar, so == across types stays consistent.
+        if len(self._x) <= 1:
+            return hash(self.coeff(0))
+        return hash((self._x, self._r, self._den))
 
     # -- arithmetic ----------------------------------------------------------
     def _combine(self, other: "ExactPoly", sign: int) -> "ExactPoly":
         """self + sign*other over the common denominator lcm(den1, den2)."""
+        if not other._x:
+            return self
+        if not self._x:
+            return other if sign > 0 else -other
+        if self._r != other._r:
+            raise MixedGrade("sum of a polynomial in Q[x] and one in sqrt2*Q[x]")
         d1, d2 = self._den, other._den
         if d1 == d2:
             m1, m2 = 1, sign
         else:
             g = math.gcd(d1, d2)
             m1, m2 = d2 // g, sign * (d1 // g)
-        a = [v * m1 for v in self._a]
-        b = [v * m1 for v in self._b]
-        a2, b2 = other._a, other._b
-        if len(a2) > len(a):
-            pad = [0] * (len(a2) - len(a))
-            a += pad
-            b += pad
-        for i, v in enumerate(a2):
-            a[i] += m2 * v
-        for i, v in enumerate(b2):
-            b[i] += m2 * v
-        return _make(a, b, d1 * m1)
+        x = [v * m1 for v in self._x]
+        x2 = other._x
+        if len(x2) > len(x):
+            x += [0] * (len(x2) - len(x))
+        for i, v in enumerate(x2):
+            x[i] += m2 * v
+        return _make(x, self._r, d1 * m1)
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         if not isinstance(other, ExactPoly):
@@ -377,7 +382,7 @@ class ExactPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPoly":
-        return _raw(tuple(-v for v in self._a), tuple(-v for v in self._b), self._den)
+        return _raw(tuple(-v for v in self._x), self._r, self._den)
 
     def __sub__(self, other) -> "ExactPoly":
         if not isinstance(other, ExactPoly):
@@ -387,74 +392,40 @@ class ExactPoly:
     def __rsub__(self, other) -> "ExactPoly":
         return ExactPoly.constant(other) - self
 
-    def _int_arrays(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """Return (A, B, den) with coeff_i = (A_i + B_i*sqrt2)/den, integers."""
-        return self._a, self._b, self._den
+    def _int_arrays(self) -> tuple[tuple[int, ...], int, int]:
+        """Return (X, r, den) with self = sqrt2**r * X/den, integers."""
+        return self._x, self._r, self._den
 
     def _scale(self, c: ScalarLike) -> "ExactPoly":
         """self * c for a scalar c."""
-        if type(c) is int:
-            ca, cb, cd = c, 0, 1
-        else:
-            ca, cb, cd = _scalar_ints(SqrtTwoScalar.coerce(c))
-        A, B = self._a, self._b
-        if not (ca or cb) or not A:
+        v, r, cd = _graded(c)
+        if not v or not self._x:
             return ExactPoly.zero()
-        if not cb:
-            a = [v * ca for v in A]
-            b = [v * ca for v in B]
-        elif not ca:
-            a = [2 * cb * v for v in B]
-            b = [cb * v for v in A]
-        else:
-            a = [x * ca + 2 * y * cb for x, y in zip(A, B)]
-            b = [x * cb + y * ca for x, y in zip(A, B)]
-        return _make(a, b, self._den * cd)
-
-    def _line(self) -> tuple[tuple[int, ...], int] | None:
-        """(X, r) with self = sqrt2**r * X/den and r in {0, 1} when self lies
-        in Q[x] or sqrt2*Q[x]; None when both parts are nonzero."""
-        A, B = self._a, self._b
-        if not any(B):
-            return A, 0
-        if not any(A):
-            return B, 1
-        return None
+        return _lift([x * v for x in self._x], self._r + r, self._den * cd)
 
     def __mul__(self, other) -> "ExactPoly":
         if not isinstance(other, ExactPoly):
             if isinstance(other, (int, Fraction, SqrtTwoScalar)):
                 return self._scale(other)
             return NotImplemented
-        if not self._a or not other._a:
+        if not self._x or not other._x:
             return ExactPoly.zero()
         if other is self:
             return self._square()
-        den = self._den * other._den
-        line1, line2 = self._line(), other._line()
-        if line1 is not None and line2 is not None:
-            (X1, r1), (X2, r2) = line1, line2
-            return _lift(_conv(X1, X2), r1 + r2, den)
-        # (A1 + B1 sqrt2)(A2 + B2 sqrt2) by three convolutions (Karatsuba):
-        # A1 A2 + 2 B1 B2 and (A1 + B1)(A2 + B2) - A1 A2 - B1 B2.
-        A1, B1, A2, B2 = self._a, self._b, other._a, other._b
-        aa, bb = _conv(A1, A2), _conv(B1, B2)
-        t = _conv([x + y for x, y in zip(A1, B1)], [x + y for x, y in zip(A2, B2)])
-        return _make(
-            [x + 2 * y for x, y in zip(aa, bb)], [z - x - y for x, y, z in zip(aa, bb, t)], den
-        )
+        return _lift(_conv(self._x, other._x), self._r + other._r, self._den * other._den)
 
     __rmul__ = __mul__
 
     def _square(self) -> "ExactPoly":
         """self * self, nonzero, with each cross term computed once and
         doubled: about half the products of a general multiplication."""
-        return _quadratic(_square_ints, self, self._den * self._den)
+        return _lift(_square_ints(self._x), 2 * self._r, self._den * self._den)
 
     def _toda_rhs(self, c: int) -> "ExactPoly":
         """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 for q = self: the right side
-        of both Okamoto recurrences, on the integer kernel `_toda_ints`."""
-        return _quadratic(lambda X: _toda_ints(X, c), self, 2 * self._den * self._den)
+        of both Okamoto recurrences, on the integer kernel `_toda_ints`.  It
+        is quadratic in q, so q in sqrt2*Q[x] gives twice the value of X."""
+        return _lift(_toda_ints(self._x, c), 2 * self._r, 2 * self._den * self._den)
 
     def __pow__(self, exponent: int) -> "ExactPoly":
         if exponent < 0:
@@ -474,25 +445,10 @@ class ExactPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return ExactPoly.zero(), self
-        line2 = other._line()
-        if line2 is None:
-            # With N = G conj(G) in Q[x], P conj(G) = Q N + R conj(G) and
-            # deg(R conj(G)) < deg N: dividing by N gives the same quotient.
-            conj = _raw(other._a, tuple(-v for v in other._b), other._den)
-            q, _ = divmod(self * conj, other * conj)
-            return q, self - q * other
         # sqrt2**r1 X = (sqrt2**(r1-r2) Q) (sqrt2**r2 Y) + sqrt2**r1 R
         # from X = Q Y + R: one integer update per inner step.
-        Y, r2 = line2
-        line1 = self._line()
-        if line1 is not None:
-            X, r1 = line1
-            quot, rem, den = _divmod_ints(X, self._den, Y, other._den)
-            return _lift(quot, r1 - r2, den), _lift(rem, r1, den)
-        # A dividend with both parts is divided line by line.
-        qa, ra, da = _divmod_ints(self._a, self._den, Y, other._den)
-        qb, rb, db = _divmod_ints(self._b, self._den, Y, other._den)
-        return _lift(qa, -r2, da) + _lift(qb, 1 - r2, db), _lift(ra, 0, da) + _lift(rb, 1, db)
+        quot, rem, den = _divmod_ints(self._x, self._den, other._x, other._den)
+        return _lift(quot, self._r - other._r, den), _lift(rem, self._r, den)
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
         q, r = divmod(self, other)
@@ -503,23 +459,23 @@ class ExactPoly:
         return q
 
     def derivative(self) -> "ExactPoly":
-        A, B = self._a, self._b
-        return _make(
-            [i * A[i] for i in range(1, len(A))], [i * B[i] for i in range(1, len(B))], self._den
-        )
+        X = self._x
+        return _make([i * X[i] for i in range(1, len(X))], self._r, self._den)
 
     def eval(self, x: ScalarLike) -> SqrtTwoScalar:
-        """Value at x by Horner's rule on the integer arrays.  With
+        """Value at x by Horner's rule on the integer array.  With
         x = (xa + xb*sqrt2)/xd, the running value is held as
         (ua + ub*sqrt2)/(den*scale) with scale = xd^steps."""
-        A, B = self._a, self._b
-        if not A:
+        X = self._x
+        if not X:
             return _ZERO
         xa, xb, xd = _scalar_ints(SqrtTwoScalar.coerce(x))
-        ua, ub, scale = A[-1], B[-1], 1
-        for i in range(len(A) - 2, -1, -1):
+        ua, ub, scale = X[-1], 0, 1
+        for i in range(len(X) - 2, -1, -1):
             scale *= xd
-            ua, ub = ua * xa + 2 * ub * xb + A[i] * scale, ua * xb + ub * xa + B[i] * scale
+            ua, ub = ua * xa + 2 * ub * xb + X[i] * scale, ua * xb + ub * xa
+        if self._r:
+            ua, ub = 2 * ub, ua
         return _scalar(ua, ub, self._den * scale)
 
     def __call__(self, x: ScalarLike) -> SqrtTwoScalar:
@@ -529,19 +485,20 @@ class ExactPoly:
     def monic(self) -> "ExactPoly":
         if self.is_zero:
             return self
-        return self * self.leading.inverse()
+        top = self._x[-1]
+        return _make([v if top > 0 else -v for v in self._x], 0, abs(top))
 
     def lattice_primitive(self, keep_sign: bool = False) -> "ExactPoly":
-        """Scale to integer (a, b) parts with content 1; the leading sign is
-        normalized positive unless keep_sign (scaling by a positive rational
-        only, as Sturm chains require)."""
-        A, B = self._a, self._b
-        if not A:
+        """Scale to an integer array with content 1, keeping the grade; the
+        leading sign is normalized positive unless keep_sign (scaling by a
+        positive rational only, as Sturm chains require)."""
+        X = self._x
+        if not X:
             return self
-        g = math.gcd(*A, *B)
-        if not keep_sign and _sign(A[-1], B[-1]) < 0:
+        g = math.gcd(*X)
+        if not keep_sign and X[-1] < 0:
             g = -g
-        return _raw(tuple(v // g for v in A), tuple(v // g for v in B), 1)
+        return _raw(tuple(v // g for v in X), self._r, 1)
 
     def proportionality(self, other: "ExactPoly") -> SqrtTwoScalar | None:
         """Scalar c with self == c*other, or None if not proportional."""
@@ -586,41 +543,41 @@ class ExactPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _raw(a: tuple, b: tuple, den: int, coeffs: tuple | None = None) -> ExactPoly:
-    """ExactPoly from arrays already in canonical form."""
+def _raw(x: tuple, r: int, den: int, coeffs: tuple | None = None) -> ExactPoly:
+    """ExactPoly sqrt2**r * x/den from an array already in canonical form."""
     p = object.__new__(ExactPoly)
-    object.__setattr__(p, "_a", a)
-    object.__setattr__(p, "_b", b)
+    object.__setattr__(p, "_x", x)
+    object.__setattr__(p, "_r", r)
     object.__setattr__(p, "_den", den)
     object.__setattr__(p, "_coeffs", coeffs)
     return p
 
 
-def _make(a: list[int], b: list[int], den: int) -> ExactPoly:
-    """ExactPoly (a_i + b_i*sqrt2)/den, den > 0, brought to canonical form;
-    the lists are fresh and trimmed here in place."""
-    n = len(a)
-    while n and not a[n - 1] and not b[n - 1]:
+def _make(x: list[int], r: int, den: int) -> ExactPoly:
+    """ExactPoly sqrt2**r * x/den, r in {0, 1}, den > 0, brought to
+    canonical form; the list is fresh and trimmed here in place."""
+    n = len(x)
+    while n and not x[n - 1]:
         n -= 1
     if not n:
-        return _raw((), (), 1)
-    del a[n:], b[n:]
+        return _raw((), 0, 1)
+    del x[n:]
     if den > 1:
-        g = math.gcd(den, *a, *b)
+        g = math.gcd(den, *x)
         if g > 1:
-            return _raw(tuple(v // g for v in a), tuple(v // g for v in b), den // g)
-    return _raw(tuple(a), tuple(b), den)
+            return _raw(tuple(v // g for v in x), r, den // g)
+    return _raw(tuple(x), r, den)
 
 
 def _lift(x: list[int], r: int, den: int) -> ExactPoly:
-    """sqrt2**r * x/den in canonical form, for r in {-1, 0, 1, 2}: the
-    result of a single-line product or quotient put back on its line."""
-    zeros = [0] * len(x)
-    if r == 0:
-        return _make(x, zeros, den)
-    if r == 2:
-        return _make([2 * v for v in x], zeros, den)
-    return _make(zeros, x, den if r == 1 else 2 * den)
+    """sqrt2**r * x/den in canonical form for any integer r, through
+    sqrt2**r = 2**(r // 2) * sqrt2**(r % 2)."""
+    half, r = divmod(r, 2)
+    if half > 0:
+        x = [v << half for v in x]
+    elif half < 0:
+        den <<= -half
+    return _make(x, r, den)
 
 
 def _conv(X: Sequence[int], Y: Sequence[int]) -> list[int]:
@@ -645,20 +602,6 @@ def _square_ints(X: Sequence[int]) -> list[int]:
         for j, x2 in terms[t + 1 :]:
             out[i + j] += x1 * x2
     return out
-
-
-def _quadratic(kernel, p: ExactPoly, den: int) -> ExactPoly:
-    """phi(p) over den, for a quadratic form phi whose integer kernel maps X
-    to den * phi(X/p._den).  phi(sqrt2 s) = 2 phi(s) and, by polarization,
-    phi(r + sqrt2 s) = phi(r) + 2 phi(s) + sqrt2 (phi(r + s) - phi(r) - phi(s))."""
-    line = p._line()
-    if line is not None:
-        X, r = line
-        return _lift(kernel(X), 2 * r, den)
-    A, B = p._a, p._b
-    r, s = kernel(A), kernel(B)
-    t = kernel([x + y for x, y in zip(A, B)])
-    return _make([x + 2 * y for x, y in zip(r, s)], [z - x - y for x, y, z in zip(r, s, t)], den)
 
 
 def _divmod_ints(
@@ -736,14 +679,14 @@ def _toda_ints(A: Sequence[int], c: int) -> list[int]:
     return out
 
 
-def _mod_image(p: ExactPoly, prime: int, sqrt2_image: int) -> list[int] | None:
-    """Coefficients of p mod prime with sqrt2 -> sqrt2_image, or None if the
-    denominator or the leading coefficient vanishes mod prime."""
-    A, B, den = p._int_arrays()
+def _mod_image(p: ExactPoly, prime: int) -> list[int] | None:
+    """Coefficients of X/den mod prime for p = sqrt2**r * X/den, or None if
+    the denominator or the leading coefficient vanishes mod prime."""
+    X, _, den = p._int_arrays()
     if den % prime == 0:
         return None
     inv_den = pow(den, -1, prime)
-    out = [((a + sqrt2_image * b) % prime) * inv_den % prime for a, b in zip(A, B)]
+    out = [v * inv_den % prime for v in X]
     if out and out[-1] == 0:
         return None
     return out
@@ -777,11 +720,12 @@ def _gcd_mod_p(f: list[int], g: list[int], p: int) -> int:
 
 
 def _certified_coprime(p: ExactPoly, q: ExactPoly) -> bool:
-    """True only with proof: a unit gcd of the mod-prime images certifies
-    coprimality over Q(sqrt2)."""
-    for prime, s in _CERT_PRIMES:
-        fp = _mod_image(p, prime, s)
-        gp = _mod_image(q, prime, s)
+    """True only with proof: a unit gcd of the mod-prime images of the
+    rational parts X, Y certifies that X and Y are coprime over Q, hence
+    over Q(sqrt2), and so are p and q."""
+    for prime in _CERT_PRIMES:
+        fp = _mod_image(p, prime)
+        gp = _mod_image(q, prime)
         if fp is None or gp is None:
             continue
         return _gcd_mod_p(fp, gp, prime) == 0
@@ -791,9 +735,10 @@ def _certified_coprime(p: ExactPoly, q: ExactPoly) -> bool:
 def poly_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     """Monic gcd over Q(sqrt2).
 
-    Fast path: a modular coprimality certificate. Fallback: primitive
-    remainder sequence over the integer (a, b) lattice, which avoids the
-    coefficient blowup of naive fraction Euclid.
+    p = sqrt2**r * X/den and q = sqrt2**s * Y/dq have the monic gcd of X
+    and Y, which lies in Q[x].  Fast path: a modular coprimality
+    certificate.  Fallback: primitive remainder sequence over the integer
+    arrays, which avoids the coefficient blowup of naive fraction Euclid.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else ExactPoly.zero()
@@ -834,7 +779,7 @@ class RationalFn:
                 if g.degree > 0:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-            if den._b[-1] or den._a[-1] != den._den:
+            if den._r or den._x[-1] != den._den:
                 inv = den.leading.inverse()
                 num = num * inv
                 den = den * inv
@@ -894,7 +839,7 @@ class RationalFn:
         if isinstance(other, RationalFn):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (ExactPoly, int, Fraction, SqrtTwoScalar)):
-            return self == RationalFn.coerce(other)
+            return self.is_polynomial and self.num == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -1157,61 +1102,50 @@ def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
     u_i = max_c (deg a_ic - v_c) over the nonzero entries, D = sum u + sum v
     bounds the degree of the determinant (for a Wronskian it is
     sum deg f_c - l(l-1)/2); a zero row or column, or D < 0, gives zero.
-    Each column is scaled to integer arrays over its lcm denominator, and
-    sqrt2 is replaced by an integer t: det(A + tB) has t-degree at most the
-    number c of columns with a sqrt2 part.  At each of the D + 1 integers
-    centred on 0 and each t = 0..c, the entries are evaluated by Horner's
-    rule and the integer determinant taken; interpolation in t, reduced by
-    t^2 = 2, and then in x gives the result.
+    The nonzero entries of column c share one grade r_c, so sqrt2**r_c
+    comes out of the column (MixedGrade if they do not), and the column is
+    scaled to integer arrays over its lcm denominator.  At each of the
+    D + 1 integers centred on 0 the entries are evaluated by Horner's rule
+    and the integer determinant taken; interpolation gives the result,
+    times sqrt2**(sum r_c).
     """
     _require_polys(e for row in matrix for e in row)
     zero = ExactPoly.zero()
     cols = list(zip(*matrix))
-    col_pot = [max((p.degree for p in col if p._a), default=None) for col in cols]
+    col_pot = [max((p.degree for p in col if p._x), default=None) for col in cols]
     if None in col_pot:
         return zero
     bound = sum(col_pot)
     for row in matrix:
-        row_pot = max((p.degree - v for p, v in zip(row, col_pot) if p._a), default=None)
+        row_pot = max((p.degree - v for p, v in zip(row, col_pot) if p._x), default=None)
         if row_pot is None:
             return zero
         bound += row_pot
     if bound < 0:
         return zero
+    grades = [{p._r for p in col if p._x} for col in cols]
+    if any(len(g) > 1 for g in grades):
+        raise MixedGrade("determinant column with entries in Q[x] and in sqrt2*Q[x]")
     scales = [math.lcm(*(p._den for p in col)) for col in cols]
-    mixed = sum(any(any(p._b) for p in col) for col in cols)
+    rows = [[[v * (s // p._den) for v in reversed(p._x)] for p, s in zip(row, scales)]
+            for row in matrix]
     x0 = -(bound // 2)
-    # dets[t][j]: the integer determinant at x = x0 + j, with sqrt2 -> t and
-    # column c scaled by scales[c].
     dets = []
-    for t in range(mixed + 1):
-        rows = [
-            [[(ca + t * cb) * (s // p._den) for ca, cb in zip(reversed(p._a), reversed(p._b))]
-             for p, s in zip(row, scales)]
-            for row in matrix
-        ]
-        at_t = []
-        for x in range(x0, x0 + bound + 1):
-            m = []
-            for row in rows:
-                vals = []
-                for rev in row:
-                    y = 0
-                    for co in rev:
-                        y = y * x + co
-                    vals.append(y)
-                m.append(vals)
-            at_t.append(_int_det(m))
-        dets.append(at_t)
-    # mixed! * det in powers of t at each point, then t^2 = 2.
-    alpha, beta = [], []
-    for at_x in zip(*dets):
-        tc = _interpolate(at_x, 0)
-        alpha.append(sum(w << (j // 2) for j, w in enumerate(tc) if not j % 2))
-        beta.append(sum(w << (j // 2) for j, w in enumerate(tc) if j % 2))
-    a = _interpolate(alpha, x0)
-    b = _interpolate(beta, x0) if any(beta) else [0] * len(a)
-    return _make(a, b, math.prod(scales) * math.factorial(mixed) * math.factorial(bound))
+    for x in range(x0, x0 + bound + 1):
+        m = []
+        for row in rows:
+            vals = []
+            for rev in row:
+                y = 0
+                for co in rev:
+                    y = y * x + co
+                vals.append(y)
+            m.append(vals)
+        dets.append(_int_det(m))
+    return _lift(
+        _interpolate(dets, x0), sum(r for g in grades for r in g),
+        math.prod(scales) * math.factorial(bound),
+    )
 
 
 def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:

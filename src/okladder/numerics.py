@@ -112,13 +112,27 @@ def _poly_array(p: ExactPoly) -> np.ndarray:
 
 
 def eval_array(expr, xs: np.ndarray) -> np.ndarray:
-    """Vectorized double-precision evaluation on a grid."""
+    """Vectorized double-precision evaluation on a grid.
+
+    A rational function is num(x)/den(x).  Where num or den overflows, it
+    is taken instead as num_rev(1/x)/den_rev(1/x) * x^(deg num - deg den)
+    with the reversed coefficient arrays, so a value that fits a double is
+    not lost to the overflow of the powers of x."""
     if isinstance(expr, ExactPoly):
         return np.polynomial.polynomial.polyval(xs, _poly_array(expr))
     if isinstance(expr, RationalFn):
-        num = np.polynomial.polynomial.polyval(xs, _poly_array(expr.num))
-        den = np.polynomial.polynomial.polyval(xs, _poly_array(expr.den))
-        return num / den
+        polyval = np.polynomial.polynomial.polyval
+        cn, cd = _poly_array(expr.num), _poly_array(expr.den)
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = polyval(xs, cn), polyval(xs, cd)
+            vals = num / den
+            far = ~(np.isfinite(num) & np.isfinite(den))
+            if far.any():
+                x = xs[far]
+                vals[far] = polyval(1.0 / x, cn[::-1]) / polyval(1.0 / x, cd[::-1]) * x ** (
+                    expr.num.degree - expr.den.degree
+                )
+        return vals
     if isinstance(expr, QuasiGaussian):
         vals = eval_array(expr.rational, xs)
         if expr.gauss_exponent:

@@ -77,7 +77,7 @@ def sturm_count(p: ExactPoly) -> RootCountReport:
         raise ValueError("root count of the zero polynomial")
     n0 = 0
     while p.degree > 0 and p.coeff(0).is_zero:
-        p = ExactPoly(p.coeffs[1:])
+        p = p.exact_div(ExactPoly.x())
         n0 += 1
     chain = _sturm_chain(p)
     pos, neg = _count_roots_half_lines(chain)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from okladder import wronskian_rep
 from okladder.errors import CertificateFailed
-from okladder.exact_ring import SQRT2, ExactPoly, RationalFn
+from okladder.exact_ring import ExactPoly, RationalFn
 from okladder.okamoto import DEFAULT_TABLE, okamoto
 from okladder.painleve4 import rational_solution
 from okladder.spectral import HamiltonianK
@@ -54,10 +54,6 @@ def asymptotic_growth():
     _hamiltonian(ExactPoly((0, 0, Fraction(-7, 9)))).asymptotic_constant()
 
 
-def asymptotic_rational():
-    _hamiltonian(ExactPoly((SQRT2, 0, Fraction(-8, 9)))).asymptotic_constant()
-
-
 def okamoto_wronskian():
     okamoto(2, 0)
     DEFAULT_TABLE._memo[(2, 0)] = ExactPoly((1, 1))
@@ -73,7 +69,6 @@ for case in (
     recurrence_closed_forms,
     product_form_check,
     asymptotic_growth,
-    asymptotic_rational,
     okamoto_wronskian,
     xhermite,
 ):
@@ -100,7 +95,6 @@ def test_corrupted_certificates_raise_under_optimize():
         "recurrence_closed_forms raised",
         "product_form_check raised",
         "asymptotic_growth raised",
-        "asymptotic_rational raised",
         "okamoto_wronskian raised",
         "xhermite raised",
     ]

@@ -262,6 +262,9 @@ class TestSpectrumAndPlotData:
         "args,message",
         [
             (["--count", "3", "--N", "5"], r"halving the grid moved an eigenvalue by \d\.\d{3}e\+\d\d"),
+            # V's num and den overflow a double on this grid, V itself does not.
+            (["--count", "2", "--L", "1e100", "--N", "5"],
+             r"halving the grid moved an eigenvalue by \d\.\d{3}e\+198"),
             (["--tol", "-1", "--N", "201"], "coarse_shift_tol must be >= 0, got -1.0"),
             (["--tol", "nan", "--N", "11"], "coarse_shift_tol must be >= 0, got nan"),
             (["--L", "inf"], "half_width must be positive and finite, got inf"),
@@ -273,14 +276,26 @@ class TestSpectrumAndPlotData:
             (["--count", "5", "--N", "3"],
              "count 5 exceeds the number of interior nodes, 1, of a 3-point grid"),
         ],
-        ids=["grid-too-coarse", "negative-tol", "nan-tol", "inf-width", "nan-width",
-             "spacing-overflows", "spacing-underflows", "count-above-nodes"],
+        ids=["grid-too-coarse", "num-and-den-overflow", "negative-tol", "nan-tol", "inf-width",
+             "nan-width", "spacing-overflows", "spacing-underflows", "count-above-nodes"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_grid_or_tolerance_exits_2(self, args, message, capsys):
         assert main(["spectrum", "--k", "1", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(f"error: {message}\n", captured.err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_plot_data_beyond_the_largest_double(self, capsys):
+        code, out = run_cli(
+            ["plot-data", "--k", "1", "--what", "potential", "--range", "1e200", "1e300",
+             "--samples", "3"],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [value for _, value in rows] == ["inf", "inf", "inf"]
 
     def test_plot_data_rows(self, capsys):
         _, out = run_cli(

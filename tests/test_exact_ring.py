@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okladder import exact_ring
-from okladder.errors import EmptyList, MixedKinds, NonZeroRemainder, ZeroDenominator
+from okladder.errors import EmptyList, MixedGrade, MixedKinds, NonZeroRemainder, ZeroDenominator
 from okladder.exact_ring import (
     SQRT2,
     ExactPoly,
@@ -25,9 +25,36 @@ from okladder.exact_ring import (
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 scalars = st.builds(SqrtTwoScalar, fractions, fractions)
 
+# Polynomials are graded: each lies in Q[x] or in sqrt2*Q[x].
+_LINE_FACTORS = (1, SQRT2)
+line_factors = st.sampled_from(_LINE_FACTORS)
+graded_scalars = st.builds(lambda c, f: SqrtTwoScalar.coerce(c * f), fractions, line_factors)
+# Zero weighs as much as every other kind together, so zero runs are common.
+_coeffs = st.one_of(st.just(0), st.just(0), fractions, st.integers(-60, 60))
 
-def small_polys(max_degree=6):
-    return st.lists(scalars, min_size=0, max_size=max_degree + 1).map(ExactPoly)
+
+def rational_polys(max_degree=8):
+    return st.lists(_coeffs, max_size=max_degree + 1).map(ExactPoly)
+
+
+def polys(max_degree=8):
+    """Polynomials in Q[x] or in sqrt2*Q[x]."""
+    return st.builds(lambda p, f: p * f, rational_polys(max_degree), line_factors)
+
+
+def same_grade(count, max_degree=8):
+    """count polynomials of one grade, so that they can be added."""
+    return st.builds(
+        lambda ps, f: tuple(p * f for p in ps),
+        st.lists(rational_polys(max_degree), min_size=count, max_size=count),
+        line_factors,
+    )
+
+
+@st.composite
+def divisors(draw, max_degree=5):
+    body = draw(st.lists(_coeffs, max_size=max_degree))
+    return ExactPoly(body + [draw(fractions.filter(bool))]) * draw(line_factors)
 
 
 class TestScalar:
@@ -57,6 +84,21 @@ class TestScalar:
         assert hash(RationalFn.constant(3)) == hash(ExactPoly.constant(3))
         assert len({SqrtTwoScalar(Fraction(1, 2), 0), Fraction(1, 2)}) == 1
 
+    @given(graded_scalars, polys())
+    @settings(max_examples=60)
+    def test_polynomial_hash(self, c, p):
+        # A constant hashes like its scalar; a polynomial of degree >= 1
+        # hashes its integer array and builds no scalar view.
+        assert hash(ExactPoly.constant(c)) == hash(c)
+        if c.is_rational:
+            assert hash(ExactPoly.constant(c)) == hash(c.a)
+        q = ExactPoly.from_json_dict(p.to_json_dict())
+        assert hash(q) == hash(p)
+        if p.degree >= 1:
+            fresh = p * 1
+            hash(fresh)
+            assert fresh._coeffs is None
+
     def test_sign_against_high_precision_floats(self):
         rng = random.Random(20240817)
         with mpmath.workdps(50):
@@ -77,17 +119,18 @@ class TestScalar:
         assert SQRT2 < SqrtTwoScalar(Fraction(99, 70), 0)
         assert SqrtTwoScalar(Fraction(140, 99), 0) < SQRT2
 
-    @given(scalars, small_polys())
+    @given(graded_scalars, polys(6))
     @settings(max_examples=60)
     def test_scalar_left_of_polynomial(self, c, p):
         # A scalar on the left defers to the polynomial's reflected method.
         for s in (c, SQRT2):
             assert s * p == p * s
-            assert s + p == p + s
-            assert s - p == -(p - s)
+        s = p.leading if p else c  # a scalar of p's grade
+        assert s + p == p + s
+        assert s - p == -(p - s)
         f = RationalFn(p, ExactPoly((1, 0, 1)))
         assert SQRT2 * f == f * SQRT2
-        assert SQRT2 + f == f + SQRT2
+        assert s + f == f + s
 
     def test_comparison_with_polynomial_is_unsupported(self):
         with pytest.raises(TypeError):
@@ -117,23 +160,25 @@ class TestPoly:
         with pytest.raises(NonZeroRemainder):
             ExactPoly((1, 1)).exact_div(ExactPoly((0, 0, 1)))
 
-    @given(small_polys(), small_polys())
+    @given(polys(6), polys(6))
     @settings(max_examples=60)
     def test_mul_then_exact_divide_roundtrip(self, r, q):
         if q.is_zero:
             return
         assert (r * q).exact_div(q) == r
 
-    @given(small_polys(), small_polys(), small_polys())
+    @given(polys(6), same_grade(2, 6))
     @settings(max_examples=40)
-    def test_ring_axioms(self, a, b, c):
+    def test_ring_axioms(self, a, bc):
+        b, c = bc
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
 
     def test_eval_exact(self):
-        p = ExactPoly((Fraction(1, 3), SQRT2))
-        v = p.eval(SQRT2)
-        assert v == SqrtTwoScalar(Fraction(7, 3), 0)
+        p = ExactPoly((Fraction(1, 3), 0, 1))
+        assert p.eval(SQRT2) == SqrtTwoScalar(Fraction(7, 3), 0)
+        assert (p * SQRT2).eval(SQRT2) == SqrtTwoScalar(0, Fraction(7, 3))
+        assert ExactPoly((0, SQRT2)).eval(SqrtTwoScalar(1, 1)) == SqrtTwoScalar(2, 1)
 
     def test_derivative_vs_difference_quotient(self):
         rng = random.Random(7)
@@ -155,8 +200,8 @@ class TestPoly:
         assert poly_gcd(ExactPoly((1, 1)), ExactPoly((2, 1))) == ExactPoly.one()
 
     def test_json_roundtrip(self):
-        p = ExactPoly((SqrtTwoScalar(Fraction(1, 3), Fraction(-2, 7)), SQRT2))
-        assert ExactPoly.from_json_dict(p.to_json_dict()) == p
+        for p in (ExactPoly((Fraction(1, 3), -2)), ExactPoly((Fraction(-2, 7) * SQRT2, SQRT2))):
+            assert ExactPoly.from_json_dict(p.to_json_dict()) == p
 
     def test_parity(self):
         assert ExactPoly((1, 0, 3)).parity() == 0
@@ -192,25 +237,6 @@ def same_division(p: ExactPoly, d: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
     return q, r
 
 
-_zero = st.just(SqrtTwoScalar(0, 0))
-_rationals = st.builds(SqrtTwoScalar, fractions)
-_sqrt2_only = st.builds(lambda b: SqrtTwoScalar(0, b), fractions)
-_integral = st.builds(SqrtTwoScalar, st.integers(-60, 60), st.integers(-60, 60))
-# Zero weighs as much as every other kind together, so zero runs are common.
-division_scalars = st.one_of(_zero, _zero, _zero, _zero, scalars, _rationals, _sqrt2_only, _integral)
-nonzero_leads = st.one_of(scalars, _rationals, _sqrt2_only, _integral).filter(bool)
-
-
-def division_polys(max_degree=10):
-    return st.lists(division_scalars, max_size=max_degree + 1).map(ExactPoly)
-
-
-@st.composite
-def divisors(draw, max_degree=5):
-    body = draw(st.lists(division_scalars, max_size=max_degree))
-    return ExactPoly(body + [draw(nonzero_leads)])
-
-
 def kernel_calls(monkeypatch, name: str) -> list:
     """Records the calls of the integer kernel `exact_ring.<name>`."""
     calls = []
@@ -231,24 +257,26 @@ def line_divisions(monkeypatch):
 
 
 class TestDivisionKernel:
-    @given(division_polys(), divisors())
+    @given(polys(10), divisors())
     @settings(max_examples=200, deadline=None)
     def test_divmod_matches_oracle(self, p, d):
         q, r = same_division(p, d)
         assert r.degree < d.degree
         assert q * d + r == p
 
-    @given(division_polys(6), divisors())
+    @given(polys(6), divisors())
     @settings(max_examples=150, deadline=None)
     def test_exact_quotient_matches_oracle(self, q, d):
         got, r = same_division(q * d, d)
         assert got == q and r.is_zero
         assert (q * d).exact_div(d) == q
 
-    @given(division_polys(6), divisors(), division_polys(5))
+    @given(polys(6), divisors(), rational_polys(5))
     @settings(max_examples=100, deadline=None)
     def test_remainder_raises_and_matches(self, q, d, r):
         r = ExactPoly(r.coeffs[: d.degree])
+        if q:
+            r = r * (q * d).leading  # the grade of q*d, so that they add
         if r.is_zero:
             return
         p = q * d + r
@@ -257,29 +285,24 @@ class TestDivisionKernel:
             p.exact_div(d)
 
     @pytest.mark.parametrize(
-        "lead",
-        [
-            SqrtTwoScalar(3, 2),
-            SqrtTwoScalar(Fraction(-1, 3), Fraction(5, 7)),
-            SqrtTwoScalar(0, Fraction(-3, 4)),
-            SqrtTwoScalar(Fraction(7, 2), 0),
-        ],
+        "lead", [(3, SQRT2), (Fraction(-5, 7), 1), (Fraction(-3, 4), SQRT2), (Fraction(7, 2), 1)]
     )
     def test_leads_needing_a_finer_scale(self, lead):
-        d = ExactPoly((SqrtTwoScalar(1, 1), 0, 0, Fraction(2, 3), lead))
-        p = ExactPoly((Fraction(1, 5), SQRT2, 0, 0, 0, 0, 0, 3, 0, SqrtTwoScalar(5, -1), 1))
+        top, line = lead
+        d = ExactPoly((1, 0, 0, Fraction(2, 3), top)) * line
+        p = ExactPoly((Fraction(1, 5), 2, 0, 0, 0, 0, 0, 3, 0, -5, 1)) * SQRT2
         same_division(p, d)
-        q = ExactPoly((SqrtTwoScalar(Fraction(1, 3), 1), 0, 0, -1, SQRT2))
+        q = ExactPoly((Fraction(1, 3), 0, 0, -1, 7))
         assert same_division(q * d, d) == (q, ExactPoly.zero())
 
     def test_dividend_of_lower_degree(self):
-        p, d = ExactPoly((1, SQRT2)), ExactPoly((0, 0, Fraction(1, 2)))
+        p, d = ExactPoly((1, 2)) * SQRT2, ExactPoly((0, 0, Fraction(1, 2)))
         assert same_division(p, d) == (ExactPoly.zero(), p)
         assert same_division(ExactPoly.zero(), d) == (ExactPoly.zero(), ExactPoly.zero())
 
     def test_sqrt2_only_remainder(self):
-        p, d = ExactPoly((SQRT2, 0, 1)), ExactPoly((0, 0, 1))
-        assert same_division(p, d) == (ExactPoly.one(), ExactPoly.constant(SQRT2))
+        p, d = ExactPoly((SQRT2, 0, SQRT2)), ExactPoly((0, 0, 1))
+        assert same_division(p, d) == (ExactPoly.constant(SQRT2), ExactPoly.constant(SQRT2))
         with pytest.raises(NonZeroRemainder):
             p.exact_div(d)
 
@@ -304,14 +327,14 @@ class TestDivisionKernel:
                 table.get(m, n)
         monkeypatch.undo()
         assert len(seen) == 7 * 8 - 4  # every entry but the four seeds
-        # Each entry lies in Q[x] or sqrt2*Q[x]: every division is single-line.
+        # One integer long division per entry.
         assert len(line_divisions) == len(seen)
         for p, d in seen:
             _, r = same_division(p, d)
             assert r.is_zero
             if d.degree > 0:
                 with pytest.raises(NonZeroRemainder):
-                    (p + ExactPoly.one()).exact_div(d)
+                    (p + p.leading).exact_div(d)
 
 
 class FractionPoly:
@@ -416,14 +439,15 @@ def same_json(got: ExactPoly, want: FractionPoly) -> None:
 
 
 def assert_canonical(p: ExactPoly) -> None:
-    """den > 0, gcd(den, all A_i, all B_i) = 1 and a nonzero top entry."""
-    A, B, den = p._int_arrays()
-    assert den > 0 and len(A) == len(B)
-    assert math.gcd(den, *A, *B) == 1
-    if A:
-        assert A[-1] or B[-1]
+    """den > 0, r in {0, 1}, gcd(den, all X_i) = 1 and a nonzero top entry;
+    the zero polynomial is ((), 0, 1)."""
+    X, r, den = p._int_arrays()
+    assert den > 0 and r in (0, 1)
+    assert math.gcd(den, *X) == 1
+    if X:
+        assert X[-1]
     else:
-        assert den == 1
+        assert (r, den) == (0, 1)
 
 
 def horner_oracle(p: ExactPoly, x) -> SqrtTwoScalar:
@@ -479,16 +503,18 @@ def recorded_determinants(monkeypatch, build):
 
 
 class TestRepresentation:
-    @given(division_polys(8), division_polys(8), division_scalars, st.integers(-9, 9))
+    @given(same_grade(2), polys(8), graded_scalars, fractions, st.integers(-9, 9))
     @settings(max_examples=200, deadline=None)
-    def test_ops_match_fraction_oracle(self, p, q, c, k):
+    def test_ops_match_fraction_oracle(self, pq, other, c, f, k):
+        p, q = pq
         fp, fq = FractionPoly.of(p), FractionPoly.of(q)
         same_json(p + q, fp + fq)
         same_json(p - q, fp - fq)
         same_json(-p, -fp)
         same_json(p * q, fp * fq)
+        same_json(p * other, fp * FractionPoly.of(other))
         same_json(p * c, fp * c)
-        same_json(p * c.a, fp * c.a)
+        same_json(p * f, fp * f)
         same_json(p * k, fp * k)
         same_json(p.derivative(), fp.derivative())
         same_json(p.monic(), fp.monic())
@@ -496,6 +522,7 @@ class TestRepresentation:
             same_json(p.lattice_primitive(keep_sign), fp.lattice_primitive(keep_sign))
         assert p.parity() == fp.parity()
         assert p.proportionality(q) == fp.proportionality(fq)
+        assert p.proportionality(other) == fp.proportionality(FractionPoly.of(other))
         assert p.proportionality(p * c) == fp.proportionality(fp * c)
         if p:
             assert p.leading == fp.leading
@@ -503,7 +530,7 @@ class TestRepresentation:
             SqrtTwoScalar(0, 0), *fp.coeffs, SqrtTwoScalar(0, 0)
         ]
 
-    @given(division_polys(6))
+    @given(polys(6))
     @settings(max_examples=60, deadline=None)
     def test_parity_of_even_and_odd_parts(self, p):
         even = ExactPoly(c if i % 2 == 0 else 0 for i, c in enumerate(p.coeffs))
@@ -520,9 +547,10 @@ class TestRepresentation:
         assert ExactPoly.monomial(Fraction(3, 6), 2) == ExactPoly((0, 0, Fraction(1, 2)))
         assert ExactPoly.from_json_dict({"coeffs": [["2/4", "0/3"], ["0/1", "0/1"]]}) == half
 
-    @given(division_polys(6), divisors(), division_polys(6))
+    @given(same_grade(2, 6), divisors())
     @settings(max_examples=100, deadline=None)
-    def test_routes_agree_structurally(self, p, q, r):
+    def test_routes_agree_structurally(self, pr, q):
+        p, r = pr
         for got in ((p * q).exact_div(q), p + r - r, -(-p), p * q.leading * q.leading.inverse()):
             assert_canonical(got)
             assert got == p and hash(got) == hash(p)
@@ -530,35 +558,36 @@ class TestRepresentation:
         rebuilt = ExactPoly(p.coeffs)
         assert rebuilt == p and hash(rebuilt) == hash(p)
 
-    @given(division_polys(6), divisors())
+    @given(polys(6), divisors())
     @settings(max_examples=100, deadline=None)
     def test_operations_leave_operands_unchanged(self, p, d):
+        if p and p._int_arrays()[1] != d._int_arrays()[1]:
+            d = d * SQRT2  # one grade, so that p and d add
         stored = [x._int_arrays() for x in (p, d)]
-        copies = [(list(a), list(b), den) for a, b, den in stored]
+        copies = [(list(x), r, den) for x, r, den in stored]
         p + d, p - d, d - p, -p, p * d, d * p, p * SQRT2, p * Fraction(3, 7), p * 0
         divmod(p, d), divmod(d, p) if p else None, p.derivative(), p.monic(), d.monic()
         p.lattice_primitive(), p.lattice_primitive(True), p.parity(), p.proportionality(d)
         p.coeffs, p.to_json_dict(), hash(p), poly_gcd(p, d), wronskian([p, d])
         RationalFn(p, d)
-        for x, (a0, b0, _), copy in zip((p, d), stored, copies):
-            a, b, den = x._int_arrays()
-            assert a is a0 and b is b0
-            assert (list(a), list(b), den) == copy
+        for y, (x0, _, _), copy in zip((p, d), stored, copies):
+            x, r, den = y._int_arrays()
+            assert x is x0
+            assert (list(x), r, den) == copy
 
-    @given(division_polys(8), st.one_of(st.integers(-9, 9), fractions, scalars, st.just(SQRT2)))
+    @given(polys(8), st.one_of(st.integers(-9, 9), fractions, scalars, st.just(SQRT2)))
     @settings(max_examples=150, deadline=None)
     def test_eval_matches_horner_over_coeffs(self, p, x):
         assert p.eval(x) == horner_oracle(p, x)
 
     def test_eval_at_float_point(self):
-        p = ExactPoly((Fraction(1, 3), SQRT2, -2))
+        p = ExactPoly((Fraction(1, 3), 1, -2)) * SQRT2
         assert p.eval(0.1) == horner_oracle(p, Fraction(0.1))
 
-    @given(division_polys(8))
+    @given(rational_polys(8))
     @settings(max_examples=150, deadline=None)
     def test_square_matches_fraction_oracle(self, p):
-        rational = ExactPoly(c.a for c in p.coeffs)
-        for q in (p, rational):
+        for q in (p, p * SQRT2):
             fq = FractionPoly.of(q)
             same_json(q * q, fq * fq)
             same_json(q**3, fq * fq * fq)
@@ -573,31 +602,7 @@ def rhs_oracle(q, c):
     return (q * dq.derivative() - dq * dq) * Fraction(9, 2) + shift * (q * q)
 
 
-# One factor per line: Q[x] and sqrt2*Q[x].
-_LINE_FACTORS = (1, SQRT2)
 _LINE_PAIRS = [(a, b) for a in _LINE_FACTORS for b in _LINE_FACTORS]
-_line_coeffs = st.one_of(st.just(0), st.just(0), fractions)
-
-
-def line_polys(max_degree=8):
-    """Polynomials in Q[x] or in sqrt2*Q[x]."""
-    return st.builds(
-        lambda cs, f: ExactPoly(cs) * f,
-        st.lists(_line_coeffs, max_size=max_degree + 1),
-        st.sampled_from(_LINE_FACTORS),
-    )
-
-
-@st.composite
-def line_divisors(draw, max_degree=5):
-    body = draw(st.lists(_line_coeffs, max_size=max_degree))
-    lead = draw(fractions.filter(bool))
-    return ExactPoly(body + [lead]) * draw(st.sampled_from(_LINE_FACTORS))
-
-
-def mixed(p: ExactPoly) -> ExactPoly:
-    """p with a nonzero part on each line."""
-    return p + ExactPoly((SqrtTwoScalar(1, 2), 0, Fraction(-1, 3)))
 
 
 class TestOkamotoKernels:
@@ -613,28 +618,26 @@ class TestOkamotoKernels:
                     assert_canonical(got)
                     assert got._int_arrays() == rhs_oracle(q, c)._int_arrays(), (m, n, c)
 
-    @given(
-        st.one_of(line_polys(), division_polys(8), division_polys(6).map(mixed)),
-        st.integers(-9, 9),
-    )
+    @given(polys(), st.integers(-9, 9))
     @settings(max_examples=100, deadline=None)
     def test_rhs_matches_fraction_oracle(self, q, c):
         same_json(q._toda_rhs(c), rhs_oracle(FractionPoly.of(q), c))
 
-    @given(line_polys(), line_polys())
+    @given(polys(), polys())
     @settings(max_examples=100, deadline=None)
     def test_line_products_match_fraction_oracle(self, p, q):
         fp, fq = FractionPoly.of(p), FractionPoly.of(q)
         same_json(p * q, fp * fq)
         same_json(p * p, fp * fp)
 
-    @given(line_polys(10), line_divisors(), line_polys(5), line_polys(4))
+    @given(polys(10), divisors(), same_grade(2, 5))
     @settings(max_examples=100, deadline=None)
-    def test_line_division_matches_oracle(self, p, d, q, r):
+    def test_line_division_matches_oracle(self, p, d, qr):
+        q, r = qr
         same_division(p, d)
         assert same_division(q * d, d) == (q, ExactPoly.zero())
         assert (q * d).exact_div(d) == q
-        r = ExactPoly(r.coeffs[: d.degree])
+        r = ExactPoly(r.coeffs[: d.degree]) * d.leading  # the grade of q*d
         if r:
             assert same_division(q * d + r, d) == (q, r)
             with pytest.raises(NonZeroRemainder):
@@ -660,40 +663,33 @@ class TestOkamotoKernels:
         assert same_division(q * d, d) == (q, ExactPoly.zero())
         with pytest.raises(NonZeroRemainder):
             (q * d + ExactPoly.constant(fp * fd)).exact_div(d)
-        # Every division above took the single-line path, except a dividend
-        # of lower degree, which needs no division at all.
+        # One integer long division each, except for a dividend of lower
+        # degree, which needs no division at all.
         assert len(line_divisions) == (3 if p.degree >= d.degree else 2)
 
-    def test_mixed_operands_reduce_to_line_kernels(self, monkeypatch, line_divisions):
-        convolutions = kernel_calls(monkeypatch, "_conv")
-        squares = kernel_calls(monkeypatch, "_square_ints")
-        d = ExactPoly((1, 0, 3))
-        m = mixed(ExactPoly((0, Fraction(2, 5), 0, 1)))
-        # Lead norm 1/4 - 2/9 = 1/36, not an integer.
-        g = ExactPoly((SqrtTwoScalar(1, 1), 0, 2, SqrtTwoScalar(Fraction(1, 2), Fraction(1, 3))))
-        fm, fg = FractionPoly.of(m), FractionPoly.of(g)
-
-        same_json(m * g, fm * fg)  # three convolutions
-        assert (len(convolutions), len(squares)) == (3, 0)
-        same_json(g * g, fg * fg)  # three squares by polarization
-        assert (len(convolutions), len(squares)) == (3, 3)
-
-        for line in (d, d * SQRT2):  # a mixed dividend, divided part by part
-            before = len(line_divisions)
-            same_division(m * m + ExactPoly.x(), line)
-            assert (m * line).exact_div(line) == m
-            assert len(line_divisions) == before + 4
-
-        # A mixed divisor: P conj(G) over the norm G conj(G), which lies in Q[x].
-        before = len(line_divisions)
-        same_division(m * m, g)
-        assert same_division(m * g, g) == (m, ExactPoly.zero())
-        assert len(line_divisions) == before + 4
-        A, B, _ = (g * ExactPoly(c.conjugate() for c in g.coeffs))._int_arrays()
-        assert not any(B)
-        assert all(call[2] == A for call in line_divisions[before:])
-        with pytest.raises(NonZeroRemainder):
-            (m * g + ExactPoly.one()).exact_div(g)
+    def test_mixed_grades_raise(self):
+        x, both = ExactPoly.x(), SqrtTwoScalar(1, 2)
+        with pytest.raises(MixedGrade):
+            x + ExactPoly.constant(SQRT2)
+        with pytest.raises(MixedGrade):
+            x * SQRT2 - x
+        with pytest.raises(MixedGrade):
+            ExactPoly((1, SQRT2))
+        for build in (ExactPoly.constant, lambda c: ExactPoly.monomial(c, 2), lambda c: x * c):
+            with pytest.raises(MixedGrade):
+                build(both)
+        with pytest.raises(MixedGrade):
+            ExactPoly.from_json_dict({"coeffs": [["1/2", "0/1"], ["0/1", "3/1"]]})
+        # Equality with a two-part scalar is False, not an error.
+        assert ExactPoly.constant(1) != both and not (RationalFn.one() == both)
+        # A zero operand has no grade.
+        assert x * SQRT2 + ExactPoly.zero() - ExactPoly.zero() == x * SQRT2
+        assert ExactPoly.zero() - x * SQRT2 == x * -SQRT2
+        # A determinant column with entries of both grades.
+        one = ExactPoly.one()
+        with pytest.raises(MixedGrade):
+            exact_ring._det([[x, one], [x * SQRT2, one]])
+        assert exact_ring._det([[x, one], [ExactPoly.zero(), one]]) == x
 
 
 class TestRationalFn:
@@ -709,16 +705,18 @@ class TestRationalFn:
         with pytest.raises(ZeroDenominator):
             RationalFn(ExactPoly.one(), ExactPoly.zero())
 
-    @given(small_polys(3), small_polys(3).filter(bool), st.one_of(scalars, st.just(SQRT2)))
+    @given(polys(3), polys(3).filter(bool), st.one_of(graded_scalars, st.just(SQRT2)))
     @settings(max_examples=60, deadline=None)
     def test_reduced_construction_makes_denominator_monic(self, a, b, c):
         f = RationalFn(a, b)
         if c:
             assert RationalFn(f.num * c, f.den * c, _reduced=True) == f
 
-    @given(small_polys(3), small_polys(2), small_polys(2))
+    @given(same_grade(2, 3), polys(2))
     @settings(max_examples=40)
-    def test_field_ops(self, a, b, c):
+    def test_field_ops(self, ac, b):
+        # f + g = (a*c + b^2)/(b*c) needs a and c of one grade.
+        a, c = ac
         if b.is_zero or c.is_zero:
             return
         f = RationalFn(a, b)
@@ -789,19 +787,24 @@ def gauss_rows(seeds, s):
     return rows
 
 
-_det_entries = st.one_of(st.just(ExactPoly.zero()), division_polys(3))
+_det_entries = st.one_of(st.just(ExactPoly.zero()), rational_polys(3))
 
 
 @st.composite
 def square_matrices(draw):
+    """3x3 or 4x4 matrices whose columns each have one grade."""
     n = draw(st.integers(3, 4))
-    return [draw(st.lists(_det_entries, min_size=n, max_size=n)) for _ in range(n)]
+    cols = []
+    for _ in range(n):
+        factor = draw(line_factors)
+        cols.append([p * factor for p in draw(st.lists(_det_entries, min_size=n, max_size=n))])
+    return [list(row) for row in zip(*cols)]
 
 
 class TestDeterminant:
-    """`_det` (evaluation at integer points up to the degree bound, integer
-    determinants, interpolation; sqrt2 replaced by an integer t) against
-    the memoized minor expansion."""
+    """`_det` (each column's power of sqrt2 factored out, evaluation at
+    integer points up to the degree bound, integer determinants,
+    interpolation) against the memoized minor expansion."""
 
     def same_det(self, matrix):
         value = exact_ring._det(matrix)
@@ -890,7 +893,7 @@ class TestDeterminant:
 
     def test_equal_columns_give_zero(self):
         x, one = ExactPoly.x(), ExactPoly.one()
-        p = ExactPoly((1, SQRT2, 0, 3))
+        p = ExactPoly((1, 2, 0, 3))
         matrix = [[x, p, x], [one, p.derivative(), one], [p, x * x, p]]
         assert self.same_det(matrix) == ExactPoly.zero()
 
@@ -900,14 +903,16 @@ class TestDeterminant:
         assert wronskian([x2, x2 + ExactPoly.one()]) == ExactPoly((0, -2))
 
     def test_sqrt2_parts(self):
-        x, one = ExactPoly.x(), ExactPoly.one()
-        # one column in sqrt2*Q[x], one in Q[x], one with both parts
-        line = ExactPoly((0, SQRT2, 0, 3 * SQRT2))
-        both = ExactPoly((Fraction(1, 2), SQRT2, 3))
-        value = self.same_det([[line, x, both], [one, line, x * x], [both, one, line]])
-        assert value._line() is None  # both parts
-        seeds = [ExactPoly((SQRT2, Fraction(2, 3), 0, 1)), ExactPoly((1, 0, SQRT2 / 5)),
-                 ExactPoly((0, SQRT2, Fraction(-1, 7), 2, SQRT2))]
+        x, one, zero = ExactPoly.x(), ExactPoly.one(), ExactPoly.zero()
+        # two columns in sqrt2*Q[x] and one in Q[x]: sqrt2**2 comes out
+        line = ExactPoly((0, 1, 0, 3)) * SQRT2
+        other = ExactPoly((Fraction(1, 2), 1, 3)) * SQRT2
+        value = self.same_det([[line, x, other], [one * SQRT2, x * x, line], [other, one, zero]])
+        assert value and value._int_arrays()[1] == 0
+        # one column in sqrt2*Q[x]: the determinant lies there too
+        assert self.same_det([[line, x], [other, one]])._int_arrays()[1] == 1
+        seeds = [ExactPoly((1, Fraction(2, 3), 0, 1)) * SQRT2, ExactPoly((1, 0, Fraction(1, 5))),
+                 ExactPoly((0, 1, Fraction(-1, 7), 2, 1)) * SQRT2]
         rows = [seeds, [p.derivative() for p in seeds]]
         rows.append([p.derivative() for p in rows[-1]])
         assert wronskian(seeds) == det_oracle(rows, ExactPoly.zero())
@@ -927,7 +932,7 @@ class TestDeterminant:
         assert value.degree == 1 + 2 + 4 + 5 - 6
 
     def test_one_and_two_by_two(self):
-        p, q = ExactPoly((1, SQRT2)), ExactPoly((Fraction(1, 3), 0, 2))
+        p, q = ExactPoly((1, 3)) * SQRT2, ExactPoly((Fraction(1, 3), 0, 2)) * SQRT2
         assert self.same_det([[p]]) == p
         assert self.same_det([[p, q], [q, p]]) == p * p - q * q
 

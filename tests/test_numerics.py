@@ -72,9 +72,11 @@ class TestEvalFloat:
     @pytest.mark.parametrize("power", [1, 2, 3])
     def test_sqrt2_root_cancellation(self, power):
         # (x - sqrt2)^power at the double nearest sqrt2 is about 1e-16^power.
-        p = ExactPoly((-SQRT2, 1)) ** power
         x = math.sqrt(2.0)
-        assert eval_float(p, x) == mp_value(p, x)
+        value = (Fraction(x) - SQRT2) ** power
+        with mpmath.workprec(300):
+            want = float((mpmath.mpf(x) - mpmath.sqrt(2)) ** power)
+        assert numerics._round(value) == want
 
     def test_pole_guard(self):
         f = RationalFn(ExactPoly.one(), ExactPoly((-1, 1)))  # 1/(x-1)
@@ -104,8 +106,7 @@ class TestEvalFloat:
         p, q = 1, 1
         while q < 2**40 or p * p - 2 * q * q != -1:
             p, q = p + 2 * q, p + q
-        near = ExactPoly.constant(SqrtTwoScalar(threshold + p, -q))
-        assert eval_float(near, 0.0) == sys.float_info.max
+        assert numerics._round(SqrtTwoScalar(threshold + p, -q)) == sys.float_info.max
 
     def test_array_agrees_with_scalar(self):
         import numpy as np
@@ -115,6 +116,19 @@ class TestEvalFloat:
         vals = eval_array(v, xs)
         for x, val in zip(xs, vals):
             assert val == pytest.approx(eval_float(v, float(x)), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_where_num_and_den_overflow(self):
+        import numpy as np
+
+        # num and den of V overflow a double at 5e99, V itself does not.
+        v = potential(1).potential_fn()
+        xs = np.array([-5e99, -3.0, 0.5, 5e99, 1e200])
+        vals = eval_array(v, xs)
+        for x, val in zip(xs[:4], vals):
+            assert val == pytest.approx(eval_float(v, float(x)), rel=1e-12)
+        assert vals[4] == math.inf  # V(1e200) is about 1e400/9
+        assert vals[0] == pytest.approx(2.7778e198, rel=1e-4)
 
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
@@ -130,8 +144,17 @@ def quotients(coefficients, max_degree):
 
 
 rational_exprs = st.one_of(polys(fractions, 6), quotients(fractions, 4))
-sqrt2_scalars = st.builds(SqrtTwoScalar, fractions, fractions)
-sqrt2_exprs = st.one_of(polys(sqrt2_scalars, 4), quotients(sqrt2_scalars, 3))
+
+
+def graded_polys(max_degree):
+    """Polynomials in Q[x] or in sqrt2*Q[x]."""
+    return st.builds(lambda p, f: p * f, polys(fractions, max_degree), st.sampled_from((1, SQRT2)))
+
+
+sqrt2_exprs = st.one_of(
+    polys(st.builds(lambda c: c * SQRT2, fractions), 4),
+    st.builds(RationalFn, graded_polys(3), graded_polys(2).filter(bool)),
+)
 
 
 def mp_value(expr, x: float) -> float:

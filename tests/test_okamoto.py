@@ -121,6 +121,14 @@ def _valid_entry(m, n):
     return okamoto(m, n).to_json_dict()
 
 
+def _entry_with_both_parts(m, n):
+    """Q_{m,n} of the right degree whose constant coefficient has a rational
+    and a sqrt2 part, which no polynomial of one grade has."""
+    entry = _valid_entry(m, n)
+    entry["coeffs"][0] = ["1/1", "1/1"]
+    return entry
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -138,6 +146,7 @@ def _valid_entry(m, n):
         {"3,1": {"coeffs": [["1/1", "0/1"]]}},
         {"3,1": {"coeffs": []}},
         ["3,1"],
+        {"3,1": _entry_with_both_parts(3, 1)},
     ],
 )
 def test_load_rejects_corrupt_entries(tmp_path, payload):

@@ -50,7 +50,7 @@ class TestSturm:
         assert report.n_plus == report.n_minus == 1
 
     def test_one_remainder_sequence_for_a_repeated_sqrt2_root(self, monkeypatch):
-        # x (sqrt2 x - 1)^2 (x^2 - 3): roots 0, a double 1/sqrt2, and +-sqrt3.
+        # sqrt2 x (2x^2 - 1)^2 (x^2 - 3): roots 0, a double +-1/sqrt2, and +-sqrt3.
         # The Sturm chain itself ends in gcd(p, p'); no separate gcd is taken.
         calls = []
 
@@ -60,9 +60,9 @@ class TestSturm:
 
         monkeypatch.setattr(exact_ring, "poly_gcd", counting)
         monkeypatch.setattr(rootcount, "poly_gcd", counting, raising=False)
-        p = ExactPoly.x() * ExactPoly((-1, SQRT2)) ** 2 * ExactPoly((-3, 0, 1))
+        p = ExactPoly((0, SQRT2)) * ExactPoly((-1, 0, 2)) ** 2 * ExactPoly((-3, 0, 1))
         report = sturm_count(p)
-        assert (report.n0, report.n_plus, report.n_minus, report.simple) == (1, 2, 1, False)
+        assert (report.n0, report.n_plus, report.n_minus, report.simple) == (1, 2, 2, False)
         assert calls == []
 
     def test_zero_poly_rejected(self):
@@ -190,7 +190,7 @@ def squarefree_census(p: ExactPoly) -> tuple[int, int, int, bool]:
 _roots = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 _factors = st.one_of(
     st.builds(lambda r: ExactPoly((-r, 1)), _roots),
-    st.builds(lambda r: ExactPoly((-r, SQRT2)), _roots),
+    st.builds(lambda r: ExactPoly((-2 * r * r, 0, 1)) * SQRT2, _roots),  # roots +-sqrt2 r
     st.builds(lambda a, b: ExactPoly((a, b, 1)), _roots, _roots),
 )
 

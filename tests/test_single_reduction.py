@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from okladder.errors import SingularMap
 from okladder.exact_ring import (
+    SQRT2,
     ExactPoly,
     QuasiGaussian,
     RationalFn,
@@ -216,10 +217,16 @@ class TestLogDerivativeOracle:
 
 
 _fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
-_scalars = st.builds(SqrtTwoScalar, _fractions, _fractions)
-_polys = st.lists(_scalars, max_size=4).map(ExactPoly)
-_nonzero_polys = st.lists(_scalars, min_size=1, max_size=4).map(ExactPoly).filter(bool)
+_line_factors = st.sampled_from((1, SQRT2))
+_rational_polys = st.lists(_fractions, max_size=4).map(ExactPoly)
+_nonzero_rational_polys = st.lists(_fractions, min_size=1, max_size=4).map(ExactPoly).filter(bool)
+# Polynomials in Q[x] or in sqrt2*Q[x].
+_polys = st.builds(lambda p, f: p * f, _rational_polys, _line_factors)
+_nonzero_polys = st.builds(lambda p, f: p * f, _nonzero_rational_polys, _line_factors)
 _rationals = st.builds(RationalFn, _polys, _nonzero_polys)
+# A potential or superpotential lies in Q(x), so that (sign*d/dx + f) g
+# keeps the grade of g.
+_potentials = st.builds(RationalFn, _rational_polys, _nonzero_rational_polys)
 
 
 def gauss_derivative_per_op(r: RationalFn, s: int) -> RationalFn:
@@ -300,7 +307,7 @@ class TestOperatorApplicationOracle:
             h = potential(k)
             assert _residual_json(h.apply(g)) == _residual_json(hamiltonian_apply_per_op(h, g))
 
-    @given(_rationals, _rationals, st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 1)))
+    @given(_potentials, _rationals, st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 1)))
     @settings(max_examples=60, deadline=None)
     def test_random_quotients(self, f, r, s, sign):
         g = QuasiGaussian(r, s)
