@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -393,8 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(handler=_cmd_export)
 
+    # argparse reads only -12 and -1.5 as negative numbers; also take -1e-3.
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     for sub_parser in sub.choices.values():
         _add_global_flags(sub_parser)
+        sub_parser._negative_number_matcher = parser._negative_number_matcher
 
     return parser
 

@@ -2,7 +2,7 @@
 
 Scalars a + b*sqrt(2) with arbitrary-precision rational a, b; dense
 polynomials over them, each in Q[x] or in sqrt2*Q[x]; reduced rational
-functions; and quasi-Gaussian functions R(x)*exp(s*x^2/6) closed under
+functions; and quasi-Gaussian functions R(x)*exp(-x^2/6) closed under
 first-order ladder factors.
 All values are immutable and every operation is a pure function.
 """
@@ -423,8 +423,10 @@ class ExactPoly:
 
     def _toda_rhs(self, c: int) -> "ExactPoly":
         """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 for q = self: the right side
-        of both Okamoto recurrences, on the integer kernel `_toda_ints`.  It
-        is quadratic in q, so q in sqrt2*Q[x] gives twice the value of X."""
+        of both Okamoto recurrences, where c = 2m + n - 1 advances the first
+        index at (m, n) and c = 1 - m - 2n the second.  One pass of the
+        integer kernel `_toda_ints` over q's array, reduced once; it is
+        quadratic in q, so q in sqrt2*Q[x] gives twice the value of X."""
         return _lift(_toda_ints(self._x, c), 2 * self._r, 2 * self._den * self._den)
 
     def __pow__(self, exponent: int) -> "ExactPoly":
@@ -938,25 +940,24 @@ def log_derivative(p: ExactPoly, q: ExactPoly | None = None) -> RationalFn:
     return RationalFn(p.derivative() * q - p * q.derivative(), p * q)
 
 
-# s*x/3 for s = +-1, the logarithmic derivative of exp(s*x^2/6).
-_GAUSS_SLOPE = {s: ExactPoly((0, Fraction(s, 3))) for s in (-1, 1)}
+# -x/3, the logarithmic derivative of exp(-x^2/6).
+_GAUSS_SLOPE = ExactPoly((0, Fraction(-1, 3)))
 
 
-def _gauss_numerator(r: RationalFn, s: int) -> tuple[ExactPoly, ExactPoly]:
-    """(B, N*D) for R = N/D, with (R exp(s*x^2/6))' = (B/D^2) exp(s*x^2/6):
-    B = N'D - ND' + (s*x/3) N D, which is N' + (s*x/3) N over 1 when D = 1."""
+def _gauss_numerator(r: RationalFn) -> tuple[ExactPoly, ExactPoly]:
+    """(B, N*D) for R = N/D, with (R exp(-x^2/6))' = (B/D^2) exp(-x^2/6):
+    B = N'D - ND' - (x/3) N D, which is N' - (x/3) N over 1 when D = 1."""
     n, d = r.num, r.den
     if r.is_polynomial:
         bracket, nd = n.derivative(), n
     else:
         bracket, nd = n.derivative() * d - n * d.derivative(), n * d
-    if s:
-        bracket = bracket + _GAUSS_SLOPE[s] * nd
-    return bracket, nd
+    return bracket + _GAUSS_SLOPE * nd, nd
 
 
 class QuasiGaussian:
-    """R(x) * exp(s*x^2/6) with R rational and s in {-1, 0, +1}.
+    """R(x) * exp(-x^2/6) with R rational: every eigenfunction, zero-mode
+    and ladder image of the paper has this form, R = P/Q_{k+1}.
 
     Closed under multiplication by rational functions and under every
     first-order factor (+-d/dx + f) through `apply_first_order`; the
@@ -964,13 +965,10 @@ class QuasiGaussian:
     quasi-Gaussians are never multiplied.
     """
 
-    __slots__ = ("rational", "gauss_exponent")
+    __slots__ = ("rational",)
 
-    def __init__(self, rational: RationalFn | ExactPoly, gauss_exponent: int = 0) -> None:
-        if gauss_exponent not in (-1, 0, 1):
-            raise ValueError("gauss exponent must be -1, 0 or +1")
+    def __init__(self, rational: RationalFn | ExactPoly) -> None:
         object.__setattr__(self, "rational", RationalFn.coerce(rational))
-        object.__setattr__(self, "gauss_exponent", gauss_exponent)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QuasiGaussian is immutable")
@@ -982,15 +980,13 @@ class QuasiGaussian:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiGaussian):
             return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.gauss_exponent == other.gauss_exponent and self.rational == other.rational
+        return self.rational == other.rational
 
     def __hash__(self) -> int:
-        return hash((self.rational, self.gauss_exponent if not self.is_zero else 0))
+        return hash(self.rational)
 
     def __mul__(self, other):
-        return QuasiGaussian(self.rational * RationalFn.coerce(other), self.gauss_exponent)
+        return QuasiGaussian(self.rational * RationalFn.coerce(other))
 
     __rmul__ = __mul__
 
@@ -999,44 +995,39 @@ class QuasiGaussian:
             return other
         if other.is_zero:
             return self
-        if self.gauss_exponent != other.gauss_exponent:
-            raise ValueError("sum of quasi-Gaussians with different exponents")
-        return QuasiGaussian(self.rational + other.rational, self.gauss_exponent)
+        return QuasiGaussian(self.rational + other.rational)
 
     def __sub__(self, other: "QuasiGaussian") -> "QuasiGaussian":
-        return self + QuasiGaussian(-other.rational, other.gauss_exponent)
+        return self + QuasiGaussian(-other.rational)
 
     def __neg__(self) -> "QuasiGaussian":
-        return QuasiGaussian(-self.rational, self.gauss_exponent)
+        return QuasiGaussian(-self.rational)
 
     def proportionality(self, other: "QuasiGaussian") -> SqrtTwoScalar | None:
         if self.is_zero:
             return _ONE if other.is_zero else _ZERO
-        if other.is_zero or self.gauss_exponent != other.gauss_exponent:
+        if other.is_zero:
             return None
         return self.rational.proportionality(other.rational)
 
     def __repr__(self) -> str:
-        tail = {1: " * exp(x^2/6)", 0: "", -1: " * exp(-x^2/6)"}[self.gauss_exponent]
-        return f"QuasiGaussian({self.rational!r}{tail})"
+        return f"QuasiGaussian({self.rational!r} * exp(-x^2/6))"
 
 
 def apply_first_order(op_sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGaussian:
     """(op_sign * d/dx + f) applied to g, exactly."""
     if op_sign not in (-1, 1):
         raise ValueError("op_sign must be +1 or -1")
-    r, s = g.rational, g.gauss_exponent
+    r = g.rational
     if r.is_zero:
         return g
     # With f = a/b and R = N/D: (op_sign*B*b + a*N*D) / (D^2*b), reduced once.
-    bracket, nd = _gauss_numerator(r, s)
+    bracket, nd = _gauss_numerator(r)
     if op_sign < 0:
         bracket = -bracket
     den = f.den if r.is_polynomial else r.den * r.den * f.den
     # Denominators are monic, so a constant one is 1 and there is nothing to reduce.
-    return QuasiGaussian(
-        RationalFn(bracket * f.den + f.num * nd, den, _reduced=den.degree == 0), s
-    )
+    return QuasiGaussian(RationalFn(bracket * f.den + f.num * nd, den, _reduced=den.degree == 0))
 
 
 def _require_polys(entries: Iterable) -> None:

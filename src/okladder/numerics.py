@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse
-from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar, _scalar_ints
+from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar, _graded, _scalar_ints
 from .spectral import ModeFunction, energy, potential
 
 
@@ -65,14 +65,24 @@ def eval_float(expr, x: float) -> float:
     """Value of an exact expression at x, correctly rounded to a double.
 
     The expression is evaluated exactly at Fraction(x) in Q(sqrt2) and
-    rounded once; a quasi-Gaussian is its rounded rational part times the
-    double exp(s*x^2/6).  A non-finite x raises ValueError.
+    rounded once; a quasi-Gaussian is its rounded rational part R times the
+    double exp(-x^2/6), or sign(R)*exp(ln|R| - x^2/6) where R overflows or
+    that double is not normal.  A non-finite x raises ValueError.
     """
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"cannot evaluate at x = {x}")
     if isinstance(expr, QuasiGaussian):
-        base = eval_float(expr.rational, x)
-        return base * math.exp(expr.gauss_exponent * x * x / 6) if expr.gauss_exponent else base
+        value = expr.rational.eval(Fraction(x))
+        base, gauss = _round(value), math.exp(-x * x / 6)
+        if not value or (math.isfinite(base) and gauss >= sys.float_info.min):
+            return base * gauss
+        v, r, den = _graded(value)  # value = sqrt2^r * v/den: ln|value| needs no rounding
+        try:
+            return value.sign() * math.exp(
+                math.log(abs(v)) - math.log(den) + r * math.log(2) / 2 - x * x / 6
+            )
+        except OverflowError:
+            return value.sign() * math.inf
     if not isinstance(expr, (ExactPoly, RationalFn)):
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
     return _round(expr.eval(Fraction(x)))
@@ -134,9 +144,20 @@ def eval_array(expr, xs: np.ndarray) -> np.ndarray:
                 )
         return vals
     if isinstance(expr, QuasiGaussian):
-        vals = eval_array(expr.rational, xs)
-        if expr.gauss_exponent:
-            vals = vals * np.exp(expr.gauss_exponent * xs * xs / 6.0)
+        r = expr.rational
+        vals = eval_array(r, xs)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            gauss = np.exp(-xs * xs / 6.0)
+            # Where R overflows or the Gaussian is below the smallest normal
+            # double: sign(R)*exp(ln|R| - x^2/6), ln|R| from the reversed arrays.
+            far = ~np.isfinite(vals) | (gauss < sys.float_info.min)
+            vals = np.where(far, 0.0, vals) * gauss
+            if far.any():
+                x, d = xs[far], r.num.degree - r.den.degree
+                rev = lambda p: np.polynomial.polynomial.polyval(1.0 / x, _poly_array(p)[::-1])
+                q = rev(r.num) / rev(r.den)  # R(x) = q * x^d
+                log_abs = np.log(np.abs(q)) + d * np.log(np.abs(x))
+                vals[far] = np.sign(q * x**d) * np.exp(log_abs - x * x / 6.0)
         return vals
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 

@@ -21,13 +21,6 @@ def okamoto_degree(m: int, n: int) -> int:
     return m * m + n * n + m * n - m - n
 
 
-def _rhs(q: ExactPoly, c: int) -> ExactPoly:
-    """Right side (9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 of both recurrences:
-    c = 2m + n - 1 advances the first index at (m, n), c = 1 - m - 2n the
-    second.  One pass over q's integer arrays, reduced once."""
-    return q._toda_rhs(c)
-
-
 class OkamotoTable:
     """Append-only memo of Q_{m,n}; fills columns n = 0 and n = 1 by the
     first-index recurrence, the n = -1 column by the second-index recurrence
@@ -62,9 +55,9 @@ class OkamotoTable:
         if n in (0, 1):
             value = self._fill_column(m, n)
         elif n == -1:
-            value = _rhs(self.get(m, 0), 1 - m).exact_div(self.get(m, 1))
+            value = self.get(m, 0)._toda_rhs(1 - m).exact_div(self.get(m, 1))
         else:
-            value = _rhs(self.get(m, n - 1), 3 - m - 2 * n).exact_div(self.get(m, n - 2))
+            value = self.get(m, n - 1)._toda_rhs(3 - m - 2 * n).exact_div(self.get(m, n - 2))
         self._memo[(m, n)] = value
         return value
 
@@ -72,7 +65,7 @@ class OkamotoTable:
         # Ascend the first index from the two seeds of column n.
         top = max(mm for (mm, nn) in self._memo if nn == n and (mm - 1, n) in self._memo)
         for mm in range(top, m):
-            q = _rhs(self._memo[(mm, n)], 2 * mm + n - 1)
+            q = self._memo[(mm, n)]._toda_rhs(2 * mm + n - 1)
             self._memo[(mm + 1, n)] = q.exact_div(self._memo[(mm - 1, n)])
         return self._memo[(m, n)]
 

@@ -38,12 +38,14 @@ def family_parameters(family: int, m: int, n: int) -> tuple[Fraction, Fraction]:
     raise ValueError(f"family must be 1, 2 or 3, got {family}")
 
 
-def _log_form(family: int, m: int, n: int) -> RationalFn:
-    if family == 1:
-        return _MINUS_2X3 + log_derivative(okamoto(m + 1, n), okamoto(m, n))
-    if family == 2:
-        return _MINUS_2X3 + log_derivative(okamoto(m, n), okamoto(m, n + 1))
-    return _MINUS_2X3 + log_derivative(okamoto(m, n + 1), okamoto(m + 1, n))
+def log_form(family: int, m: int, n: int) -> RationalFn:
+    """w^family_{m,n} = -2x/3 + (ln a/b)' with (a, b) = (Q_{m+1,n}, Q_{m,n}),
+    (Q_{m,n}, Q_{m,n+1}) or (Q_{m,n+1}, Q_{m+1,n}) for family 1, 2, 3."""
+    pairs = {1: ((m + 1, n), (m, n)), 2: ((m, n), (m, n + 1)), 3: ((m, n + 1), (m + 1, n))}
+    if family not in pairs:
+        raise ValueError(f"family must be 1, 2 or 3, got {family}")
+    a, b = pairs[family]
+    return _MINUS_2X3 + log_derivative(okamoto(*a), okamoto(*b))
 
 
 def product_form(family: int, m: int, n: int) -> RationalFn:
@@ -75,7 +77,7 @@ def rational_solution(family: int, m: int, n: int) -> PIVSolution:
     """
     if m < 0 or n < -1:
         raise IndexOutOfCone("rational solutions are indexed by m >= 0, n >= -1")
-    w = _log_form(family, m, n)
+    w = log_form(family, m, n)
     alpha, beta = family_parameters(family, m, n)
     if not (family == 2 and m == 0) and not (family == 1 and n == -1):
         if product_form(family, m, n) != w:

@@ -12,16 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone
-from .exact_ring import (
-    ExactPoly,
-    QuasiGaussian,
-    RationalFn,
-    apply_first_order,
-    log_derivative,
-)
+from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, apply_first_order
 from .okamoto import okamoto
+from .painleve4 import log_form
 
-_X_OVER_3 = RationalFn.from_poly(ExactPoly((0, Fraction(1, 3))))
+_X = RationalFn.x()
 
 
 def energy(k: int, j: int, n: int) -> Fraction:
@@ -63,10 +58,10 @@ class HamiltonianK:
 
     def apply(self, g: QuasiGaussian) -> QuasiGaussian:
         """H g = -g'' + V g, exactly: (-S v.den + v.num N D^2) / (D^3 v.den)
-        for g = (N/D) exp(s x^2/6), reduced once."""
-        r, s, v = g.rational, g.gauss_exponent, self.v
-        second, nd2 = _second_numerator(r.num, r.den, s)
-        return QuasiGaussian(RationalFn(v.num * nd2 - second * v.den, r.den**3 * v.den), s)
+        for g = (N/D) exp(-x^2/6), reduced once."""
+        r, v = g.rational, self.v
+        second, nd2 = _second_numerator(r.num, r.den)
+        return QuasiGaussian(RationalFn(v.num * nd2 - second * v.den, r.den**3 * v.den))
 
     def asymptotic_constant(self) -> Fraction:
         """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
@@ -88,7 +83,7 @@ class ModeFunction:
     energy: Fraction
 
     def phi(self) -> QuasiGaussian:
-        return QuasiGaussian(RationalFn(self.P, okamoto(self.k + 1, 0)), -1)
+        return QuasiGaussian(RationalFn(self.P, okamoto(self.k + 1, 0)))
 
 
 @dataclass(frozen=True)
@@ -110,20 +105,17 @@ class LadderOp:
         return LadderOp(tuple((-sign, f) for sign, f in reversed(self.factors)))
 
 
-def _second_numerator(n: ExactPoly, d: ExactPoly, s: int) -> tuple[ExactPoly, ExactPoly]:
-    """(S, N D^2) with ((N/D) exp(s x^2/6))'' = (S/D^3) exp(s x^2/6), s in {-1, 0, 1}:
+def _second_numerator(n: ExactPoly, d: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """(S, N D^2) with ((N/D) exp(-x^2/6))'' = (S/D^3) exp(-x^2/6):
 
-        S = N''D^2 - 2N'D'D - ND''D + 2ND'^2 + (2s x/3)(N'D - ND')D + (s/3 + x^2/9) N D^2.
+        S = N''D^2 - 2N'D'D - ND''D + 2ND'^2 - (2x/3)(N'D - ND')D + (x^2/9 - 1/3) N D^2.
     """
     dn, dd = n.derivative(), d.derivative()
     d2 = d * d
     nd2 = n * d2
     second = dn.derivative() * d2 - (dn * dd * 2 + n * dd.derivative()) * d + n * dd * dd * 2
-    if s:
-        wr = dn * d - n * dd
-        second = second + ExactPoly((0, Fraction(2 * s, 3))) * wr * d
-        second = second + ExactPoly((Fraction(s, 3), 0, Fraction(1, 9))) * nd2
-    return second, nd2
+    second = second + ExactPoly((0, Fraction(-2, 3))) * (dn * d - n * dd) * d
+    return second + ExactPoly((Fraction(-1, 3), 0, Fraction(1, 9))) * nd2, nd2
 
 
 def _potential_parts(k: int) -> tuple[ExactPoly, ExactPoly, Fraction]:
@@ -142,23 +134,23 @@ def potential(k: int) -> HamiltonianK:
 
 @functools.cache
 def superpotentials(k: int, branch: str = "+") -> tuple[RationalFn, RationalFn, RationalFn]:
-    """(W, W1, W2) for the three-step factorization.
+    """(W, W1, W2) for the three-step factorization: "-2x/3" Painleve IV
+    solutions w^f_{m,n} = log_form(f, m, n) shifted by x,
 
-    W  = -(x/3 + (ln Q_{k+1}/Q_k)')
-    W1 = x/3 + (ln B/Q_{k+1})',   W2 = x/3 + (ln Q_k/B)'
-    with B = Q_{k,1} on the '+' branch and B = Q_{k+1,-1} on the '-' branch;
-    the '-' branch swaps the roles of the j = 2 and j = 3 zero-modes.
-    Memoized per (k, branch); the RationalFn entries are immutable.
+        W  = -(x + w^1_{k,0}) = -(x/3 + (ln Q_{k+1}/Q_k)'),
+        W1 = x + w^3_{k,0} = x/3 + (ln B/Q_{k+1})',  W2 = x + w^2_{k,0} = x/3 + (ln Q_k/B)'
+
+    with B = Q_{k,1} on the '+' branch; the '-' branch has B = Q_{k+1,-1},
+    W1 = x + w^2_{k+1,-1}, W2 = x + w^3_{k,-1} and swaps the roles of the
+    j = 2 and j = 3 zero-modes.  Memoized per (k, branch); the RationalFn
+    entries are immutable.
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    q_k = okamoto(k, 0)
-    q_k1 = okamoto(k + 1, 0)
-    b = okamoto(k, 1) if branch == "+" else okamoto(k + 1, -1)
-    w = -(_X_OVER_3 + log_derivative(q_k1, q_k))
-    w1 = _X_OVER_3 + log_derivative(b, q_k1)
-    w2 = _X_OVER_3 + log_derivative(q_k, b)
-    return w, w1, w2
+    w = -(_X + log_form(1, k, 0))
+    if branch == "+":
+        return w, _X + log_form(3, k, 0), _X + log_form(2, k, 0)
+    return w, _X + log_form(2, k + 1, -1), _X + log_form(3, k, -1)
 
 
 def factorization_energies(k: int) -> tuple[Fraction, Fraction]:
@@ -228,9 +220,9 @@ def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
     certified mode has N = 0 and needs no reduction at all.
     """
     top, q, shift = _potential_parts(mode.k)
-    second, pq2 = _second_numerator(mode.P, q, -1)
+    second, pq2 = _second_numerator(mode.P, q)
     num = ExactPoly((shift - mode.energy, 0, 1)) * pq2 - second + top * mode.P
-    return QuasiGaussian(RationalFn(num, q**3), -1)
+    return QuasiGaussian(RationalFn(num, q**3))
 
 
 def intertwining_checks(k: int) -> list[bool]:
@@ -251,7 +243,7 @@ def intertwining_checks(k: int) -> list[bool]:
     ham = potential(k).apply
     ham1 = HamiltonianK(k, v1).apply
     ham2 = HamiltonianK(k, v2).apply
-    g = QuasiGaussian(RationalFn(okamoto(k, 1), okamoto(k + 1, 0)), -1)
+    g = QuasiGaussian(RationalFn(okamoto(k, 1), okamoto(k + 1, 0)))
     m1_up = lambda f: apply_first_order(1, w1, f)
     m1_dn = lambda f: apply_first_order(-1, w1, f)
     m2_up = lambda f: apply_first_order(1, w2, f)

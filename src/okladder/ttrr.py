@@ -12,9 +12,8 @@ from fractions import Fraction
 from .errors import CertificateFailed, IndexOutOfCone, NonPolynomialResult
 from .exact_ring import ExactPoly, RationalFn, log_derivative
 from .okamoto import okamoto
+from .painleve4 import log_form
 from .spectral import ModeFunction, energy, ladder_constant_sq, zero_mode
-
-_MINUS_2X3 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
 
 
 class RecurrenceState:
@@ -38,10 +37,7 @@ class RecurrenceState:
             raise CertificateFailed(
                 f"the two closed forms of the recurrence coefficient disagree at k={k}"
             )
-        q_k_1 = okamoto(k, 1)
-        self.w1 = _MINUS_2X3 + log_derivative(q_k1, q_k)
-        self.w2 = _MINUS_2X3 + log_derivative(q_k, q_k_1)
-        self.w3 = _MINUS_2X3 + log_derivative(q_k_1, q_k1)
+        self.w1, self.w2, self.w3 = (log_form(f, k, 0) for f in (1, 2, 3))
         self.entries: list[ExactPoly] = [zero_mode(k, j).P]
 
     def g(self, n: int) -> RationalFn:

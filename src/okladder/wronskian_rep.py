@@ -24,6 +24,7 @@ from .errors import (
     SingularWronskian,
 )
 from .exact_ring import (
+    _GAUSS_SLOPE,
     ExactPoly,
     QuasiGaussian,
     RationalFn,
@@ -37,8 +38,6 @@ from .spectral import ModeFunction, energy
 from .ttrr import ttrr_sequence
 
 _X_SQ_OVER_9 = RationalFn.from_poly(ExactPoly((0, 0, Fraction(1, 9))))
-# -x/3, the logarithmic derivative of exp(-x^2/6).
-_MINUS_X_OVER_3 = RationalFn.from_poly(ExactPoly((0, Fraction(-1, 3))))
 
 
 def _seed_poly(r: int, c: int) -> ExactPoly:
@@ -216,10 +215,10 @@ def susy_chain_potential(deleted_levels: list[int]) -> RationalFn:
     if len(set(levels)) != len(levels) or any(v < 1 for v in levels):
         raise ValueError("deleted levels must be distinct integers >= 1")
     v = _X_SQ_OVER_9 + RationalFn.constant(Fraction(-1, 3))
-    seeds = [QuasiGaussian(RationalFn.from_poly(psi_poly(i)), -1) for i in sorted(levels)]
+    seeds = [QuasiGaussian(psi_poly(i)) for i in sorted(levels)]
     while seeds:
         u = seeds.pop(0).rational
-        log_u = log_derivative(u.num, u.den) + _MINUS_X_OVER_3
+        log_u = log_derivative(u.num, u.den) + _GAUSS_SLOPE
         v = v - log_u.derivative() * 2
         seeds = [apply_first_order(1, -log_u, seed) for seed in seeds]
     if sturm_count(v.den).n_total:

@@ -297,6 +297,30 @@ class TestSpectrumAndPlotData:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [value for _, value in rows] == ["inf", "inf", "inf"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_plot_data_mode_beyond_the_largest_double(self, capsys):
+        # the rational part overflows where the Gaussian underflows; the
+        # mode itself is 0 in doubles there
+        code, out = run_cli(
+            ["plot-data", "--k", "1", "--what", "mode", "--j", "1", "--n", "5",
+             "--range", "1e100", "1e300", "--samples", "3"],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [value for _, value in rows] == ["0", "0", "0"]
+
+    def test_exponent_form_negative_values(self, capsys):
+        _, spaced = run_cli(["potential", "--k", "1", "--eval", "-1e-3"], capsys)
+        _, joined = run_cli(["potential", "--k", "1", "--eval=-1e-3"], capsys)
+        assert spaced == joined and json.loads(spaced)["value"] == "-1.6666612222281481"
+        code, out = run_cli(
+            ["plot-data", "--k", "0", "--what", "potential", "--range", "-1e3", "1E+3",
+             "--samples", "3"],
+            capsys,
+        )
+        assert code == 0 and out.splitlines()[1].startswith("-1000,")
+
     def test_plot_data_rows(self, capsys):
         _, out = run_cli(
             ["plot-data", "--k", "0", "--what", "mode", "--j", "1", "--n", "0",

@@ -595,7 +595,7 @@ class TestRepresentation:
 
 def rhs_oracle(q, c):
     """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 as composed products, the way
-    `okamoto._rhs` built it before it became one pass over the arrays; works
+    the Okamoto fill built it before it became one pass over the arrays; works
     on ExactPoly and FractionPoly alike."""
     dq = q.derivative()
     shift = type(q)((3 * c, 0, 2))
@@ -607,14 +607,14 @@ _LINE_PAIRS = [(a, b) for a in _LINE_FACTORS for b in _LINE_FACTORS]
 
 class TestOkamotoKernels:
     def test_rhs_matches_composed_oracle_on_the_table(self):
-        from okladder.okamoto import OkamotoTable, _rhs
+        from okladder.okamoto import OkamotoTable
 
         table = OkamotoTable()
         for m in range(11):
             for n in range(-1, 11):
                 q = table.get(m, n)
                 for c in (2 * m + n - 1, 1 - m - 2 * n, -7):
-                    got = _rhs(q, c)
+                    got = q._toda_rhs(c)
                     assert_canonical(got)
                     assert got._int_arrays() == rhs_oracle(q, c)._int_arrays(), (m, n, c)
 
@@ -756,10 +756,10 @@ class TestWronskian:
         with pytest.raises(EmptyList):
             wronskian([])
         with pytest.raises(MixedKinds):
-            wronskian([ExactPoly.one(), QuasiGaussian(RationalFn.one(), 0)])
+            wronskian([ExactPoly.one(), QuasiGaussian(RationalFn.one())])
         # only polynomials: a shared Gaussian is factored out by the caller
-        for entries in ([QuasiGaussian(RationalFn.x(), -1)],
-                        [QuasiGaussian(RationalFn.x(), -1), QuasiGaussian(RationalFn.one(), -1)],
+        for entries in ([QuasiGaussian(RationalFn.x())],
+                        [QuasiGaussian(RationalFn.x()), QuasiGaussian(RationalFn.one())],
                         [RationalFn.x(), RationalFn.one()]):
             with pytest.raises(MixedKinds):
                 wronskian(entries)
@@ -955,25 +955,26 @@ class TestQuasiGaussian:
     def test_ground_mode_annihilation(self):
         # the lowering factor -d/dx + W with W = -x/3 kills exp(-x^2/6)
         w = RationalFn.from_poly(ExactPoly((0, Fraction(-1, 3))))
-        g = QuasiGaussian(RationalFn.one(), -1)
+        g = QuasiGaussian(RationalFn.one())
         assert apply_first_order(-1, w, g).is_zero
 
     def test_plain_derivative(self):
-        g = QuasiGaussian(RationalFn.from_poly(ExactPoly.x()), 0)
-        out = apply_first_order(1, RationalFn.zero(), g)
-        assert out == QuasiGaussian(RationalFn.one(), 0)
+        # (d/dx + x/3)(x G) = G for G = exp(-x^2/6)
+        g = QuasiGaussian(RationalFn.from_poly(ExactPoly.x()))
+        out = apply_first_order(1, RationalFn.from_poly(ExactPoly((0, Fraction(1, 3)))), g)
+        assert out == QuasiGaussian(RationalFn.one())
 
     def test_product_rule_against_gaussian(self):
         f = RationalFn.from_poly(ExactPoly((0, Fraction(1, 3))))
-        g = QuasiGaussian(RationalFn.one(), -1)
+        g = QuasiGaussian(RationalFn.one())
         out = apply_first_order(-1, f, g)
-        assert out == QuasiGaussian(RationalFn.from_poly(ExactPoly((0, Fraction(2, 3)))), -1)
+        assert out == QuasiGaussian(RationalFn.from_poly(ExactPoly((0, Fraction(2, 3)))))
 
     def test_derivative_vs_difference_quotient(self):
         from okladder.numerics import eval_float
 
         rng = random.Random(11)
-        g = QuasiGaussian(RationalFn(ExactPoly((1, 2)), ExactPoly((3, 0, 2))), -1)
+        g = QuasiGaussian(RationalFn(ExactPoly((1, 2)), ExactPoly((3, 0, 2))))
         dg = apply_first_order(1, RationalFn.zero(), g)
         for _ in range(100):
             x0 = rng.uniform(-4, 4)

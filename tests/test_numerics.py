@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from okladder import numerics
 from okladder.errors import GridTooCoarse, PoleAtPoint
-from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar
+from okladder.exact_ring import SQRT2, ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar
 from okladder.numerics import (
     NumericGrid,
     eval_array,
@@ -131,6 +131,54 @@ class TestEvalFloat:
         assert vals[0] == pytest.approx(2.7778e198, rel=1e-4)
 
 
+@pytest.mark.filterwarnings("error")
+class TestQuasiGaussianEval:
+    """R exp(-x^2/6) where R overflows a double or the Gaussian is below the
+    smallest normal double, through both entry points."""
+
+    @pytest.mark.parametrize(
+        "power,x,value",
+        [(200, 60.0, 1.1312561019266056e95), (160, 76.0, 7.0689273681997226e-118)],
+        ids=["rational-part-overflows", "gaussian-underflows"],
+    )
+    def test_monomials(self, power, x, value):
+        import numpy as np
+
+        g = QuasiGaussian(ExactPoly.x() ** power)
+        assert eval_float(g, x) == pytest.approx(value, rel=1e-12)
+        assert list(eval_array(g, np.array([x, -x]))) == pytest.approx([value, value], rel=1e-12)
+
+    def test_beyond_the_largest_double(self):
+        import numpy as np
+
+        # x^400 exp(-x^2/6) at 60 is about e^1038
+        g = QuasiGaussian(ExactPoly.x() ** 400)
+        assert eval_float(g, 60.0) == math.inf and eval_float(-g, 60.0) == -math.inf
+        assert list(eval_array(-g, np.array([60.0, 1e300]))) == [-math.inf, 0.0]
+
+    def test_modes_match_300_bit_mpmath(self):
+        import numpy as np
+
+        xs = [-1e3, -80.0, -66.0, 60.0, 65.5, 70.0, 100.0]
+        for k, j, n in ((1, 1, 5), (1, 2, 3), (2, 3, 2)):
+            phi = ModeFunction(k, j, n, ttrr_sequence(k, j, n)[n], energy(k, j, n)).phi()
+            arr = eval_array(phi, np.array(xs))
+            for x, got in zip(xs, arr):
+                want = mp_value(phi, x)
+                assert eval_float(phi, x) == pytest.approx(want, rel=1e-12, abs=0)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_other_points_are_rational_part_times_gaussian(self):
+        import numpy as np
+
+        phi = zero_mode(2, 3).phi()
+        xs = np.linspace(-25, 25, 101)
+        assert list(eval_array(phi, xs)) == list(eval_array(phi.rational, xs) * np.exp(-xs * xs / 6))
+        for x in xs:
+            x = float(x)
+            assert eval_float(phi, x) == eval_float(phi.rational, x) * math.exp(-x * x / 6)
+
+
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 points = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -158,7 +206,8 @@ sqrt2_exprs = st.one_of(
 
 
 def mp_value(expr, x: float) -> float:
-    """expr at x in 300-bit mpmath arithmetic, rounded to a double."""
+    """expr at x in 300-bit mpmath arithmetic, rounded to a double; a
+    QuasiGaussian is rounded once, after its Gaussian factor."""
     with mpmath.workprec(300):
         root2 = mpmath.sqrt(2)
 
@@ -172,6 +221,9 @@ def mp_value(expr, x: float) -> float:
 
         if isinstance(expr, ExactPoly):
             return float(poly(expr))
+        if isinstance(expr, QuasiGaussian):
+            r = expr.rational
+            return float(poly(r.num) / poly(r.den) * mpmath.exp(-mpmath.mpf(x) ** 2 / 6))
         return float(poly(expr.num) / poly(expr.den))
 
 

@@ -95,7 +95,7 @@ def hamiltonian_residual_per_op(mode: ModeFunction) -> QuasiGaussian:
     """(H - E) phi through HamiltonianK.apply, reducing after every operation."""
     phi = mode.phi()
     out = potential(mode.k).apply(phi)
-    return out - QuasiGaussian(phi.rational * RationalFn.constant(mode.energy), -1)
+    return out - QuasiGaussian(phi.rational * RationalFn.constant(mode.energy))
 
 
 def _image_json(s: PIVSolution) -> dict:
@@ -103,7 +103,7 @@ def _image_json(s: PIVSolution) -> dict:
 
 
 def _residual_json(r: QuasiGaussian) -> dict:
-    return {"rational": r.rational.to_json_dict(), "gauss_exponent": r.gauss_exponent}
+    return {"rational": r.rational.to_json_dict()}
 
 
 class TestBacklundOracle:
@@ -229,36 +229,35 @@ _rationals = st.builds(RationalFn, _polys, _nonzero_polys)
 _potentials = st.builds(RationalFn, _rational_polys, _nonzero_rational_polys)
 
 
-def gauss_derivative_per_op(r: RationalFn, s: int) -> RationalFn:
-    """R' + (s*x/3) R, reducing after each operation."""
-    gprime = RationalFn(ExactPoly((0, SqrtTwoScalar(Fraction(s, 3)))), _reduced=True)
+def gauss_derivative_per_op(r: RationalFn) -> RationalFn:
+    """R' - (x/3) R, reducing after each operation."""
+    gprime = RationalFn(ExactPoly((0, SqrtTwoScalar(Fraction(-1, 3)))), _reduced=True)
     return r.derivative() + gprime * r
 
 
-def gauss_derivative(r: RationalFn, s: int) -> RationalFn:
-    """R' + (s*x/3) R through the one quasi-Gaussian derivative route."""
-    return apply_first_order(1, RationalFn.zero(), QuasiGaussian(r, s)).rational
+def gauss_derivative(r: RationalFn) -> RationalFn:
+    """R' - (x/3) R through the one quasi-Gaussian derivative route."""
+    return apply_first_order(1, RationalFn.zero(), QuasiGaussian(r)).rational
 
 
 class TestGaussDerivativeOracle:
-    @given(_rationals, st.sampled_from((-1, 0, 1)))
+    @given(_rationals)
     @settings(max_examples=60, deadline=None)
-    def test_old_row(self, r, s):
-        assert _json(gauss_derivative(r, s)) == _json(gauss_derivative_per_op(r, s))
+    def test_old_row(self, r):
+        assert _json(gauss_derivative(r)) == _json(gauss_derivative_per_op(r))
 
 
 def apply_first_order_per_op(sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGaussian:
     """(sign * d/dx + f) g as derivative, sign, product and sum, each reduced."""
-    dg = gauss_derivative_per_op(g.rational, g.gauss_exponent)
+    dg = gauss_derivative_per_op(g.rational)
     term = dg if sign == 1 else -dg
-    return QuasiGaussian(term + f * g.rational, g.gauss_exponent)
+    return QuasiGaussian(term + f * g.rational)
 
 
 def hamiltonian_apply_per_op(h: HamiltonianK, g: QuasiGaussian) -> QuasiGaussian:
     """-g'' + V g with two per-operation derivatives."""
-    s = g.gauss_exponent
-    second = gauss_derivative_per_op(gauss_derivative_per_op(g.rational, s), s)
-    return QuasiGaussian(-second + h.v * g.rational, s)
+    second = gauss_derivative_per_op(gauss_derivative_per_op(g.rational))
+    return QuasiGaussian(-second + h.v * g.rational)
 
 
 def lowering_tuple(k: int) -> LadderOp:
@@ -274,15 +273,14 @@ def _modes():
                 yield k, ModeFunction(k, j, n, p, energy(k, j, n)).phi()
 
 
-# Non-polynomial seeds (Q_{k,1}/Q_{k+1,0}) exp(s*x^2/6), one for each s.
-_SEEDS = [(1, QuasiGaussian(RationalFn(okamoto(1, 1), okamoto(2, 0)), s)) for s in (-1, 0, 1)]
+# A non-polynomial seed (Q_{k,1}/Q_{k+1,0}) exp(-x^2/6).
+_SEEDS = [(1, QuasiGaussian(RationalFn(okamoto(1, 1), okamoto(2, 0))))]
 
 
 class TestOperatorApplicationOracle:
     def test_gauss_derivative(self):
         for _, g in [*_modes(), *_SEEDS]:
-            r, s = g.rational, g.gauss_exponent
-            assert _json(gauss_derivative(r, s)) == _json(gauss_derivative_per_op(r, s))
+            assert _json(gauss_derivative(g.rational)) == _json(gauss_derivative_per_op(g.rational))
 
     def test_first_order_factors(self):
         for k, g in [*_modes(), *_SEEDS]:
@@ -307,10 +305,10 @@ class TestOperatorApplicationOracle:
             h = potential(k)
             assert _residual_json(h.apply(g)) == _residual_json(hamiltonian_apply_per_op(h, g))
 
-    @given(_potentials, _rationals, st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 1)))
+    @given(_potentials, _rationals, st.sampled_from((-1, 1)))
     @settings(max_examples=60, deadline=None)
-    def test_random_quotients(self, f, r, s, sign):
-        g = QuasiGaussian(r, s)
+    def test_random_quotients(self, f, r, sign):
+        g = QuasiGaussian(r)
         assert _residual_json(apply_first_order(sign, f, g)) == _residual_json(
             apply_first_order_per_op(sign, f, g)
         )

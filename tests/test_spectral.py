@@ -67,6 +67,21 @@ class TestSuperpotentials:
         )
         assert w == expected
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_log_derivative_oracle(self, k):
+        # the construction before the superpotentials became shifted Painleve
+        # IV solutions: x/3 + (ln a/b)' on the Okamoto pairs of each branch
+        x3 = RationalFn.from_poly(ExactPoly((0, Fraction(1, 3))))
+        q_k, q_k1 = okamoto(k, 0), okamoto(k + 1, 0)
+        for branch, b in (("+", okamoto(k, 1)), ("-", okamoto(k + 1, -1))):
+            expected = (
+                -(x3 + log_derivative(q_k1, q_k)),
+                x3 + log_derivative(b, q_k1),
+                x3 + log_derivative(q_k, b),
+            )
+            got = superpotentials(k, branch)
+            assert [f.to_json_dict() for f in got] == [f.to_json_dict() for f in expected]
+
     def test_memoized_per_branch(self):
         for branch in ("+", "-"):
             assert superpotentials(2, branch) is superpotentials(2, branch)
@@ -78,7 +93,7 @@ class TestSuperpotentials:
         # (-d^2/dx^2 + V) e^{int W} = 0 exactly, via the quasi-Gaussian form
         for k in range(3):
             ham = potential(k)
-            ground = QuasiGaussian(RationalFn(okamoto(k, 0), okamoto(k + 1, 0)), -1)
+            ground = QuasiGaussian(RationalFn(okamoto(k, 0), okamoto(k + 1, 0)))
             assert ham.apply(ground).is_zero
 
     def test_branch_formulas_reproduce_zero_modes(self):
@@ -87,8 +102,8 @@ class TestSuperpotentials:
             for branch, jwant in (("+", 2), ("-", 3)):
                 w, w1, w2 = superpotentials(k, branch)
                 b = okamoto(k, 1) if branch == "+" else okamoto(k + 1, -1)
-                exp_part = QuasiGaussian(RationalFn(b, okamoto(k, 0)), -1)
-                built = QuasiGaussian((w - w2) * exp_part.rational, -1)
+                exp_part = QuasiGaussian(RationalFn(b, okamoto(k, 0)))
+                built = QuasiGaussian((w - w2) * exp_part.rational)
                 target = zero_mode(k, jwant, branch="+").phi()
                 c = built.proportionality(target)
                 assert c is not None and not c.is_zero, (k, branch)
@@ -165,7 +180,7 @@ class TestLadder:
 
     def test_raise_on_oscillator_ground(self):
         raised = ladder(0, "raise").apply(zero_mode(0, 1).phi())
-        target = QuasiGaussian(RationalFn.from_poly(ExactPoly((0, -9, 0, 2))), -1)
+        target = QuasiGaussian(RationalFn.from_poly(ExactPoly((0, -9, 0, 2))))
         c = raised.proportionality(target)
         assert c is not None and not c.is_zero
 

@@ -95,6 +95,25 @@ class TestCoefficientFunctions:
         for k in range(4):
             RecurrenceState(k, 1)
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_w_log_derivative_oracle(self, k):
+        # the construction before the w's became the Painleve IV log forms:
+        # -2x/3 + (ln a/b)' on the neighbouring Okamoto pairs at (k, 0)
+        from okladder.exact_ring import RationalFn, log_derivative
+        from okladder.okamoto import okamoto
+
+        x23 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
+        q_k, q_k1, q_k_1 = okamoto(k, 0), okamoto(k + 1, 0), okamoto(k, 1)
+        expected = [
+            x23 + log_derivative(q_k1, q_k),
+            x23 + log_derivative(q_k, q_k_1),
+            x23 + log_derivative(q_k_1, q_k1),
+        ]
+        for j in (1, 2, 3):
+            state = RecurrenceState(k, j)
+            got = [state.w1, state.w2, state.w3]
+            assert [f.to_json_dict() for f in got] == [f.to_json_dict() for f in expected]
+
     def test_g_difference_is_energy_step(self):
         state = RecurrenceState(1, 2)
         from okladder.exact_ring import RationalFn
