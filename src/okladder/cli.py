@@ -273,8 +273,11 @@ def _cmd_export(args) -> int:
     else:
         text = _csv(expr, args.range or _DEFAULT_SPAN, args.samples)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc.strerror}")
         if not args.quiet:
             print(args.out)
     else:
@@ -394,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(handler=_cmd_export)
 
-    # argparse reads only -12 and -1.5 as negative numbers; also take -1e-3.
-    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    # argparse reads only -12 and -1.5 as negative numbers; take every
+    # '-'-prefixed string float() reads: -1e-3, -1_0, -inf, -Infinity, -nan.
+    digits = r"\d(?:_?\d)*"
+    number = rf"(?:(?:{digits})?\.{digits}|{digits}\.?)(?:e[-+]?{digits})?"
+    parser._negative_number_matcher = re.compile(
+        rf"-(?:{number}|inf(?:inity)?|nan)\s*\Z", re.IGNORECASE
+    )
     for sub_parser in sub.choices.values():
         _add_global_flags(sub_parser)
         sub_parser._negative_number_matcher = parser._negative_number_matcher
@@ -417,8 +425,8 @@ def _fail(message: object) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # OSError is caught around the cache steps only: a handler's own OSError
-    # (say, an unwritable `export --out`) still propagates.
+    # OSError is caught around the cache steps here; `export --out` reports
+    # an unwritable path itself.
     try:
         cache = _cache_path()
     except OSError as exc:

@@ -1,9 +1,9 @@
-"""Exact arithmetic over Q(sqrt2).
+"""Exact arithmetic over Q(sqrt2), graded by the power of sqrt2.
 
-Scalars a + b*sqrt(2) with arbitrary-precision rational a, b; dense
-polynomials over them, each in Q[x] or in sqrt2*Q[x]; reduced rational
-functions; and quasi-Gaussian functions R(x)*exp(-x^2/6) closed under
-first-order ladder factors.
+Scalars a or b*sqrt(2) with arbitrary-precision rational a, b; dense
+polynomials over them, each in Q[x] or in sqrt2*Q[x], evaluated at
+rational points; reduced rational functions; and quasi-Gaussian
+functions R(x)*exp(-x^2/6) closed under first-order ladder factors.
 All values are immutable and every operation is a pure function.
 """
 
@@ -13,38 +13,36 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyList, MixedGrade, MixedKinds, NonZeroRemainder, ZeroDenominator
+from .errors import (
+    EmptyList,
+    MixedGrade,
+    MixedKinds,
+    NonZeroRemainder,
+    PoleAtPoint,
+    ZeroDenominator,
+)
 
 ScalarLike = Union["SqrtTwoScalar", Fraction, int]
 
 
-def _sign(a, b) -> int:
-    """Exact sign of a + b*sqrt2 for rational or integer a, b."""
-    if not b:
-        return -1 if a < 0 else (1 if a > 0 else 0)
-    if not a:
-        return 1 if b > 0 else -1
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    if sa == sb:
-        return sa
-    # Opposite-signed parts: the larger of a^2, 2 b^2 decides.
-    return sa if a * a > 2 * b * b else sb
-
-
 class SqrtTwoScalar:
-    """Element a + b*sqrt(2) of the real quadratic field Q(sqrt2).
+    """Element of Q(sqrt2) of one grade: a rational a or sqrt2 times a
+    rational b, the scalars of polynomials in Q[x] and in sqrt2*Q[x].
 
-    Sign and comparison are exact: a + b*sqrt2 is compared through the
-    norm identity (a + b*sqrt2)(a - b*sqrt2) = a^2 - 2*b^2, never through
-    floating point.
+    At most one of a, b is nonzero; a value with both parts raises
+    MixedGrade where it is built, so a sum of a rational and a sqrt2 value
+    raises too.  The sign is that of the nonzero part.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+        a = a if type(a) is Fraction else Fraction(a)
+        b = b if type(b) is Fraction else Fraction(b)
+        if a and b:
+            raise MixedGrade(f"{a} + {b}*sqrt2 has both a rational and a sqrt2 part")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SqrtTwoScalar is immutable")
@@ -101,18 +99,12 @@ class SqrtTwoScalar:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "SqrtTwoScalar":
-        return SqrtTwoScalar(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - 2*b^2."""
-        return self.a * self.a - 2 * self.b * self.b
-
     def inverse(self) -> "SqrtTwoScalar":
-        n = self.norm()
-        if not n:
+        if self.b:
+            return SqrtTwoScalar(0, 1 / (2 * self.b))  # 1/(b*sqrt2) = sqrt2/(2b)
+        if not self.a:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return SqrtTwoScalar(self.a / n, -self.b / n)
+        return SqrtTwoScalar(1 / self.a)
 
     def __truediv__(self, other: ScalarLike) -> "SqrtTwoScalar":
         other = _operand(other)
@@ -122,23 +114,11 @@ class SqrtTwoScalar:
         other = _operand(other)
         return NotImplemented if other is None else other * self.inverse()
 
-    def __pow__(self, exponent: int) -> "SqrtTwoScalar":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = SqrtTwoScalar(1, 0)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- order -------------------------------------------------------------
+    # -- sign and equality -------------------------------------------------
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}; a^2 is compared against 2*b^2."""
-        return _sign(self.a, self.b)
+        """Sign in {-1, 0, +1}: that of the nonzero part."""
+        part = self.b or self.a
+        return (part > 0) - (part < 0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -151,27 +131,6 @@ class SqrtTwoScalar:
         # rational elements hash like their Fraction so == stays consistent
         return hash(self.a) if not self.b else hash((self.a, self.b))
 
-    def _compare(self, other) -> int | None:
-        """Sign of self - other, or None for an operand that is no scalar."""
-        other = _operand(other)
-        return None if other is None else _sign(self.a - other.a, self.b - other.b)
-
-    def __lt__(self, other: ScalarLike) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s < 0
-
-    def __le__(self, other: ScalarLike) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other: ScalarLike) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other: ScalarLike) -> bool:
-        s = self._compare(other)
-        return NotImplemented if s is None else s >= 0
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(2.0)
 
@@ -179,11 +138,7 @@ class SqrtTwoScalar:
         return f"SqrtTwoScalar({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        if not self.a:
-            return f"{self.b}*sqrt2"
-        return f"({self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt2)"
+        return f"{self.b}*sqrt2" if self.b else str(self.a)
 
 
 def _operand(value) -> SqrtTwoScalar | None:
@@ -201,31 +156,14 @@ _ZERO = SqrtTwoScalar(0, 0)
 _ONE = SqrtTwoScalar(1, 0)
 
 
-def _scalar(a: int, b: int, den: int) -> SqrtTwoScalar:
-    """(a + b*sqrt2)/den from integers, den > 0."""
-    if not a and not b:
-        return _ZERO
-    return SqrtTwoScalar(Fraction(a, den), Fraction(b, den))
-
-
-def _scalar_ints(c: SqrtTwoScalar) -> tuple[int, int, int]:
-    """(a, b, den) with c = (a + b*sqrt2)/den, integers, den > 0."""
-    da, db = c.a.denominator, c.b.denominator
-    den = da * db // math.gcd(da, db)
-    return c.a.numerator * (den // da), c.b.numerator * (den // db), den
-
-
 def _graded(c: ScalarLike) -> tuple[int, int, int]:
     """(v, r, den) with c = sqrt2**r * v/den, integers, r in {0, 1}, den > 0
-    and gcd(v, den) = 1; MixedGrade when c has both parts."""
+    and gcd(v, den) = 1."""
     if type(c) is int:
         return c, 0, 1
     c = SqrtTwoScalar.coerce(c)
-    if not c.b:
-        return c.a.numerator, 0, c.a.denominator
-    if c.a:
-        raise MixedGrade(f"{c} has both a rational and a sqrt2 part")
-    return c.b.numerator, 1, c.b.denominator
+    part, r = (c.b, 1) if c.b else (c.a, 0)
+    return part.numerator, r, part.denominator
 
 
 # Primes for the coprimality certificate of `poly_gcd`.  It reads only the
@@ -247,10 +185,9 @@ class ExactPoly:
     sqrt2*Q[x], so products, squares, quotients and derivatives run on the
     integer kernels `_conv`, `_square_ints` and `_divmod_ints` over X, and
     the grades add mod 2.  A sum of two nonzero operands of different
-    grades, a product with a scalar that has both parts, and coefficients
-    with both parts given to a constructor raise MixedGrade; equality with
-    such a scalar is False.  `SqrtTwoScalar` keeps both parts: a value at a point a + b*sqrt2, and
-    the exact sign and rounding of such values, need them.
+    grades, and coefficients of both grades given to a constructor, raise
+    MixedGrade.  Scalars are graded the same way, and a value at a rational
+    point is one of them.
     """
 
     __slots__ = ("_x", "_r", "_den", "_coeffs")
@@ -261,7 +198,7 @@ class ExactPoly:
             cs.pop()
         r = 1 if any(c.b for c in cs) else 0
         if r and any(c.a for c in cs):
-            raise MixedGrade("coefficients with both a rational and a sqrt2 part")
+            raise MixedGrade("coefficients in both Q and sqrt2*Q")
         parts = [c.b if r else c.a for c in cs]
         # den is the lcm of the denominators, so the array is canonical.
         den = math.lcm(1, *(f.denominator for f in parts))
@@ -339,8 +276,6 @@ class ExactPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactPoly):
             return self._den == other._den and self._r == other._r and self._x == other._x
-        if isinstance(other, SqrtTwoScalar) and other.a and other.b:
-            return False  # no polynomial of one grade equals it
         if isinstance(other, (int, Fraction, SqrtTwoScalar)):
             return self == ExactPoly.constant(other)
         return NotImplemented
@@ -464,23 +399,23 @@ class ExactPoly:
         X = self._x
         return _make([i * X[i] for i in range(1, len(X))], self._r, self._den)
 
-    def eval(self, x: ScalarLike) -> SqrtTwoScalar:
-        """Value at x by Horner's rule on the integer array.  With
-        x = (xa + xb*sqrt2)/xd, the running value is held as
-        (ua + ub*sqrt2)/(den*scale) with scale = xd^steps."""
+    def eval(self, x: int | Fraction | float) -> SqrtTwoScalar:
+        """Value at the rational point x by Horner's rule on the integer
+        array.  With x = xn/xd, the running value is held as u/(den*scale)
+        with scale = xd^steps."""
         X = self._x
         if not X:
             return _ZERO
-        xa, xb, xd = _scalar_ints(SqrtTwoScalar.coerce(x))
-        ua, ub, scale = X[-1], 0, 1
+        x = Fraction(x)
+        xn, xd = x.numerator, x.denominator
+        u, scale = X[-1], 1
         for i in range(len(X) - 2, -1, -1):
             scale *= xd
-            ua, ub = ua * xa + 2 * ub * xb + X[i] * scale, ua * xb + ub * xa
-        if self._r:
-            ua, ub = 2 * ub, ua
-        return _scalar(ua, ub, self._den * scale)
+            u = u * xn + X[i] * scale
+        v = Fraction(u, self._den * scale)
+        return SqrtTwoScalar(0, v) if self._r else SqrtTwoScalar(v)
 
-    def __call__(self, x: ScalarLike) -> SqrtTwoScalar:
+    def __call__(self, x: int | Fraction | float) -> SqrtTwoScalar:
         return self.eval(x)
 
     # -- normal forms --------------------------------------------------------
@@ -902,15 +837,13 @@ class RationalFn:
         n, d = self.num, self.den
         return RationalFn(n.derivative() * d - n * d.derivative(), d * d)
 
-    def eval(self, x: ScalarLike) -> SqrtTwoScalar:
+    def eval(self, x: int | Fraction | float) -> SqrtTwoScalar:
         dv = self.den.eval(x)
         if dv.is_zero:
-            from .errors import PoleAtPoint
-
             raise PoleAtPoint(f"pole at x = {x}")
         return self.num.eval(x) / dv
 
-    def __call__(self, x: ScalarLike) -> SqrtTwoScalar:
+    def __call__(self, x: int | Fraction | float) -> SqrtTwoScalar:
         return self.eval(x)
 
     def proportionality(self, other: "RationalFn") -> SqrtTwoScalar | None:

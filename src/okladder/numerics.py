@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse
-from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar, _graded, _scalar_ints
+from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar, _graded
 from .spectral import ModeFunction, energy, potential
 
 
@@ -91,19 +91,19 @@ def eval_float(expr, x: float) -> float:
 def _round(value: SqrtTwoScalar) -> float:
     """The double nearest to value, +-inf beyond the largest double.
 
-    A rational value rounds by correctly rounded integer division.  For
-    (a + b*sqrt2)/den with b != 0, sqrt2 lies between r/2^n and (r+1)/2^n
+    A rational value v/den rounds by correctly rounded integer division.
+    For sqrt2*v/den with v != 0, sqrt2 lies between r/2^n and (r+1)/2^n
     with r = isqrt(2*4^n); n doubles until both ends of the bracket round
     to the same double.  An irrational value is never a tie, so it ends.
     """
-    if not value.b:
-        return _quotient(value.a.numerator, value.a.denominator)
-    a, b, den = _scalar_ints(value)
+    v, grade, den = _graded(value)
+    if not grade:
+        return _quotient(v, den)
     n = 64
     while True:
         r = math.isqrt(2 << 2 * n)
-        lo = _quotient((a << n) + b * r, den << n)
-        hi = _quotient((a << n) + b * (r + 1), den << n)
+        lo = _quotient(v * r, den << n)
+        hi = _quotient(v * (r + 1), den << n)
         if lo == hi:
             return lo
         n *= 2

@@ -8,11 +8,12 @@ maps that generate new solutions are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone, SingularMap, ZeroDenominator
-from .exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar, log_derivative
+from .exact_ring import SQRT2, ExactPoly, RationalFn, log_derivative
 from .okamoto import okamoto
 
 _X = ExactPoly.x()
@@ -50,7 +51,7 @@ def log_form(family: int, m: int, n: int) -> RationalFn:
 
 def product_form(family: int, m: int, n: int) -> RationalFn:
     """The equivalent all-product representation of the same solution."""
-    c = RationalFn.constant(SqrtTwoScalar(0, Fraction(-1, 3)))  # -sqrt2/3
+    c = RationalFn.constant(SQRT2 * Fraction(-1, 3))
     if family == 1:
         num = okamoto(m + 1, n - 1) * okamoto(m, n + 1)
         den = okamoto(m, n) * okamoto(m + 1, n)
@@ -115,8 +116,6 @@ def piv_residual(s: PIVSolution) -> RationalFn:
 
 def _sqrt_fraction(value: Fraction) -> Fraction:
     """Exact nonnegative square root of a rational, or raise."""
-    import math
-
     if value < 0:
         raise SingularMap(f"negative radicand {value}")
     rn = math.isqrt(value.numerator)

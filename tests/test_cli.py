@@ -320,6 +320,20 @@ class TestSpectrumAndPlotData:
             capsys,
         )
         assert code == 0 and out.splitlines()[1].startswith("-1000,")
+        # Every '-'-prefixed string that float() reads is a value, not an option.
+        bad_point = "error: cannot evaluate at x = {}\n"
+        for x, want_code, want_err in [("-1_0", 0, ""), ("-inf", 2, bad_point.format("-inf")),
+                                       ("-Infinity", 2, bad_point.format("-inf")),
+                                       ("-nan", 2, bad_point.format("nan"))]:
+            spaced = main(["potential", "--k", "1", "--eval", x]), capsys.readouterr()
+            joined = main(["potential", "--k", "1", f"--eval={x}"]), capsys.readouterr()
+            assert spaced == joined and spaced[0] == want_code and spaced[1].err == want_err
+        assert run_cli(["potential", "--k", "1", "--eval", "-1_0"], capsys) == run_cli(
+            ["potential", "--k", "1", "--eval", "-10"], capsys)
+        code = main(["plot-data", "--k", "0", "--what", "potential", "--range", "-inf", "1",
+                     "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err.startswith("error: range must be finite")
 
     def test_plot_data_rows(self, capsys):
         _, out = run_cli(
@@ -398,6 +412,13 @@ class TestExportCommand:
     def test_invalid_indices(self, capsys):
         code, _ = run_cli(["export", "mode", "--k", "1"], capsys)
         assert code == 2
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code = main(["export", "okamoto", "--m", "2", "--n", "1", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
 
 
 class TestCache:

@@ -69,15 +69,6 @@ class TestEvalFloat:
         # to ...665.
         assert eval_float(potential(3).potential_fn(), 10.156632586743747) == 15.339935028314665
 
-    @pytest.mark.parametrize("power", [1, 2, 3])
-    def test_sqrt2_root_cancellation(self, power):
-        # (x - sqrt2)^power at the double nearest sqrt2 is about 1e-16^power.
-        x = math.sqrt(2.0)
-        value = (Fraction(x) - SQRT2) ** power
-        with mpmath.workprec(300):
-            want = float((mpmath.mpf(x) - mpmath.sqrt(2)) ** power)
-        assert numerics._round(value) == want
-
     def test_pole_guard(self):
         f = RationalFn(ExactPoly.one(), ExactPoly((-1, 1)))  # 1/(x-1)
         with pytest.raises(PoleAtPoint):
@@ -101,12 +92,18 @@ class TestEvalFloat:
         threshold = 2**1024 - 2**970
         assert eval_float(ExactPoly.constant(threshold - 1), 0.0) == sys.float_info.max
         assert eval_float(ExactPoly.constant(threshold), 0.0) == math.inf
-        # p - q*sqrt2 is about -1/(2.8 q) with p^2 - 2q^2 = -1, so the value
-        # sits just below the threshold and the first sqrt2 bracket straddles it.
-        p, q = 1, 1
-        while q < 2**40 or p * p - 2 * q * q != -1:
-            p, q = p + 2 * q, p + q
-        assert numerics._round(SqrtTwoScalar(threshold + p, -q)) == sys.float_info.max
+        # q*sqrt2/p = (1 + 1/(2q^2))^(-1/2) with p^2 - 2q^2 = 1, so
+        # threshold*q*sqrt2/p sits below the threshold by about
+        # threshold/(4q^2), far less than the width of the first sqrt2 bracket
+        # of _round, which straddles the threshold.
+        p, q = 3, 2
+        while q < 2**40:
+            p, q = 3 * p + 4 * q, 2 * p + 3 * q
+        assert p * p - 2 * q * q == 1
+        r = math.isqrt(2 << 128)
+        first = [numerics._quotient(threshold * q * s, p << 64) for s in (r, r + 1)]
+        assert first == [sys.float_info.max, math.inf]
+        assert numerics._round(SqrtTwoScalar(0, Fraction(threshold * q, p))) == sys.float_info.max
 
     def test_array_agrees_with_scalar(self):
         import numpy as np
