@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import numerics, painleve4, rootcount, spectral, ttrr, verify, wronskian_rep
 from .errors import InvalidIndices
-from .exact_ring import RationalFn
 from .okamoto import DEFAULT_TABLE, okamoto, okamoto_degree
 
 _CACHE_ENV = "OKLADDER_CACHE_DIR"
@@ -53,14 +52,19 @@ _DEFAULT_SPAN = (-5.0, 5.0)
 
 
 def _csv(expr, span, samples: int) -> str:
-    """CSV text: an x,value header, then expr at `samples` evenly spaced points of span."""
+    """CSV text: an x,value header, then expr at `samples` evenly spaced points
+    of span (the default span when None)."""
     import numpy as np
 
-    if not all(math.isfinite(v) for v in span):
-        raise ValueError(f"range must be finite, got {span[0]} {span[1]}")
+    a, b = span or _DEFAULT_SPAN
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"range must be finite, got {a} {b}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    xs = np.linspace(span[0], span[1], samples)
+    if math.isfinite(b - a):
+        xs = np.linspace(a, b, samples)
+    else:  # the width overflows a double; halving and doubling are exact
+        xs = np.linspace(a / 2, b / 2, samples) * 2
     lines = ["x,value"]
     lines.extend(
         f"{_float_repr(float(x))},{_float_repr(float(v))}"
@@ -69,13 +73,65 @@ def _csv(expr, span, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- the paper's objects -------------------------------------------------------
+# Each builder returns the object, the JSON payload that `export` writes, and
+# a thunk for the expression that CSV rows sample (a mode's phi costs a
+# reduction that JSON output never needs).
+
+def _okamoto(args):
+    poly = okamoto(args.m, args.n)
+    payload = poly.to_json_dict()
+    payload.update(degree=okamoto_degree(args.m, args.n), index=[args.m, args.n])
+    return poly, payload, lambda: poly
+
+
+def _mode(args):
+    mode = ttrr.ttrr_modes(args.k, args.j, args.n)[args.n]
+    payload = mode.P.to_json_dict()
+    payload.update(energy=_frac(mode.energy), index=[args.k, args.j, args.n])
+    return mode.P, payload, mode.phi
+
+
+def _xhermite(args):
+    poly = wronskian_rep.xhermite_from_ttrr(args.k, args.j, args.n)
+    payload = poly.to_json_dict()
+    payload["sigma"] = wronskian_rep.sigma_index(args.k, args.j, args.n)
+    return poly, payload, lambda: poly
+
+
+def _potential(args):
+    v = spectral.potential(args.k).potential_fn()
+    return v, {"k": args.k, "potential": v.to_json_dict()}, lambda: v
+
+
+# kind -> (builder, the index options it needs)
+_KINDS = {
+    "okamoto": (_okamoto, ("m", "n")),
+    "mode": (_mode, ("k", "j", "n")),
+    "xhermite": (_xhermite, ("k", "j", "n")),
+    "potential": (_potential, ("k",)),
+}
+
+# command -> how its missing-index error reads, and the index options its
+# parser already requires (so the error leaves them out)
+_NEEDS = {"zeros": ("zeros need", ()), "export": ("export needs", ()),
+          "plot-data": ("plot data needs", ("k",))}
+
+
+def _build(args, kind: str):
+    builder, needed = _KINDS[kind]
+    if any(getattr(args, name) is None for name in needed):
+        verb, given = _NEEDS[args.command]
+        *rest, last = [f"--{name}" for name in needed if name not in given]
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise InvalidIndices(f"{kind} {verb} {listed}")
+    return builder(args)
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_okamoto(args) -> int:
-    poly = okamoto(args.m, args.n)
-    payload = poly.to_json_dict()
-    payload["degree"] = okamoto_degree(args.m, args.n)
-    payload["index"] = [args.m, args.n]
+    poly, payload, _ = _okamoto(args)
     _emit(args, payload, poly.pretty())
     return 0
 
@@ -95,39 +151,29 @@ def _cmd_piv(args) -> int:
     return 0
 
 
-def _potential_fn(k: int, via: str) -> RationalFn:
-    if via == "rational":
-        return spectral.potential(k).potential_fn()
-    if via in ("deleting", "adding"):
-        return wronskian_rep.wronskian_potential(k, via)
-    if via == "susy":
-        return wronskian_rep.susy_chain_potential(wronskian_rep.index_set_deleted(k))
-    raise InvalidIndices(f"unknown construction {via!r}")
-
-
 def _cmd_potential(args) -> int:
-    v = _potential_fn(args.k, args.via)
+    if args.via == "rational":
+        v, payload, _ = _potential(args)
+    else:
+        if args.via == "susy":
+            v = wronskian_rep.susy_chain_potential(wronskian_rep.index_set_deleted(args.k))
+        else:
+            v = wronskian_rep.wronskian_potential(args.k, args.via)
+        payload = {"k": args.k, "potential": v.to_json_dict()}
     if args.csv:
-        sys.stdout.write(_csv(v, args.range or _DEFAULT_SPAN, args.samples))
+        sys.stdout.write(_csv(v, args.range, args.samples))
         return 0
-    payload = {"k": args.k, "via": args.via, "potential": v.to_json_dict()}
+    payload["via"] = args.via
     if args.eval is not None:
         payload["value"] = _float_repr(numerics.eval_float(v, args.eval))
     _emit(args, payload)
     return 0
 
 
-def _mode(k: int, j: int, n: int) -> spectral.ModeFunction:
-    return ttrr.ttrr_modes(k, j, n)[n]
-
-
 def _cmd_modes(args) -> int:
-    mode = _mode(args.k, args.j, args.n)
-    payload = mode.P.to_json_dict()
-    payload["energy"] = _frac(mode.energy)
-    payload["degree"] = mode.P.degree
-    payload["index"] = [args.k, args.j, args.n]
-    _emit(args, payload, mode.P.pretty())
+    poly, payload, _ = _mode(args)
+    payload["degree"] = poly.degree
+    _emit(args, payload, poly.pretty())
     return 0
 
 
@@ -150,39 +196,29 @@ def _cmd_ttrr(args) -> int:
 
 
 def _cmd_xhermite(args) -> int:
+    # first, so every route rejects a bad k before a bad n
     sigma = wronskian_rep.sigma_index(args.k, args.j, args.n)
-    if args.via == "definition":
-        poly = wronskian_rep.exceptional_hermite(list(range(1, args.k + 1)), sigma)
-    elif args.via == "wronskian":
-        poly = wronskian_rep.sqrt3_rescale(wronskian_rep.wronskian_mode(args.k, args.j, args.n).P)
+    if args.via == "ttrr":
+        poly, payload, _ = _xhermite(args)
     else:
-        poly = wronskian_rep.xhermite_from_ttrr(args.k, args.j, args.n)
-    payload = poly.to_json_dict()
-    payload["degree"] = poly.degree
-    payload["sigma"] = sigma
-    payload["via"] = args.via
+        if args.via == "definition":
+            poly = wronskian_rep.exceptional_hermite(list(range(1, args.k + 1)), sigma)
+        else:
+            mode = wronskian_rep.wronskian_mode(args.k, args.j, args.n)
+            poly = wronskian_rep.sqrt3_rescale(mode.P)
+        payload = poly.to_json_dict()
+        payload["sigma"] = sigma
+    payload.update(degree=poly.degree, via=args.via)
     _emit(args, payload, poly.pretty())
     return 0
 
 
 def _cmd_zeros(args) -> int:
+    poly, _, _ = _build(args, args.poly_from)
     if args.poly_from == "okamoto":
-        if args.m is None or args.n is None:
-            raise InvalidIndices("okamoto zeros need --m and --n")
-        poly = okamoto(args.m, args.n)
         predicted = rootcount.predicted_okamoto_count(args.m, args.n).n_total
-    elif args.poly_from == "mode":
-        if None in (args.k, args.j, args.n):
-            raise InvalidIndices("mode zeros need --k, --j and --n")
-        poly = _mode(args.k, args.j, args.n).P
-        predicted = rootcount.predicted_mode_count(args.k, args.j, args.n)
-    elif args.poly_from == "xhermite":
-        if None in (args.k, args.j, args.n):
-            raise InvalidIndices("xhermite zeros need --k, --j and --n")
-        poly = wronskian_rep.xhermite_from_ttrr(args.k, args.j, args.n)
-        predicted = rootcount.predicted_mode_count(args.k, args.j, args.n)
     else:
-        raise InvalidIndices(f"unknown polynomial source {args.poly_from!r}")
+        predicted = rootcount.predicted_mode_count(args.k, args.j, args.n)
     payload: dict = {"predicted": predicted}
     if args.mode in ("count", "both"):
         report = rootcount.sturm_count(poly)
@@ -206,19 +242,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_plot_data(args) -> int:
-    if args.what == "potential":
-        expr = spectral.potential(args.k).potential_fn()
-    elif args.what == "mode":
-        if args.j is None or args.n is None:
-            raise InvalidIndices("mode plot data needs --j and --n")
-        expr = _mode(args.k, args.j, args.n).phi()
-    else:
-        raise InvalidIndices(f"unknown plot subject {args.what!r}")
-    sys.stdout.write(_csv(expr, args.range, args.samples))
-    return 0
-
-
 def _cmd_verify(args) -> int:
     which = tuple(args.suite) if args.suite else verify.ALL_SUITES
     config = verify.VerifySuiteConfig(k_max=args.k_max, n_max=args.n_max, which=which)
@@ -236,42 +259,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.kind == "okamoto":
-        if args.m is None or args.n is None:
-            raise InvalidIndices("okamoto export needs --m and --n")
-        poly = okamoto(args.m, args.n)
-        payload = poly.to_json_dict()
-        payload["degree"] = okamoto_degree(args.m, args.n)
-        payload["index"] = [args.m, args.n]
-        expr = poly
-    elif args.kind == "mode":
-        if None in (args.k, args.j, args.n):
-            raise InvalidIndices("mode export needs --k, --j and --n")
-        mode = _mode(args.k, args.j, args.n)
-        payload = mode.P.to_json_dict()
-        payload["energy"] = _frac(mode.energy)
-        payload["index"] = [args.k, args.j, args.n]
-        expr = mode.phi()
-    elif args.kind == "xhermite":
-        if None in (args.k, args.j, args.n):
-            raise InvalidIndices("xhermite export needs --k, --j and --n")
-        poly = wronskian_rep.xhermite_from_ttrr(args.k, args.j, args.n)
-        payload = poly.to_json_dict()
-        payload["sigma"] = wronskian_rep.sigma_index(args.k, args.j, args.n)
-        expr = poly
-    elif args.kind == "potential":
-        if args.k is None:
-            raise InvalidIndices("potential export needs --k")
-        v = spectral.potential(args.k).potential_fn()
-        payload = {"k": args.k, "potential": v.to_json_dict()}
-        expr = v
-    else:
-        raise InvalidIndices(f"unknown export kind {args.kind!r}")
-
+    """`export`, and `plot-data` as `export {potential,mode} --format csv`."""
+    _, payload, expr = _build(args, args.kind)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
-        text = _csv(expr, args.range or _DEFAULT_SPAN, args.samples)
+        text = _csv(expr(), args.range, args.samples)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -372,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="CSV samples of a potential or mode")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--what", required=True, choices=("potential", "mode"))
+    p.add_argument("--what", dest="kind", required=True, choices=("potential", "mode"))
     p.add_argument("--j", type=int, choices=(1, 2, 3))
     p.add_argument("--n", type=int)
     p.add_argument("--range", type=float, nargs=2, metavar=("A", "B"), required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.set_defaults(handler=_cmd_plot_data)
+    p.set_defaults(handler=_cmd_export, format="csv", out=None)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", action="append", choices=verify.ALL_SUITES)

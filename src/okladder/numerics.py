@@ -124,12 +124,13 @@ def _poly_array(p: ExactPoly) -> np.ndarray:
 def eval_array(expr, xs: np.ndarray) -> np.ndarray:
     """Vectorized double-precision evaluation on a grid.
 
-    A rational function is num(x)/den(x).  Where num or den overflows, it
-    is taken instead as num_rev(1/x)/den_rev(1/x) * x^(deg num - deg den)
-    with the reversed coefficient arrays, so a value that fits a double is
-    not lost to the overflow of the powers of x."""
+    A rational function is num(x)/den(x), and a polynomial is one over 1.
+    Where num or den overflows, it is taken instead as
+    num_rev(1/x)/den_rev(1/x) * x^(deg num - deg den) with the reversed
+    coefficient arrays, so a value that fits a double is not lost to the
+    overflow of the powers of x."""
     if isinstance(expr, ExactPoly):
-        return np.polynomial.polynomial.polyval(xs, _poly_array(expr))
+        expr = RationalFn.from_poly(expr)
     if isinstance(expr, RationalFn):
         polyval = np.polynomial.polynomial.polyval
         cn, cd = _poly_array(expr.num), _poly_array(expr.den)

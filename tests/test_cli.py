@@ -1,11 +1,13 @@
 """Command-line surface: schemas, determinism, exit codes, cache."""
 
+import hashlib
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,10 @@ class TestPotentialCommand:
         _, c = run_cli(["export", "potential", "--k", "2", "--format", "csv", *span], capsys)
         assert a == b == c
         assert a.startswith("x,value\n-2,") and len(a.splitlines()) == 8
+        mode = ["--k", "1", "--j", "2", "--n", "1"]
+        _, d = run_cli(["plot-data", "--what", "mode", *mode, *span], capsys)
+        _, e = run_cli(["export", "mode", *mode, "--format", "csv", *span], capsys)
+        assert d == e and d.startswith("x,value\n-2,") and len(d.splitlines()) == 8
 
     @pytest.mark.parametrize("span", [["0", "inf"], ["nan", "1"]])
     @pytest.mark.parametrize(
@@ -129,6 +135,22 @@ class TestPotentialCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: range must be finite")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["potential", "--k", "0", "--csv"],
+            ["plot-data", "--k", "0", "--what", "potential"],
+            ["export", "potential", "--k", "0", "--format", "csv"],
+        ],
+        ids=["potential", "plot-data", "export"],
+    )
+    def test_range_wider_than_the_largest_double(self, command, capsys):
+        # b - a overflows, so the grid is taken on the halved range and doubled
+        code, out = run_cli([*command, "--range", "1e308", "-1e308", "--samples", "3"], capsys)
+        assert code == 0
+        assert out == "x,value\n1e+308,inf\n0,-0.33333333333333331\n-1e+308,inf\n"
 
     @pytest.mark.parametrize("samples", ["0", "-2"])
     @pytest.mark.parametrize(
@@ -409,6 +431,21 @@ class TestExportCommand:
         assert lines[0] == "x,value"
         assert len(lines) == 4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kind,want",
+        [(["okamoto", "--m", "2", "--n", "0"], ["inf", "3", "inf"]),
+         (["xhermite", "--k", "0", "--j", "1", "--n", "1"], ["-inf", "0", "inf"])],
+        ids=["okamoto", "xhermite"],
+    )
+    def test_csv_polynomial_overflow_is_signed_inf(self, kind, want, capsys):
+        code, out = run_cli(
+            ["export", *kind, "--format", "csv", "--range", "-1e200", "1e200", "--samples", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == want
+
     def test_invalid_indices(self, capsys):
         code, _ = run_cli(["export", "mode", "--k", "1"], capsys)
         assert code == 2
@@ -583,6 +620,7 @@ class TestSession:
 _TAMPER_SCRIPT = r"""
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from okladder.cli import main
@@ -634,3 +672,155 @@ def test_exact_command_does_not_load_mpmath():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Every subcommand, every --via, --what, export kind and --poly-from, and
+# every missing-index error, run in one process.  Floats come only from
+# correctly rounded exact values, from polyval on exact coefficients, or from
+# the mode at x = 0 where the Gaussian is 1, so the bytes do not depend on
+# the CPU's exp or on LAPACK.
+_PINNED_CALLS = [
+    "okamoto --m 3 --n 1",
+    "okamoto --m 2 --n 0 --pretty",
+    "--json okamoto --m 2 --n 0 --pretty",
+    "--quiet okamoto --m 1 --n 0",
+    "okamoto --m -1 --n 0",
+    "piv --family 1 --m 1 --n 0 --residual",
+    "piv --family 2 --m 0 --n 0 --backlund w1+",
+    "piv --family 3 --m 1 --n 1",
+    "potential --k 1",
+    "potential --k 1 --via deleting",
+    "potential --k 1 --via adding",
+    "potential --k 1 --via susy",
+    "potential --k 1 --eval 0.5",
+    "potential --k 2 --eval 1.25 --via adding",
+    "potential --k 1 --eval 1e308",
+    "potential --k 1 --csv --range -2 3 --samples 5",
+    "potential --k 1 --csv --via susy --samples 3",
+    "potential --k -1",
+    "modes --k 1 --j 3 --n 0",
+    "modes --k 1 --j 2 --n 2 --pretty",
+    "modes --k 1 --j 1 --n -1",
+    "ttrr --k 1 --j 2 --max-n 2 --check-ode --check-wronskian",
+    "ttrr --k 0 --j 1 --max-n 1",
+    "xhermite --k 1 --j 2 --n 1",
+    "xhermite --k 1 --j 2 --n 1 --via wronskian",
+    "xhermite --k 1 --j 2 --n 1 --via definition",
+    "xhermite --k 1 --j 2 --n 1 --pretty",
+    "xhermite --k -1 --j 1 --n -1",
+    "zeros --poly-from okamoto --m 3 --n 1",
+    "zeros --poly-from okamoto --m 3 --n 1 --predict",
+    "zeros --poly-from mode --k 1 --j 1 --n 2 --count",
+    "zeros --poly-from xhermite --k 1 --j 1 --n 2",
+    "zeros --poly-from okamoto --m 3",
+    "zeros --poly-from mode --k 1 --j 1",
+    "zeros --poly-from xhermite --j 1 --n 1",
+    "zeros --poly-from mode --k 1 --j 1 --n -2",
+    "zeros --poly-from xhermite --k -1 --j 1 --n -1",
+    "spectrum --k 1 --count 0 --N 201",
+    "spectrum --k 1 --L nan",
+    "plot-data --k 1 --what potential --range -2 3 --samples 5",
+    "plot-data --k 0 --what mode --j 1 --n 0 --range 0 0 --samples 1",
+    "plot-data --k 1 --what mode --range 0 1 --samples 3",
+    "plot-data --k 1 --what mode --j 1 --range 0 1 --samples 3",
+    "plot-data --k 1 --what mode --j 1 --n -1 --range 0 1 --samples 3",
+    "plot-data --k 0 --what potential --range 0 inf --samples 3",
+    "plot-data --k 0 --what potential --range 0 1 --samples 0",
+    "verify --suite identities --k-max 1",
+    "--json verify --suite tables --k-max 0",
+    "export okamoto --m 3 --n 0",
+    "export okamoto --m 2 --n 1 --format csv --range -1 1 --samples 5",
+    "export mode --k 1 --j 3 --n 0",
+    "export mode --k 0 --j 1 --n 0 --format csv --range 0 0 --samples 1",
+    "export xhermite --k 1 --j 2 --n 1",
+    "export xhermite --k 1 --j 1 --n 1 --format csv --range -1 1 --samples 3",
+    "export potential --k 1",
+    "export potential --k 0 --format csv --range -1 1 --samples 3",
+    "export potential --k 1 --format csv --samples 3",
+    "export okamoto --m 2",
+    "export mode --k 1",
+    "export xhermite --k 1 --n 1",
+    "export potential",
+    "export xhermite --k -1 --j 1 --n -1",
+    "export nothing --k 1",
+]
+_PINNED_DIGEST = "47dc609b7b09e20d99a4c1f0e60077725ccb6fcf33103a4bab1d93296660d252"
+
+
+def test_cli_output_is_pinned(monkeypatch, capsys):
+    monkeypatch.delenv("OKLADDER_CACHE_DIR", raising=False)
+    digest = hashlib.sha256()
+    for line in _PINNED_CALLS:
+        try:
+            code = main(line.split())
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        digest.update(json.dumps([line, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == _PINNED_DIGEST
+
+
+
+# In-process abuse of every subcommand: each numeric option of a small valid
+# call in turn takes each hostile value, and each CSV writer samples ranges
+# whose width or values overflow a double.  Every run exits 0 or 2, prints an
+# `error:` line on exit 2, raises nothing and warns nothing.
+_HOSTILE = ["nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1", "0"]
+_WIDE_SPANS = ["-1e308 1e308", "1e308 -1e308", "1e200 2e200", "-1e300 1e300"]
+_ABUSED = [
+    "okamoto --m 2 --n 0",
+    "piv --family 1 --m 1 --n 0",
+    "potential --k 0 --eval 0.5",
+    "potential --k 0 --csv --range -1 1 --samples 3",
+    "potential --k 0 --via susy --csv --range -1 1 --samples 3",
+    "modes --k 0 --j 2 --n 1",
+    "ttrr --k 0 --j 1 --max-n 1",
+    "xhermite --k 0 --j 2 --n 1",
+    "xhermite --k 0 --j 2 --n 1 --via wronskian",
+    "xhermite --k 0 --j 2 --n 1 --via definition",
+    "zeros --poly-from okamoto --m 2 --n 0",
+    "zeros --poly-from mode --k 0 --j 1 --n 1",
+    "zeros --poly-from xhermite --k 0 --j 1 --n 1",
+    "spectrum --k 0 --count 2 --L 10 --N 201 --tol 1",
+    "plot-data --k 0 --what potential --range -1 1 --samples 3",
+    "plot-data --k 0 --what mode --j 1 --n 1 --range -1 1 --samples 3",
+    "verify --suite identities --k-max 0 --n-max 1",
+    "export okamoto --m 2 --n 0 --format csv --range -1 1 --samples 3",
+    "export mode --k 0 --j 1 --n 1 --format csv --range -1 1 --samples 3",
+    "export xhermite --k 0 --j 1 --n 1 --format csv --range -1 1 --samples 3",
+    "export potential --k 0 --format csv --range -1 1 --samples 3",
+]
+
+
+def _abused(line):
+    words = line.split()
+    for i, word in enumerate(words[:-1]):
+        if word.startswith("--") and not words[i + 1].startswith("--"):
+            for value in _HOSTILE:
+                yield " ".join([*words[: i + 1], value, *words[i + 2 :]])
+    if "--range" in line:
+        for span in _WIDE_SPANS:
+            yield line.replace("--range -1 1", f"--range {span}")
+
+
+@pytest.mark.parametrize("base", _ABUSED + ["potential --k 1 --eval=-1e-3"])
+def test_hostile_values_exit_cleanly(base, monkeypatch, capsys):
+    monkeypatch.delenv("OKLADDER_CACHE_DIR", raising=False)
+    faults = []
+    for line in [base, *_abused(base)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(line.split())
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        if caught:
+            faults.append((line, [str(w.message) for w in caught]))
+        elif code == 2 and "error: " not in err:
+            faults.append((line, err))
+        elif code == 0 and (err or "nan" in out):
+            faults.append((line, out, err))
+        elif code not in (0, 2):
+            faults.append((line, code))
+    assert faults == []
