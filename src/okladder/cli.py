@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import numerics, painleve4, rootcount, spectral, ttrr, verify, wronskian_rep
 from .errors import InvalidIndices
-from .okamoto import DEFAULT_TABLE, okamoto, okamoto_degree
+from .okamoto import DEFAULT_TABLE, check_cone, okamoto, okamoto_degree
 
 _CACHE_ENV = "OKLADDER_CACHE_DIR"
 
@@ -118,14 +118,19 @@ _NEEDS = {"zeros": ("zeros need", ()), "export": ("export needs", ()),
           "plot-data": ("plot data needs", ("k",))}
 
 
-def _build(args, kind: str):
-    builder, needed = _KINDS[kind]
+def _require(args, kind: str) -> None:
+    """Raise InvalidIndices unless every index option of `kind` is given."""
+    needed = _KINDS[kind][1]
     if any(getattr(args, name) is None for name in needed):
         verb, given = _NEEDS[args.command]
         *rest, last = [f"--{name}" for name in needed if name not in given]
         listed = f"{', '.join(rest)} and {last}" if rest else last
         raise InvalidIndices(f"{kind} {verb} {listed}")
-    return builder(args)
+
+
+def _build(args, kind: str):
+    _require(args, kind)
+    return _KINDS[kind][0](args)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -214,13 +219,19 @@ def _cmd_xhermite(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    poly, _, _ = _build(args, args.poly_from)
+    # --predict builds nothing; the cone check keeps the build's error first.
+    if args.mode == "predict":
+        _require(args, args.poly_from)
+        if args.poly_from == "okamoto":
+            check_cone(args.m, args.n)
+    else:
+        poly, _, _ = _build(args, args.poly_from)
     if args.poly_from == "okamoto":
         predicted = rootcount.predicted_okamoto_count(args.m, args.n).n_total
     else:
         predicted = rootcount.predicted_mode_count(args.k, args.j, args.n)
     payload: dict = {"predicted": predicted}
-    if args.mode in ("count", "both"):
+    if args.mode != "predict":
         report = rootcount.sturm_count(poly)
         payload.update(report.to_json_dict())
         payload["match"] = report.n_total == predicted

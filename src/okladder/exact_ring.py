@@ -166,12 +166,6 @@ def _graded(c: ScalarLike) -> tuple[int, int, int]:
     return part.numerator, r, part.denominator
 
 
-# Primes for the coprimality certificate of `poly_gcd`.  It reads only the
-# integer array X of each operand sqrt2**r * X/den, so sqrt2 needs no image
-# mod p and any prime serves.
-_CERT_PRIMES = (2**61 - 1, 2**31 - 1)
-
-
 class ExactPoly:
     """Dense polynomial over Q(sqrt2), ascending coefficients, of one grade.
 
@@ -616,66 +610,125 @@ def _toda_ints(A: Sequence[int], c: int) -> list[int]:
     return out
 
 
-def _mod_image(p: ExactPoly, prime: int) -> list[int] | None:
-    """Coefficients of X/den mod prime for p = sqrt2**r * X/den, or None if
-    the denominator or the leading coefficient vanishes mod prime."""
-    X, _, den = p._int_arrays()
-    if den % prime == 0:
-        return None
-    inv_den = pow(den, -1, prime)
-    out = [v * inv_den % prime for v in X]
-    if out and out[-1] == 0:
-        return None
-    return out
+def _exact_quo(X: Sequence[int], H: Sequence[int]) -> list[int] | None:
+    """X/H over Z for integer arrays with len(X) >= len(H) and H[-1] > 0, or
+    None as soon as a quotient entry is not an integer or the remainder is
+    not zero."""
+    r = list(X)
+    last = len(H) - 1
+    lead = H[last]
+    terms = [(j, h) for j, h in enumerate(H[:last]) if h]
+    quot = [0] * (len(X) - last)
+    for i in range(len(quot) - 1, -1, -1):
+        u = r[i + last]
+        if u:
+            q, u = divmod(u, lead)
+            if u:
+                return None
+            quot[i] = q
+            for j, h in terms:
+                r[i + j] -= q * h
+    return quot if not any(r[:last]) else None
 
 
-def _gcd_mod_p(f: list[int], g: list[int], p: int) -> int:
-    """Degree of gcd of f, g over F_p (coefficient lists, ascending)."""
+def _primitive(X: Sequence[int]) -> list[int]:
+    """X over its content, with a positive top entry."""
+    g = math.gcd(*X)
+    if X[-1] < 0:
+        g = -g
+    return [v // g for v in X]
 
-    def rstrip(c: list[int]) -> list[int]:
-        while c and c[-1] == 0:
-            c.pop()
-        return c
 
-    a, b = rstrip(list(f)), rstrip(list(g))
+def _at_power_of_two(X: Sequence[int], k: int) -> int:
+    """X(2**k) by shift-and-add."""
+    v = 0
+    for c in reversed(X):
+        v = (v << k) + c
+    return v
+
+
+# Attempts of the heuristic gcd, each at the square of the last point,
+# before the remainder sequence takes over.
+_HEU_TRIES = 4
+
+
+def _heu_gcd(X: Sequence[int], Y: Sequence[int]) -> tuple[list[int], Sequence[int], Sequence[int]] | None:
+    """(H, X/H, Y/H) with H the gcd of the integer arrays X and Y (degree
+    >= 1), primitive with a positive top entry; None if the heuristic gives
+    up.  GCDHEU (Char, Geddes and Gonnet 1989) at xi = 2**k.
+
+    With A, B the primitive parts of X, Y and xi >= 2*min(|A|, |B|) + 2
+    (max norms), let gamma = gcd(A(xi), B(xi)), G the polynomial of the
+    symmetric base-xi digits of gamma (so G(xi) = gamma, every |G_i| <= xi/2)
+    and H the primitive part of G.  Theorem (Geddes, Czapor and Labahn
+    1992, Thm 7.7): if H divides A and B over Z, H is their gcd.  Proof
+    sketch: H then divides the true gcd D; write D = H*E.  D(xi) divides
+    gamma = c*H(xi), c the content of G, so E(xi) divides c, and
+    0 < |c| <= xi/2.  Every root of E is a root of A and of B, of modulus
+    below 1 + min(|A|, |B|) <= xi/2 by Cauchy's bound, so |E(xi)| > xi/2
+    unless E is constant.  Hence E = +-1.  A constant H divides everything,
+    so a constant H proves A and B coprime with no division at all.
+    Otherwise the two exact quotients of the acceptance test are the
+    cofactors.  A failed test squares xi (doubles k) and tries again.
+    """
+    cx, cy = math.gcd(*X), math.gcd(*Y)
+    norm = min(max(map(abs, X)) // cx, max(map(abs, Y)) // cy)
+    k = (2 * norm + 1).bit_length()  # the least k with 2**k >= 2*norm + 2
+    for _ in range(_HEU_TRIES):
+        gamma = math.gcd(_at_power_of_two(X, k) // cx, _at_power_of_two(Y, k) // cy)
+        xi = 1 << k
+        half, mask = xi >> 1, xi - 1
+        G = []
+        while gamma:
+            d = gamma & mask
+            if d > half:
+                d -= xi
+            G.append(d)
+            gamma = (gamma - d) >> k
+        if len(G) == 1:
+            return [1], X, Y
+        H = _primitive(G)
+        if len(H) <= min(len(X), len(Y)):
+            qx = _exact_quo(X, H)
+            if qx is not None:
+                qy = _exact_quo(Y, H)
+                if qy is not None:
+                    return H, qx, qy
+        k *= 2
+    return None
+
+
+def _prs_gcd(X: Sequence[int], Y: Sequence[int]) -> list[int]:
+    """Primitive gcd, positive top entry, of integer arrays of degree >= 1
+    by the primitive remainder sequence: the fallback of `_heu_gcd`."""
+    a, b = _primitive(X), _primitive(Y)
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            if c:
-                off = len(a) - len(b)
-                for i, bi in enumerate(b):
-                    a[off + i] = (a[off + i] - c * bi) % p
-            a.pop()
-            rstrip(a)
-            if not a:
-                break
-        a, b = b, rstrip(a)
-    return len(a) - 1
+    while len(b) > 1:
+        _, r, _ = _divmod_ints(a, 1, b, 1)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
 
 
-def _certified_coprime(p: ExactPoly, q: ExactPoly) -> bool:
-    """True only with proof: a unit gcd of the mod-prime images of the
-    rational parts X, Y certifies that X and Y are coprime over Q, hence
-    over Q(sqrt2), and so are p and q."""
-    for prime in _CERT_PRIMES:
-        fp = _mod_image(p, prime)
-        gp = _mod_image(q, prime)
-        if fp is None or gp is None:
-            continue
-        return _gcd_mod_p(fp, gp, prime) == 0
-    return False
+def _gcd_ints(X: Sequence[int], Y: Sequence[int]) -> tuple[list[int], Sequence[int], Sequence[int]]:
+    """(H, X/H, Y/H) with H the primitive gcd of integer arrays of degree
+    >= 1: the one gcd kernel of `poly_gcd` and of every reduction."""
+    found = _heu_gcd(X, Y)
+    if found is not None:
+        return found
+    H = _prs_gcd(X, Y)
+    return H, _exact_quo(X, H), _exact_quo(Y, H)
 
 
 def poly_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     """Monic gcd over Q(sqrt2).
 
     p = sqrt2**r * X/den and q = sqrt2**s * Y/dq have the monic gcd of X
-    and Y, which lies in Q[x].  Fast path: a modular coprimality
-    certificate.  Fallback: primitive remainder sequence over the integer
-    arrays, which avoids the coefficient blowup of naive fraction Euclid.
+    and Y, which lies in Q[x]; `_gcd_ints` finds it.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else ExactPoly.zero()
@@ -683,15 +736,19 @@ def poly_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
         return p.monic()
     if p.degree == 0 or q.degree == 0:
         return ExactPoly.one()
-    if _certified_coprime(p, q):
-        return ExactPoly.one()
-    a, b = p.lattice_primitive(), q.lattice_primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, (r.lattice_primitive() if not r.is_zero else r)
-    return a.monic()
+    H, _, _ = _gcd_ints(p._x, q._x)
+    return _raw(tuple(H), 0, H[-1])
+
+
+def _cancel(p: ExactPoly, q: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """(p/g, q/g) for nonzero p, q and g their gcd, built from the cofactors
+    that `_gcd_ints` returns with g, so no division follows the gcd."""
+    if p.degree == 0 or q.degree == 0:
+        return p, q
+    H, a, b = _gcd_ints(p._x, q._x)
+    if len(H) == 1:
+        return p, q
+    return _make(a, p._r, p._den), _make(b, q._r, q._den)
 
 
 class RationalFn:
@@ -712,10 +769,7 @@ class RationalFn:
             num, den = ExactPoly.zero(), ExactPoly.one()
         else:
             if not _reduced:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                num, den = _cancel(num, den)
             if den._r or den._x[-1] != den._den:
                 inv = den.leading.inverse()
                 num = num * inv
@@ -805,12 +859,8 @@ class RationalFn:
         if self.is_zero or other.is_zero:
             return RationalFn.zero()
         # Cross-reduce before multiplying to keep degrees low.
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num.exact_div(g1) if g1.degree > 0 else self.num
-        d2 = other.den.exact_div(g1) if g1.degree > 0 else other.den
-        n2 = other.num.exact_div(g2) if g2.degree > 0 else other.num
-        d1 = self.den.exact_div(g2) if g2.degree > 0 else self.den
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
         return RationalFn(n1 * n2, d1 * d2, _reduced=True)
 
     __rmul__ = __mul__

@@ -21,6 +21,12 @@ def okamoto_degree(m: int, n: int) -> int:
     return m * m + n * n + m * n - m - n
 
 
+def check_cone(m: int, n: int) -> None:
+    """Raise IndexOutOfCone unless (m, n) lies in the cone of the table."""
+    if m < 0 or n < -1:
+        raise IndexOutOfCone(f"Q_({m},{n}) is outside the supported cone m >= 0, n >= -1")
+
+
 class OkamotoTable:
     """Append-only memo of Q_{m,n}; fills columns n = 0 and n = 1 by the
     first-index recurrence, the n = -1 column by the second-index recurrence
@@ -47,8 +53,7 @@ class OkamotoTable:
         return sorted(self._memo)
 
     def get(self, m: int, n: int) -> ExactPoly:
-        if m < 0 or n < -1:
-            raise IndexOutOfCone(f"Q_({m},{n}) is outside the supported cone m >= 0, n >= -1")
+        check_cone(m, n)
         cached = self._memo.get((m, n))
         if cached is not None:
             return cached

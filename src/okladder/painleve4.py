@@ -68,16 +68,26 @@ def product_form(family: int, m: int, n: int) -> RationalFn:
     return c * RationalFn(num, den)
 
 
+# One certified PIVSolution per (family, m, n), shared by every caller as the
+# Okamoto table shares Q_{m,n}.  Only solutions that passed are stored.
+_SOLUTIONS: dict[tuple[int, int, int], PIVSolution] = {}
+
+
 def rational_solution(family: int, m: int, n: int) -> PIVSolution:
     """Family member w^[family]_{m,n} in logarithmic-derivative form.
 
     The index cone is m >= 0, n >= -1 (parameter maps land on the n = -1
     column, which is why the polynomial table extends there).  Whenever the
     product-form indices stay inside the cone the two representations are
-    checked exactly equal, raising CertificateFailed otherwise.
+    checked exactly equal, raising CertificateFailed otherwise.  Each member
+    is built and checked once per process.
     """
     if m < 0 or n < -1:
         raise IndexOutOfCone("rational solutions are indexed by m >= 0, n >= -1")
+    key = (family, m, n)
+    sol = _SOLUTIONS.get(key)
+    if sol is not None:
+        return sol
     w = log_form(family, m, n)
     alpha, beta = family_parameters(family, m, n)
     if not (family == 2 and m == 0) and not (family == 1 and n == -1):
@@ -85,7 +95,8 @@ def rational_solution(family: int, m: int, n: int) -> PIVSolution:
             raise CertificateFailed(
                 f"product and logarithmic forms disagree for family {family}, ({m},{n})"
             )
-    return PIVSolution(w=w, alpha=alpha, beta=beta)
+    sol = _SOLUTIONS[key] = PIVSolution(w=w, alpha=alpha, beta=beta)
+    return sol
 
 
 def piv_residual(s: PIVSolution) -> RationalFn:

@@ -106,7 +106,12 @@ def predicted_okamoto_count(m: int, n: int) -> RootCountReport:
 
 
 def predicted_mode_count(k: int, j: int, n: int) -> int:
-    """Total real zeros of the (n, j) mode polynomial."""
+    """Total real zeros of the (n, j) mode polynomial; the indices are
+    checked in the order the mode's construction checks them."""
+    if n < 0:
+        raise ValueError("level index n must be >= 0")
+    if k < 0:
+        raise IndexOutOfCone("potential index k must be >= 0")
     if j == 1:
         return n if n <= k else 3 * n - 2 * k
     if j == 2:

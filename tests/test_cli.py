@@ -263,6 +263,41 @@ class TestZerosCommand:
         payload = json.loads(out)
         assert payload == {"predicted": 3}
 
+    def test_predict_builds_nothing(self, capsys, monkeypatch):
+        def refuse(args):
+            raise AssertionError("--predict built the polynomial")
+
+        for kind, (_, needed) in list(cli._KINDS.items()):
+            monkeypatch.setitem(cli._KINDS, kind, (refuse, needed))
+        for command, predicted in (
+            ("--poly-from xhermite --k 3 --j 1 --n 8", 18),
+            ("--poly-from mode --k 2 --j 3 --n 4", 16),
+            ("--poly-from okamoto --m 3 --n 1", 3),
+        ):
+            _, out = run_cli(["zeros", *command.split(), "--predict"], capsys)
+            assert json.loads(out) == {"predicted": predicted}
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("--poly-from okamoto --m 1 --n -1", "zero-count predictions cover m >= 0, n >= 0"),
+            ("--poly-from okamoto --m -1 --n -1", "Q_(-1,-1) is outside the supported cone m >= 0, n >= -1"),
+            ("--poly-from okamoto --m 0 --n -2", "Q_(0,-2) is outside the supported cone m >= 0, n >= -1"),
+            ("--poly-from okamoto --m 3", "okamoto zeros need --m and --n"),
+            ("--poly-from mode --k -1 --j 1 --n -1", "level index n must be >= 0"),
+            ("--poly-from mode --k -1 --j 1 --n 0", "potential index k must be >= 0"),
+            ("--poly-from mode --k 1 --j 1", "mode zeros need --k, --j and --n"),
+            ("--poly-from xhermite --k -1 --j 3 --n -1", "level index n must be >= 0"),
+            ("--poly-from xhermite --k -2 --j 1 --n 0", "potential index k must be >= 0"),
+        ],
+    )
+    def test_predict_rejects_as_the_build_does(self, command, message, capsys):
+        # The same error, exit code and precedence with and without a build.
+        for flag in ("--predict", "--count"):
+            assert main(["zeros", *command.split(), flag]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestSpectrumAndPlotData:
     def test_spectrum(self, capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from okladder.errors import IndexOutOfCone, SingularMap, ZeroDenominator
+from okladder import painleve4
+from okladder.errors import CertificateFailed, IndexOutOfCone, SingularMap, ZeroDenominator
 from okladder.exact_ring import ExactPoly, RationalFn, SqrtTwoScalar
 from okladder.okamoto import okamoto
 from okladder.painleve4 import (
@@ -52,6 +53,26 @@ class TestRationalSolution:
     def test_out_of_cone(self):
         with pytest.raises(IndexOutOfCone):
             rational_solution(1, -1, 0)
+
+    def test_each_member_is_built_and_checked_once(self, monkeypatch):
+        monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
+        calls = []
+        real = painleve4.product_form
+        monkeypatch.setattr(painleve4, "product_form", lambda *a: calls.append(a) or real(*a))
+        first = rational_solution(1, 2, 1)
+        assert rational_solution(1, 2, 1) is first
+        assert calls == [(1, 2, 1)]
+        for _ in range(2):
+            with pytest.raises(IndexOutOfCone):
+                rational_solution(1, 2, -2)
+
+    def test_a_failed_certificate_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
+        monkeypatch.setattr(painleve4, "product_form", lambda *a: RationalFn.zero())
+        for _ in range(2):
+            with pytest.raises(CertificateFailed):
+                rational_solution(3, 1, 1)
+        assert painleve4._SOLUTIONS == {}
 
 
 class TestResidual:

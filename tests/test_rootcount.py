@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okladder import exact_ring, rootcount
+from okladder.errors import IndexOutOfCone
 from okladder.exact_ring import SQRT2, ExactPoly, poly_gcd
 from okladder.okamoto import okamoto
 from okladder.rootcount import (
@@ -120,6 +121,15 @@ class TestModePredictions:
     )
     def test_examples(self, k, j, n, total):
         assert predicted_mode_count(k, j, n) == total
+
+    def test_negative_indices_rejected(self):
+        # In the order the mode's construction checks them: n, then k.
+        with pytest.raises(ValueError, match="level index n must be >= 0"):
+            predicted_mode_count(1, 1, -1)
+        with pytest.raises(ValueError, match="level index n must be >= 0"):
+            predicted_mode_count(-1, 1, -1)
+        with pytest.raises(IndexOutOfCone, match="potential index k must be >= 0"):
+            predicted_mode_count(-1, 2, 0)
 
     def test_against_sturm(self):
         for k in range(3):
