@@ -4,10 +4,14 @@ Correctly rounded evaluation of exact expressions, a Dirichlet
 finite-difference eigensolver for H = -d''/dx'' + V on a symmetric grid,
 and composite Gauss-Legendre inner products of modes.  The default grid
 and every tolerance are the module constants below NumericGrid.
+
+Each Dirichlet spectrum is solved once per process and kept in _SPECTRA;
+the memo has no eviction and takes no locks, as the package runs no threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -163,14 +167,29 @@ def eval_array(expr, xs: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _dirichlet_eigenvalues(v_fn: RationalFn, grid: NumericGrid, count: int) -> np.ndarray:
+# Lowest Dirichlet eigenvalues per (k, grid, count), read-only.  count
+# stays in the key: the last bits of LAPACK's bisection depend on the index
+# range it is asked for, so a prefix of a longer solve is not the same.
+_SPECTRA: dict[tuple[int, NumericGrid, int], np.ndarray] = {}
+
+
+def _dirichlet_eigenvalues(k: int, grid: NumericGrid, count: int) -> np.ndarray:
+    key = (k, grid, count)
+    values = _SPECTRA.get(key)
+    if values is not None:
+        return values
     xs = grid.nodes()[1:-1]
     h = grid.spacing
-    diag = 2.0 / h**2 + eval_array(v_fn, xs)
+    diag = 2.0 / h**2 + eval_array(potential(k).potential_fn(), xs)
     off = np.full(xs.size - 1, -1.0 / h**2)
-    return eigh_tridiagonal(
+    # scipy returns a view of an array with one slot per node: the copy
+    # keeps only count floats alive.
+    values = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
+    ).copy()
+    values.flags.writeable = False
+    _SPECTRA[key] = values
+    return values
 
 
 def fd_eigensolve(
@@ -184,6 +203,8 @@ def fd_eigensolve(
 
     Raises GridTooCoarse when halving the spacing moves any eigenvalue by
     more than coarse_shift_tol, i.e. the h^2 error model is not yet valid.
+    Every argument is checked before _SPECTRA is read, and the grid test
+    runs on every call, on the memoized spectra too.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -197,9 +218,8 @@ def fd_eigensolve(
     # Written so that NaN fails too: no shift compares greater than NaN.
     if not tol >= 0:
         raise ValueError(f"coarse_shift_tol must be >= 0, got {tol}")
-    v_fn = potential(k).potential_fn()
-    coarse = _dirichlet_eigenvalues(v_fn, grid, count)
-    fine = _dirichlet_eigenvalues(v_fn, grid.refined(), count)
+    coarse = _dirichlet_eigenvalues(k, grid, count)
+    fine = _dirichlet_eigenvalues(k, grid.refined(), count)
     if np.max(np.abs(fine - coarse)) > tol:
         raise GridTooCoarse(
             f"halving the grid moved an eigenvalue by {np.max(np.abs(fine - coarse)):.3e}"
@@ -215,15 +235,17 @@ def spectrum_exact(k: int, count: int) -> list[Fraction]:
     return sorted(levels)[:count]
 
 
+@functools.cache
 def _gauss_panels() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of QUAD_ORDER-point Gauss-Legendre panels of width
-    QUAD_PANEL_WIDTH tiling the GRID window."""
+    QUAD_PANEL_WIDTH tiling the GRID window, built once; both read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     edges = np.arange(-GRID.half_width, GRID.half_width - 1e-12, QUAD_PANEL_WIDTH)
     half = QUAD_PANEL_WIDTH / 2.0
     mids = edges + half
     xs = (mids[:, None] + half * nodes[None, :]).ravel()
     ws = np.broadcast_to(half * weights[None, :], (mids.size, QUAD_ORDER)).ravel()
+    xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
 

@@ -6,6 +6,7 @@ calibration.  Exact checks admit no tolerance at all.
 
 import time
 
+import pytest
 
 from okladder import numerics, painleve4, rootcount, spectral, ttrr, wronskian_rep
 from okladder.okamoto import okamoto
@@ -155,7 +156,13 @@ def test_criterion_09_zero_counts():
                 assert rootcount.sturm_count(sequences[j][n]).n_total == rank, (k, rank)
 
 
-def test_criterion_10_numeric_spectrum():
+@pytest.fixture
+def cold_spectra(monkeypatch):
+    """An empty spectrum memo, so that the time bound covers the solves."""
+    monkeypatch.setattr(numerics, "_SPECTRA", {})
+
+
+def test_criterion_10_numeric_spectrum(cold_spectra):
     with report(10, "finite-difference spectrum within 1e-6 of the progressions, under 30 s") as r:
         for k in range(3):
             computed = numerics.fd_eigensolve(k, count=9)

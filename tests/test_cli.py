@@ -698,6 +698,17 @@ def test_entry_point_subprocess():
     assert proc.stdout.strip() == "2*x^2 + 3"
 
 
+def test_python_m_okladder_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.delenv("OKLADDER_CACHE_DIR", raising=False)
+    args = ["--json", "verify", "--suite", "identities", "--k-max", "1"]
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "okladder", *args], capture_output=True, text=True, env=env
+    )
+    code, out = run_cli(args, capsys)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
 def test_exact_command_does_not_load_mpmath():
     script = "import sys, okladder.cli; okladder.cli.main(['okamoto', '--m', '3', '--n', '1'])\n"
     script += "print('mpmath' in sys.modules)"

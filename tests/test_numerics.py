@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from okladder import numerics
 from okladder.errors import GridTooCoarse, PoleAtPoint
@@ -285,7 +286,89 @@ class TestEigensolve:
             fd_eigensolve(1, grid=NumericGrid(25.0, 11), count=3, coarse_shift_tol=tol)
 
 
+class TestSpectrumMemo:
+    """fd_eigensolve solves each (k, grid, count) spectrum once per process."""
+
+    GRID = NumericGrid(10.0, 401)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """An empty memo and a list that records the grid size of each solve."""
+        seen = []
+
+        def counted(diag, *args, **kwargs):
+            seen.append(diag.size + 2)
+            return eigh_tridiagonal(diag, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_SPECTRA", {})
+        monkeypatch.setattr(numerics, "eigh_tridiagonal", counted)
+        return seen
+
+    def test_each_grid_is_solved_once(self, solves):
+        first = fd_eigensolve(1, grid=self.GRID, count=3)
+        assert solves == [401, 801]
+        assert fd_eigensolve(1, grid=self.GRID, count=3) == first
+        assert solves == [401, 801]
+        # this call's coarse grid is the last call's refined one
+        fd_eigensolve(1, grid=self.GRID.refined(), count=3)
+        assert solves == [401, 801, 1601]
+        for values in numerics._SPECTRA.values():
+            # read-only, and not a view that keeps a solver array alive
+            assert not values.flags.writeable and values.base is None
+
+    def test_hit_is_bit_equal_to_a_cold_solve(self, monkeypatch, solves):
+        fd_eigensolve(2, grid=self.GRID, count=4)
+        hit = fd_eigensolve(2, grid=self.GRID, count=4)
+        monkeypatch.setattr(numerics, "_SPECTRA", {})
+        cold = fd_eigensolve(2, grid=self.GRID, count=4)
+        assert len(solves) == 4
+        assert [v.hex() for v in hit] == [v.hex() for v in cold]
+
+    def test_count_is_part_of_the_key(self, solves):
+        # LAPACK's last bits depend on the requested index range, so the
+        # oscillator check does not reuse a prefix of the nine-level solve.
+        fd_eigensolve(0, count=9)
+        fd_eigensolve(0, count=6)
+        assert solves == [8001, 16001, 8001, 16001]
+
+    def test_grid_check_runs_on_a_hit(self, solves):
+        coarse = NumericGrid(25.0, 201)
+        fd_eigensolve(1, grid=coarse, count=5, coarse_shift_tol=1.0)
+        with pytest.raises(GridTooCoarse):
+            fd_eigensolve(1, grid=coarse, count=5, coarse_shift_tol=1e-9)
+        assert solves == [201, 401]
+
+    def test_returned_list_is_fresh(self, solves):
+        values = fd_eigensolve(0, grid=self.GRID, count=3)
+        expected = list(values)
+        values[0] = 99.0
+        assert fd_eigensolve(0, grid=self.GRID, count=3) == expected
+
+    @pytest.mark.parametrize(
+        "k, grid, count, tol",
+        [
+            (1, GRID, 0, None),
+            (1, NumericGrid(25.0, 5), 4, None),
+            (1, GRID, 3, math.nan),
+            (1, GRID, 3, -1.0),
+            (-1, GRID, 3, None),
+        ],
+    )
+    def test_rejected_input_leaves_the_memo_untouched(self, solves, k, grid, count, tol):
+        fd_eigensolve(0, grid=self.GRID, count=3)
+        before = dict(numerics._SPECTRA)
+        with pytest.raises(ValueError):
+            fd_eigensolve(k, grid=grid, count=count, coarse_shift_tol=tol)
+        assert numerics._SPECTRA == before
+        assert solves == [401, 801]
+
+
 class TestInnerProducts:
+    def test_panels_are_built_once_and_read_only(self):
+        xs, ws = numerics._gauss_panels()
+        assert numerics._gauss_panels()[0] is xs
+        assert not xs.flags.writeable and not ws.flags.writeable
+
     def test_gaussian_norm_oracle(self):
         g = zero_mode(0, 1)
         assert quadrature_inner(g, g) == pytest.approx(math.sqrt(3 * math.pi), rel=1e-12)

@@ -106,3 +106,29 @@ def test_exact_report_is_pinned():
     assert len(rows) == _EXACT_REPORT_ROWS
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _EXACT_REPORT_DIGEST
+
+
+def test_numeric_suites_agree_cold_and_warm(monkeypatch):
+    from okladder import numerics
+
+    config = VerifySuiteConfig(which=("spectrum-numeric", "orthogonality"))
+    monkeypatch.setattr(numerics, "_SPECTRA", {})
+    numerics._gauss_panels.cache_clear()
+    cold = [r.to_json_dict() for r in run_verify(config)]
+    assert numerics._SPECTRA
+    warm = [r.to_json_dict() for r in run_verify(config)]
+    assert warm == cold
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_sampled_orthogonality_is_the_pairwise_worst(k):
+    from okladder import numerics, ttrr
+    from okladder.verify import _worst_cross_inner
+
+    modes = [mode for j in (1, 2, 3) for mode in ttrr.ttrr_modes(k, j, 3)]
+    pairwise = max(
+        numerics.normalized_cross_inner(a, b)
+        for i, a in enumerate(modes)
+        for b in modes[i + 1 :]
+    )
+    assert _worst_cross_inner(modes).hex() == pairwise.hex()
