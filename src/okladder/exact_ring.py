@@ -419,15 +419,14 @@ class ExactPoly:
         top = self._x[-1]
         return _make([v if top > 0 else -v for v in self._x], 0, abs(top))
 
-    def lattice_primitive(self, keep_sign: bool = False) -> "ExactPoly":
-        """Scale to an integer array with content 1, keeping the grade; the
-        leading sign is normalized positive unless keep_sign (scaling by a
-        positive rational only, as Sturm chains require)."""
+    def lattice_primitive(self) -> "ExactPoly":
+        """Scale to an integer array with content 1 and a positive top
+        entry, keeping the grade."""
         X = self._x
         if not X:
             return self
         g = math.gcd(*X)
-        if not keep_sign and X[-1] < 0:
+        if X[-1] < 0:
             g = -g
         return _raw(tuple(v // g for v in X), self._r, 1)
 
@@ -442,12 +441,15 @@ class ExactPoly:
 
     # -- serialization -------------------------------------------------------
     def to_json_dict(self) -> dict:
-        return {
-            "coeffs": [
-                [f"{c.a.numerator}/{c.a.denominator}", f"{c.b.numerator}/{c.b.denominator}"]
-                for c in self.coeffs
-            ]
-        }
+        """Each coefficient as [rational part, sqrt2 part], both "p/q" in
+        lowest terms, formatted from the integer array."""
+        den, zero = self._den, "0/1"
+        out = []
+        for v in self._x:
+            g = math.gcd(v, den)
+            part = f"{v // g}/{den // g}"
+            out.append([zero, part] if self._r else [part, zero])
+        return {"coeffs": out}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPoly":

@@ -122,6 +122,8 @@ def piv_residual(s: PIVSolution) -> RationalFn:
         - n2 * d2 * x2_minus_alpha * 4
         - d2 * d2 * (2 * s.beta)
     )
+    if num.is_zero:
+        return RationalFn.zero()
     return RationalFn(num, n * d * d2 * 2)
 
 

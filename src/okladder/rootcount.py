@@ -1,13 +1,21 @@
-"""Exact real-root counting by Sturm sequences over Q(sqrt2).
+"""Exact real-root counting by Sturm sequences on integer arrays.
 
-Counts are split into the multiplicity at x = 0 (by exact division by x)
-and the distinct roots on each half line; every sign decision is exact.
+A polynomial sqrt2**r * X/den has the signs of X, so the census reads only
+the integer array X.  The multiplicity at x = 0 is the number of zero
+entries at the bottom of X; the distinct roots on (0, inf) come from one
+Sturm chain of primitive integer pseudo-remainders (Sturm sequences as in
+Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+For even X, which is every polynomial the program builds, that chain runs
+once on X(sqrt y) and the negative half line mirrors the positive one;
+otherwise a second chain counts the positive roots of X(-x).
+
 Also provides the closed-form zero-count predictions for the Okamoto and
 mode polynomial families and for Wronskians of contiguous Hermite seeds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +26,7 @@ from .exact_ring import ExactPoly, poly_gcd  # noqa: F401
 
 @dataclass(frozen=True)
 class RootCountReport:
-    """Real-zero census of a parity-definite polynomial."""
+    """Real-zero census of a polynomial."""
 
     n0: int
     n_plus: int
@@ -38,50 +46,94 @@ class RootCountReport:
         }
 
 
-def _sturm_chain(p: ExactPoly) -> list[ExactPoly]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        _, r = divmod(chain[-2], chain[-1])
-        if r.is_zero:
+def _sturm_remainder(A: list[int], B: list[int]) -> list[int]:
+    """-c*(A mod B) for a positive integer c, made primitive; [] when B
+    divides A.  Both arrays are ascending with a nonzero top entry and
+    len(A) >= len(B).  Each quotient step scales the running remainder by
+    |lead|/gcd(lead, u) > 0, so no sign is lost."""
+    r = list(A)
+    last = len(B) - 1
+    lead = B[last]
+    terms = [(j, B[j]) for j in range(last) if B[j]]
+    for top in range(len(A) - 1, last - 1, -1):
+        u = r[top]
+        if not u:
+            continue
+        g = math.gcd(lead, u)
+        f = abs(lead) // g
+        q = u // g if lead > 0 else -(u // g)
+        if f != 1:
+            r[:top] = [v * f for v in r[:top]]
+        shift = top - last
+        for j, y in terms:
+            r[shift + j] -= q * y
+    n = last
+    while n and not r[n - 1]:
+        n -= 1
+    return _primitive([-v for v in r[:n]])
+
+
+def _primitive(V: list[int]) -> list[int]:
+    """V over the gcd of its entries, a positive integer; [] stays []."""
+    g = math.gcd(*V)
+    return [v // g for v in V] if g > 1 else V
+
+
+def _positive_roots(X: list[int]) -> tuple[int, bool]:
+    """(distinct roots on (0, inf), squarefree) of the integer polynomial X
+    with X[0] != 0.  The Sturm chain X, X', -rem, .. ends in gcd(X, X'),
+    and dividing that out changes no sign variation where X is nonzero, so
+    the count holds for any X and X is squarefree when the chain ends in a
+    constant.  Only the signs at 0 (bottom entries) and at +inf (top
+    entries) are read."""
+    A = _primitive(list(X))
+    B = _primitive([i * A[i] for i in range(1, len(A))])
+    at_zero = [A[0]]
+    at_inf = [A[-1]]
+    while B:
+        at_zero.append(B[0])
+        at_inf.append(B[-1])
+        if len(B) == 1:
             break
-        chain.append((-r).lattice_primitive(keep_sign=True))
-    return [c for c in chain if not c.is_zero]
+        A, B = B, _sturm_remainder(A, B)
+    last = B or A
+    return _variations(at_zero) - _variations(at_inf), len(last) == 1
 
 
-def _variations(signs: list[int]) -> int:
-    filtered = [s for s in signs if s]
-    return sum(1 for a, b in zip(filtered, filtered[1:]) if a != b)
+def _variations(values: list[int]) -> int:
+    """Sign changes along values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_roots_half_lines(chain: list[ExactPoly]) -> tuple[int, int]:
-    """(positive, negative) distinct real roots of chain[0], given its Sturm
-    chain and chain[0](0) != 0."""
-    at_zero = [c.coeff(0).sign() for c in chain]
-    at_plus_inf = [c.leading.sign() for c in chain]
-    at_minus_inf = [c.leading.sign() * (-1 if c.degree % 2 else 1) for c in chain]
-    pos = _variations(at_zero) - _variations(at_plus_inf)
-    neg = _variations(at_minus_inf) - _variations(at_zero)
-    return pos, neg
+def _reflected(X: list[int]) -> list[int]:
+    """The array of X(-x)."""
+    return [-v if i % 2 else v for i, v in enumerate(X)]
 
 
 def sturm_count(p: ExactPoly) -> RootCountReport:
-    """Exact real-zero census of p.
+    """Exact real-zero census of p; `simple` means squarefree away from 0.
 
-    The multiplicity at 0 comes from exact division by x. One Sturm chain
-    counts the distinct nonzero real roots whether or not p is squarefree:
-    the chain ends in gcd(p, p'), and dividing it out changes no sign
-    variation where p is nonzero. So `simple` (squarefree away from 0) is
-    that last entry being a constant.
+    The signs of p are those of its integer array X.  After the n0 zero
+    entries at the bottom of X are stripped, an even X = Y(x^2) has as many
+    roots on each half line as Y on (0, inf), and is squarefree when Y is
+    (Y(0) != 0), so one chain over Y, half as long, gives the whole census.
+    Mixed parity takes one chain over X and one over X(-x).
     """
-    if p.is_zero:
+    X, _, _ = p._int_arrays()
+    if not X:
         raise ValueError("root count of the zero polynomial")
     n0 = 0
-    while p.degree > 0 and p.coeff(0).is_zero:
-        p = p.exact_div(ExactPoly.x())
+    while not X[n0]:
         n0 += 1
-    chain = _sturm_chain(p)
-    pos, neg = _count_roots_half_lines(chain)
-    return RootCountReport(n0=n0, n_plus=pos, n_minus=neg, simple=chain[-1].degree == 0)
+    X = X[n0:]
+    if any(X[1::2]):
+        n_plus, simple = _positive_roots(X)
+        n_minus, _ = _positive_roots(_reflected(X))
+    else:
+        n_plus, simple = _positive_roots(X[::2])
+        n_minus = n_plus
+    return RootCountReport(n0=n0, n_plus=n_plus, n_minus=n_minus, simple=simple)
 
 
 def predicted_okamoto_count(m: int, n: int) -> RootCountReport:

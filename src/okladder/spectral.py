@@ -222,6 +222,8 @@ def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
     top, q, shift = _potential_parts(mode.k)
     second, pq2 = _second_numerator(mode.P, q)
     num = ExactPoly((shift - mode.energy, 0, 1)) * pq2 - second + top * mode.P
+    if num.is_zero:
+        return QuasiGaussian(RationalFn.zero())
     return QuasiGaussian(RationalFn(num, q**3))
 
 

@@ -28,6 +28,7 @@ from .exact_ring import (
     ExactPoly,
     QuasiGaussian,
     RationalFn,
+    _make,
     apply_first_order,
     log_derivative,
     wronskian,
@@ -251,9 +252,10 @@ def sqrt3_rescale(p: ExactPoly) -> ExactPoly:
     parity = p.parity()
     if parity is None:
         raise ValueError("rescaling by sqrt3 needs a parity-definite polynomial")
-    return ExactPoly(
-        tuple(c * Fraction(3 ** ((i - parity) // 2)) for i, c in enumerate(p.coeffs))
-    )
+    X, r, den = p._int_arrays()
+    # Entry i is nonzero only for i = parity mod 2, and it gains 3^((i - parity)/2).
+    scaled = [0] * parity + [v * 3 ** (i // 2) for i, v in enumerate(X[parity:])]
+    return _make(scaled, r, den)
 
 
 def xhermite_from_ttrr(k: int, j: int, n: int) -> ExactPoly:

@@ -373,7 +373,7 @@ class FractionPoly:
     def monic(self):
         return self * self.leading.inverse() if self.coeffs else self
 
-    def lattice_primitive(self, keep_sign=False):
+    def lattice_primitive(self):
         if not self.coeffs:
             return self
         den = 1
@@ -382,7 +382,7 @@ class FractionPoly:
         A = [c.a * den for c in self.coeffs]
         B = [c.b * den for c in self.coeffs]
         g = math.gcd(*(int(v) for v in A + B))
-        if not keep_sign and self.leading.sign() < 0:
+        if self.leading.sign() < 0:
             g = -g
         return FractionPoly(SqrtTwoScalar(a / g, b / g) for a, b in zip(A, B))
 
@@ -395,12 +395,18 @@ class FractionPoly:
         return c if self == other * c else None
 
     def to_json_dict(self):
-        return {
-            "coeffs": [
-                [f"{c.a.numerator}/{c.a.denominator}", f"{c.b.numerator}/{c.b.denominator}"]
-                for c in self.coeffs
-            ]
-        }
+        return scalar_json(self.coeffs)
+
+
+def scalar_json(coeffs) -> dict:
+    """JSON of a polynomial formatted from its scalar coefficients, as
+    ExactPoly.to_json_dict did before it read the integer array."""
+    return {
+        "coeffs": [
+            [f"{c.a.numerator}/{c.a.denominator}", f"{c.b.numerator}/{c.b.denominator}"]
+            for c in coeffs
+        ]
+    }
 
 
 def same_json(got: ExactPoly, want: FractionPoly) -> None:
@@ -473,6 +479,26 @@ def recorded_determinants(monkeypatch, build):
 
 
 class TestRepresentation:
+    @given(polys(8), graded_scalars, st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_json_reads_the_integer_array(self, p, c, k):
+        # The product is fresh: it has no scalar view, and serializing it
+        # builds none.
+        q = p * ExactPoly.monomial(c, k)
+        got = q.to_json_dict()
+        assert q._coeffs is None
+        assert got == scalar_json(q.coeffs)
+        assert ExactPoly.from_json_dict(got) == q
+
+    def test_json_of_each_grade(self):
+        q = ExactPoly((6, 0, Fraction(-3, 4))) * ExactPoly.x() * SQRT2
+        assert q.to_json_dict() == {
+            "coeffs": [["0/1", "0/1"], ["0/1", "6/1"], ["0/1", "0/1"], ["0/1", "-3/4"]]
+        }
+        assert q._coeffs is None
+        assert (q * SQRT2).to_json_dict()["coeffs"][1] == ["12/1", "0/1"]
+        assert ExactPoly.zero().to_json_dict() == {"coeffs": []}
+
     @given(same_grade(2), polys(8), graded_scalars, fractions, st.integers(-9, 9))
     @settings(max_examples=200, deadline=None)
     def test_ops_match_fraction_oracle(self, pq, other, c, f, k):
@@ -488,8 +514,7 @@ class TestRepresentation:
         same_json(p * k, fp * k)
         same_json(p.derivative(), fp.derivative())
         same_json(p.monic(), fp.monic())
-        for keep_sign in (False, True):
-            same_json(p.lattice_primitive(keep_sign), fp.lattice_primitive(keep_sign))
+        same_json(p.lattice_primitive(), fp.lattice_primitive())
         assert p.parity() == fp.parity()
         assert p.proportionality(q) == fp.proportionality(fq)
         assert p.proportionality(other) == fp.proportionality(FractionPoly.of(other))
@@ -537,7 +562,7 @@ class TestRepresentation:
         copies = [(list(x), r, den) for x, r, den in stored]
         p + d, p - d, d - p, -p, p * d, d * p, p * SQRT2, p * Fraction(3, 7), p * 0
         divmod(p, d), divmod(d, p) if p else None, p.derivative(), p.monic(), d.monic()
-        p.lattice_primitive(), p.lattice_primitive(True), p.parity(), p.proportionality(d)
+        p.lattice_primitive(), p.parity(), p.proportionality(d)
         p.coeffs, p.to_json_dict(), hash(p), poly_gcd(p, d), wronskian([p, d])
         RationalFn(p, d)
         for y, (x0, _, _), copy in zip((p, d), stored, copies):

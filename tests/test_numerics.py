@@ -245,6 +245,26 @@ class TestCorrectRounding:
         assert got == mp_value(v, x)
 
 
+@given(graded_polys(8), st.integers(-1100, 1000))
+@settings(max_examples=200, deadline=None)
+def test_poly_array_rounds_like_the_scalar_view(p, e):
+    # 2**e spans the doubles from underflow, where a negative entry's
+    # quotient is -0.0 and float(SqrtTwoScalar)'s sum makes it +0.0, up to
+    # near the largest double.
+    import numpy as np
+
+    q = p * Fraction(2) ** e
+    got = numerics._poly_array(q)
+    want = np.array([float(c) for c in q.coeffs], dtype=float) if not q.is_zero else np.zeros(1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_poly_array_of_an_underflowing_entry():
+    for f in (1, SQRT2):
+        q = ExactPoly((Fraction(-1, 2**1200), 1)) * f
+        assert [math.copysign(1.0, v) for v in numerics._poly_array(q)] == [1.0, 1.0]
+
+
 class TestEigensolve:
     def test_oscillator_ladder(self):
         values = fd_eigensolve(0, count=4)

@@ -1,4 +1,5 @@
-"""Sturm census vs the closed-form zero-count laws."""
+"""Sturm census vs the closed-form zero-count laws, and the integer kernel
+vs the Sturm chain over Q(sqrt2) scalars it replaced."""
 
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from okladder.rootcount import (
 )
 from okladder.spectral import energy
 from okladder.ttrr import ttrr_sequence
+from okladder.verify import VerifySuiteConfig, run_verify
 from okladder.wronskian_rep import index_set_deleted, psi_poly, sigma_index, wronskian_mode
 from okladder.exact_ring import wronskian
+from test_exact_ring import graded_scalars, polys
 
 
 class TestSturm:
@@ -213,3 +216,146 @@ def test_repeated_factors_match_squarefree_route(factors):
         p = p * f**mult
     report = sturm_count(p)
     assert (report.n0, report.n_plus, report.n_minus, report.simple) == squarefree_census(p)
+
+
+def scalar_chain(p: ExactPoly) -> list[ExactPoly]:
+    """The Sturm chain of p over Q(sqrt2) scalars, each remainder scaled by
+    a positive rational: the chain sturm_count ran before it read integer
+    arrays, kept as the oracle of `rootcount._positive_roots`."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        _, r = divmod(chain[-2], chain[-1])
+        if r.is_zero:
+            break
+        r = -r
+        q = r.lattice_primitive()
+        chain.append(q if q.leading.sign() == r.leading.sign() else -q)
+    return [c for c in chain if not c.is_zero]
+
+
+def variations(signs: list[int]) -> int:
+    filtered = [s for s in signs if s]
+    return sum(1 for a, b in zip(filtered, filtered[1:]) if a != b)
+
+
+def census_oracle(p: ExactPoly) -> tuple[int, int, int, bool]:
+    """(n0, n_plus, n_minus, simple) by exact division by x, then the scalar
+    chain's signs at 0 and at both infinities."""
+    if p.is_zero:
+        raise ValueError("root count of the zero polynomial")
+    n0 = 0
+    while p.degree > 0 and p.coeff(0).is_zero:
+        p = p.exact_div(ExactPoly.x())
+        n0 += 1
+    chain = scalar_chain(p)
+    at_zero = [c.coeff(0).sign() for c in chain]
+    at_plus_inf = [c.leading.sign() for c in chain]
+    at_minus_inf = [c.leading.sign() * (-1 if c.degree % 2 else 1) for c in chain]
+    pos = variations(at_zero) - variations(at_plus_inf)
+    neg = variations(at_minus_inf) - variations(at_zero)
+    return n0, pos, neg, chain[-1].degree == 0
+
+
+def census(p: ExactPoly) -> tuple[int, int, int, bool]:
+    report = sturm_count(p)
+    return report.n0, report.n_plus, report.n_minus, report.simple
+
+
+def mixed_branch_calls(monkeypatch) -> list:
+    """Record every array the mixed-parity branch of sturm_count reflects."""
+    calls = []
+    reflected = rootcount._reflected
+    monkeypatch.setattr(rootcount, "_reflected", lambda X: calls.append(X) or reflected(X))
+    return calls
+
+
+# Factors with asymmetric real roots, complex pairs, sqrt2 roots and random
+# polynomials (zero, constants and denominators among them), each taken up
+# to three times.
+_census_factors = st.one_of(
+    st.builds(lambda r: ExactPoly((-r, 1)), _roots),
+    st.builds(lambda a, b: ExactPoly((a, b, 1)), _roots, _roots),
+    st.builds(lambda r: ExactPoly((-2 * r * r, 0, 1)) * SQRT2, _roots),
+    polys(3),
+)
+
+
+@st.composite
+def census_inputs(draw):
+    p = ExactPoly.monomial(draw(graded_scalars), draw(st.integers(0, 3)))
+    for f, mult in draw(st.lists(st.tuples(_census_factors, st.integers(1, 3)), max_size=4)):
+        p = p * f**mult
+    return p
+
+
+class TestIntegerKernel:
+    @given(census_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_chain(self, p):
+        if p.is_zero:
+            with pytest.raises(ValueError, match="zero polynomial"):
+                sturm_count(p)
+            return
+        assert census(p) == census_oracle(p)
+        assert census(-p) == census(p)
+
+    @given(census_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_parity_definite_inputs_match_scalar_chain(self, p):
+        # p(x) p(-x) is even, and x p(x) p(-x) odd: the y = x^2 route.
+        q = p * ExactPoly(rootcount._reflected(p._int_arrays()[0]))
+        for r in (q, q * ExactPoly.x()):
+            if r.is_zero:
+                continue
+            got = census(r)
+            assert got == census_oracle(r)
+            assert got[1] == got[2]
+
+    @pytest.mark.parametrize(
+        "roots,extra,expected",
+        [
+            ((1, 2, -3), 1, (0, 2, 1, True)),
+            ((0, 0, 1, 1, -2), SQRT2 / 7, (2, 1, 1, False)),
+            ((-1, -2, -3), ExactPoly((1, 0, 1)), (0, 0, 3, True)),
+            ((Fraction(1, 3),) * 3, ExactPoly((1, 1, 1)), (0, 1, 0, False)),
+            ((0, 5, Fraction(-1, 2), -3), Fraction(-2, 9), (1, 1, 2, True)),
+            ((Fraction(-7, 4), 2, 2), ExactPoly((0, 0, 0, SQRT2)), (3, 1, 1, False)),
+        ],
+    )
+    def test_mixed_parity(self, monkeypatch, roots, extra, expected):
+        # Asymmetric real roots: the census takes one chain over X and one
+        # over X(-x).
+        p = ExactPoly.one()
+        for r in roots:
+            p = p * ExactPoly((-r, 1))
+        p = p * extra
+        reflected = mixed_branch_calls(monkeypatch)
+        assert census(p) == expected == census_oracle(p)
+        assert len(reflected) == 1
+
+    def test_constants(self, monkeypatch):
+        reflected = mixed_branch_calls(monkeypatch)
+        for c in (1, -3, Fraction(5, 7), SQRT2, -SQRT2 / 3):
+            assert census(ExactPoly.constant(c)) == (0, 0, 0, True)
+            assert census(ExactPoly.monomial(c, 4)) == (4, 0, 0, True)
+        assert reflected == []
+
+
+def test_default_censuses_never_take_the_mixed_branch(monkeypatch):
+    """Every census of the default zeros and wronskian suites and of the
+    Okamoto grid m + n <= 9 is of an even array after x^n0 is stripped, so
+    each runs one chain over X(sqrt y): a silent fall into the mixed-parity
+    branch fails here."""
+    reflected = mixed_branch_calls(monkeypatch)
+    kernel = []
+    positive_roots = rootcount._positive_roots
+    monkeypatch.setattr(
+        rootcount, "_positive_roots", lambda X: kernel.append(X) or positive_roots(X)
+    )
+    results = run_verify(VerifySuiteConfig(which=("zeros", "wronskian")))
+    assert results and all(r.passed for r in results)
+    for m in range(10):
+        for n in range(10 - m):
+            assert census(okamoto(m, n))[1:3] == (predicted_okamoto_count(m, n).n_plus,) * 2
+    assert len(kernel) > 200
+    assert reflected == []

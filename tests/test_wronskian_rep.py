@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okladder.errors import (
     DuplicateIndex,
@@ -33,6 +35,7 @@ from okladder.wronskian_rep import (
     wronskian_potential,
     xhermite_from_ttrr,
 )
+from test_exact_ring import polys
 
 
 def scaled_hermite(r: int) -> ExactPoly:
@@ -266,6 +269,18 @@ class TestIndexSets:
         with pytest.raises(ValueError):
             sqrt3_rescale(ExactPoly((1, 1)))
         assert sqrt3_rescale(ExactPoly((0, -9, 0, 2))) == ExactPoly((0, -9, 0, 6))
+
+    @given(polys(6), st.integers(0, 1), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_sqrt3_rescale_matches_the_scalar_route(self, p, parity, e):
+        # q = x^parity p(x^2) / 3^e, rescaled from its integer array and, as
+        # before, entry by entry over its scalars.
+        spread = [c for ci in p.coeffs for c in (ci, 0)]
+        q = ExactPoly([0] * parity + spread) * Fraction(1, 3**e)
+        want = ExactPoly(
+            tuple(c * Fraction(3 ** ((i - parity) // 2)) for i, c in enumerate(q.coeffs))
+        )
+        assert sqrt3_rescale(q)._int_arrays() == want._int_arrays()
 
 
 class TestIdentity:
