@@ -451,6 +451,27 @@ class ExactPoly:
             out.append([zero, part] if self._r else [part, zero])
         return {"coeffs": out}
 
+    def to_floats(self) -> list[float]:
+        """The coefficients as doubles, each rounded as float(SqrtTwoScalar)
+        rounds it: v/den + 0.0, or 0.0 + (v/den)*sqrt(2.0) on the sqrt2
+        grade."""
+        den = self._den
+        if self._r:
+            root2 = math.sqrt(2.0)
+            return [0.0 + (v / den) * root2 for v in self._x]
+        return [v / den + 0.0 for v in self._x]
+
+    def rescaled_by_powers_of_3(self, parity: int) -> "ExactPoly":
+        """Entry i times 3**((i - parity) // 2): p(sqrt3 * x) / 3**(parity/2)
+        for a p of that parity, whose entry i is nonzero only for i = parity
+        mod 2."""
+        X = self._x
+        return _make(
+            [0] * parity + [v * 3 ** (i // 2) for i, v in enumerate(X[parity:])],
+            self._r,
+            self._den,
+        )
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPoly":
         return cls(

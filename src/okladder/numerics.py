@@ -122,15 +122,7 @@ def _quotient(num: int, den: int) -> float:
 
 
 def _poly_array(p: ExactPoly) -> np.ndarray:
-    """The coefficients as doubles, each rounded as float(SqrtTwoScalar)
-    rounds it: v/den + 0.0, or 0.0 + (v/den)*sqrt(2.0) on the sqrt2 grade."""
-    X, r, den = p._int_arrays()
-    if not X:
-        return np.zeros(1)
-    if r:
-        root2 = math.sqrt(2.0)
-        return np.array([0.0 + (v / den) * root2 for v in X], dtype=float)
-    return np.array([v / den + 0.0 for v in X], dtype=float)
+    return np.array(p.to_floats(), dtype=float) if not p.is_zero else np.zeros(1)
 
 
 def eval_array(expr, xs: np.ndarray) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 A polynomial sqrt2**r * X/den has the signs of X, so the census reads only
 the integer array X.  The multiplicity at x = 0 is the number of zero
-entries at the bottom of X; the distinct roots on (0, inf) come from one
-Sturm chain of primitive integer pseudo-remainders (Sturm sequences as in
-Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
-For even X, which is every polynomial the program builds, that chain runs
-once on X(sqrt y) and the negative half line mirrors the positive one;
-otherwise a second chain counts the positive roots of X(-x).
+entries at the bottom of X; the distinct roots on each half line come
+from the signs at 0 and at +-inf of one Sturm chain of primitive integer
+pseudo-remainders (Sturm sequences as in Basu, Pollack and Roy,
+Algorithms in Real Algebraic Geometry, ch. 2).  For even X, which is
+every polynomial the program builds, that chain runs on X(sqrt y), half
+as long, and the negative half line mirrors the positive one; otherwise
+it runs on X itself.
 
 Also provides the closed-form zero-count predictions for the Okamoto and
 mode polynomial families and for Wronskians of contiguous Hermite seeds.
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .errors import IndexOutOfCone
 # poly_gcd stays bound here: perfbench/selftest.py checks its tracer wraps it.
-from .exact_ring import ExactPoly, poly_gcd  # noqa: F401
+from .exact_ring import ExactPoly, _divmod_ints, _primitive, poly_gcd  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -46,69 +47,40 @@ class RootCountReport:
         }
 
 
-def _sturm_remainder(A: list[int], B: list[int]) -> list[int]:
-    """-c*(A mod B) for a positive integer c, made primitive; [] when B
-    divides A.  Both arrays are ascending with a nonzero top entry and
-    len(A) >= len(B).  Each quotient step scales the running remainder by
-    |lead|/gcd(lead, u) > 0, so no sign is lost."""
-    r = list(A)
-    last = len(B) - 1
-    lead = B[last]
-    terms = [(j, B[j]) for j in range(last) if B[j]]
-    for top in range(len(A) - 1, last - 1, -1):
-        u = r[top]
-        if not u:
-            continue
-        g = math.gcd(lead, u)
-        f = abs(lead) // g
-        q = u // g if lead > 0 else -(u // g)
-        if f != 1:
-            r[:top] = [v * f for v in r[:top]]
-        shift = top - last
-        for j, y in terms:
-            r[shift + j] -= q * y
-    n = last
-    while n and not r[n - 1]:
-        n -= 1
-    return _primitive([-v for v in r[:n]])
-
-
-def _primitive(V: list[int]) -> list[int]:
-    """V over the gcd of its entries, a positive integer; [] stays []."""
-    g = math.gcd(*V)
-    return [v // g for v in V] if g > 1 else V
-
-
-def _positive_roots(X: list[int]) -> tuple[int, bool]:
-    """(distinct roots on (0, inf), squarefree) of the integer polynomial X
-    with X[0] != 0.  The Sturm chain X, X', -rem, .. ends in gcd(X, X'),
-    and dividing that out changes no sign variation where X is nonzero, so
-    the count holds for any X and X is squarefree when the chain ends in a
-    constant.  Only the signs at 0 (bottom entries) and at +inf (top
-    entries) are read."""
-    A = _primitive(list(X))
+def _real_roots(X: tuple[int, ...]) -> tuple[int, int, bool]:
+    """(distinct roots on (0, inf), distinct roots on (-inf, 0), squarefree)
+    of the integer polynomial X with X[0] != 0, from one Sturm chain
+    X, X', -rem, .. of primitive pseudo-remainders.  `_divmod_ints` scales
+    each remainder by a positive integer only, so no sign is lost.  The
+    chain ends in gcd(X, X'), and dividing that out changes no sign
+    variation where X is nonzero, so the counts hold for any X and X is
+    squarefree when the chain ends in a constant.  Only end signs are read:
+    bottom entries at 0, top entries at +inf, and top entries times
+    (-1)**degree at -inf."""
+    if len(X) == 1:
+        return 0, 0, True
+    A = _primitive(X)
     B = _primitive([i * A[i] for i in range(1, len(A))])
-    at_zero = [A[0]]
-    at_inf = [A[-1]]
-    while B:
-        at_zero.append(B[0])
-        at_inf.append(B[-1])
-        if len(B) == 1:
+    chain = [A, B]
+    while len(B) > 1:
+        _, r, _ = _divmod_ints(A, 1, B, 1)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             break
-        A, B = B, _sturm_remainder(A, B)
-    last = B or A
-    return _variations(at_zero) - _variations(at_inf), len(last) == 1
+        g = -math.gcd(*r)  # -rem divided by its positive content
+        A, B = B, [v // g for v in r]
+        chain.append(B)
+    at_zero = _variations([c[0] for c in chain])
+    at_plus = _variations([c[-1] for c in chain])
+    at_minus = _variations([c[-1] if len(c) % 2 else -c[-1] for c in chain])
+    return at_zero - at_plus, at_minus - at_zero, len(chain[-1]) == 1
 
 
 def _variations(values: list[int]) -> int:
     """Sign changes along values, zeros skipped."""
     signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _reflected(X: list[int]) -> list[int]:
-    """The array of X(-x)."""
-    return [-v if i % 2 else v for i, v in enumerate(X)]
 
 
 def sturm_count(p: ExactPoly) -> RootCountReport:
@@ -118,7 +90,7 @@ def sturm_count(p: ExactPoly) -> RootCountReport:
     entries at the bottom of X are stripped, an even X = Y(x^2) has as many
     roots on each half line as Y on (0, inf), and is squarefree when Y is
     (Y(0) != 0), so one chain over Y, half as long, gives the whole census.
-    Mixed parity takes one chain over X and one over X(-x).
+    Mixed parity takes one chain over X and reads both half lines from it.
     """
     X, _, _ = p._int_arrays()
     if not X:
@@ -128,10 +100,9 @@ def sturm_count(p: ExactPoly) -> RootCountReport:
         n0 += 1
     X = X[n0:]
     if any(X[1::2]):
-        n_plus, simple = _positive_roots(X)
-        n_minus, _ = _positive_roots(_reflected(X))
+        n_plus, n_minus, simple = _real_roots(X)
     else:
-        n_plus, simple = _positive_roots(X[::2])
+        n_plus, _, simple = _real_roots(X[::2])
         n_minus = n_plus
     return RootCountReport(n0=n0, n_plus=n_plus, n_minus=n_minus, simple=simple)
 

@@ -28,7 +28,6 @@ from .exact_ring import (
     ExactPoly,
     QuasiGaussian,
     RationalFn,
-    _make,
     apply_first_order,
     log_derivative,
     wronskian,
@@ -252,10 +251,7 @@ def sqrt3_rescale(p: ExactPoly) -> ExactPoly:
     parity = p.parity()
     if parity is None:
         raise ValueError("rescaling by sqrt3 needs a parity-definite polynomial")
-    X, r, den = p._int_arrays()
-    # Entry i is nonzero only for i = parity mod 2, and it gains 3^((i - parity)/2).
-    scaled = [0] * parity + [v * 3 ** (i // 2) for i, v in enumerate(X[parity:])]
-    return _make(scaled, r, den)
+    return p.rescaled_by_powers_of_3(parity)
 
 
 def xhermite_from_ttrr(k: int, j: int, n: int) -> ExactPoly:

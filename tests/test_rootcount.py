@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okladder import exact_ring, rootcount
+from okladder import exact_ring, rootcount, wronskian_rep
 from okladder.errors import IndexOutOfCone
 from okladder.exact_ring import SQRT2, ExactPoly, poly_gcd
 from okladder.okamoto import okamoto
@@ -221,7 +221,7 @@ def test_repeated_factors_match_squarefree_route(factors):
 def scalar_chain(p: ExactPoly) -> list[ExactPoly]:
     """The Sturm chain of p over Q(sqrt2) scalars, each remainder scaled by
     a positive rational: the chain sturm_count ran before it read integer
-    arrays, kept as the oracle of `rootcount._positive_roots`."""
+    arrays, kept as the oracle of `rootcount._real_roots`."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         _, r = divmod(chain[-2], chain[-1])
@@ -257,16 +257,32 @@ def census_oracle(p: ExactPoly) -> tuple[int, int, int, bool]:
 
 
 def census(p: ExactPoly) -> tuple[int, int, int, bool]:
-    report = sturm_count(p)
+    report = rootcount.sturm_count(p)
     return report.n0, report.n_plus, report.n_minus, report.simple
 
 
-def mixed_branch_calls(monkeypatch) -> list:
-    """Record every array the mixed-parity branch of sturm_count reflects."""
-    calls = []
-    reflected = rootcount._reflected
-    monkeypatch.setattr(rootcount, "_reflected", lambda X: calls.append(X) or reflected(X))
-    return calls
+def census_routes(monkeypatch) -> list[bool]:
+    """For every census run from here on, whether it took the mixed-parity
+    branch: its one chain ran over the stripped array X itself rather than
+    over the shorter X[::2]."""
+    routes, inputs = [], []
+    kernel, count = rootcount._real_roots, rootcount.sturm_count
+
+    def spy(p):
+        report = count(p)
+        X = p._int_arrays()[0][report.n0 :]
+        routes.append(len(inputs.pop()) == len(X) > 1)
+        return report
+
+    monkeypatch.setattr(rootcount, "_real_roots", lambda X: inputs.append(X) or kernel(X))
+    monkeypatch.setattr(rootcount, "sturm_count", spy)
+    monkeypatch.setattr(wronskian_rep, "sturm_count", spy)
+    return routes
+
+
+def reflected(p: ExactPoly) -> ExactPoly:
+    """p(-x)."""
+    return ExactPoly(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)))
 
 
 # Factors with asymmetric real roots, complex pairs, sqrt2 roots and random
@@ -303,7 +319,7 @@ class TestIntegerKernel:
     @settings(max_examples=100, deadline=None)
     def test_parity_definite_inputs_match_scalar_chain(self, p):
         # p(x) p(-x) is even, and x p(x) p(-x) odd: the y = x^2 route.
-        q = p * ExactPoly(rootcount._reflected(p._int_arrays()[0]))
+        q = p * reflected(p)
         for r in (q, q * ExactPoly.x()):
             if r.is_zero:
                 continue
@@ -323,22 +339,23 @@ class TestIntegerKernel:
         ],
     )
     def test_mixed_parity(self, monkeypatch, roots, extra, expected):
-        # Asymmetric real roots: the census takes one chain over X and one
-        # over X(-x).
+        # Asymmetric real roots: the census reads both half lines off one
+        # chain over X.
         p = ExactPoly.one()
         for r in roots:
             p = p * ExactPoly((-r, 1))
         p = p * extra
-        reflected = mixed_branch_calls(monkeypatch)
+        routes = census_routes(monkeypatch)
         assert census(p) == expected == census_oracle(p)
-        assert len(reflected) == 1
+        assert census(reflected(p)) == (expected[0], expected[2], expected[1], expected[3])
+        assert routes == [True, True]
 
     def test_constants(self, monkeypatch):
-        reflected = mixed_branch_calls(monkeypatch)
+        routes = census_routes(monkeypatch)
         for c in (1, -3, Fraction(5, 7), SQRT2, -SQRT2 / 3):
             assert census(ExactPoly.constant(c)) == (0, 0, 0, True)
             assert census(ExactPoly.monomial(c, 4)) == (4, 0, 0, True)
-        assert reflected == []
+        assert routes == [False] * 10
 
 
 def test_default_censuses_never_take_the_mixed_branch(monkeypatch):
@@ -346,16 +363,11 @@ def test_default_censuses_never_take_the_mixed_branch(monkeypatch):
     Okamoto grid m + n <= 9 is of an even array after x^n0 is stripped, so
     each runs one chain over X(sqrt y): a silent fall into the mixed-parity
     branch fails here."""
-    reflected = mixed_branch_calls(monkeypatch)
-    kernel = []
-    positive_roots = rootcount._positive_roots
-    monkeypatch.setattr(
-        rootcount, "_positive_roots", lambda X: kernel.append(X) or positive_roots(X)
-    )
+    routes = census_routes(monkeypatch)
     results = run_verify(VerifySuiteConfig(which=("zeros", "wronskian")))
     assert results and all(r.passed for r in results)
     for m in range(10):
         for n in range(10 - m):
             assert census(okamoto(m, n))[1:3] == (predicted_okamoto_count(m, n).n_plus,) * 2
-    assert len(kernel) > 200
-    assert reflected == []
+    assert len(routes) > 200
+    assert not any(routes)
