@@ -161,6 +161,8 @@ def _graded(c: ScalarLike) -> tuple[int, int, int]:
     and gcd(v, den) = 1."""
     if type(c) is int:
         return c, 0, 1
+    if type(c) is Fraction:
+        return c.numerator, 0, c.denominator
     c = SqrtTwoScalar.coerce(c)
     part, r = (c.b, 1) if c.b else (c.a, 0)
     return part.numerator, r, part.denominator
@@ -358,6 +360,28 @@ class ExactPoly:
         quadratic in q, so q in sqrt2*Q[x] gives twice the value of X."""
         return _lift(_toda_ints(self._x, c), 2 * self._r, 2 * self._den * self._den)
 
+    def _toda_spot_check(self, c: int, below: "ExactPoly", above: "ExactPoly") -> bool:
+        """Whether below * above == self._toda_rhs(c) at the point _SPOT_X
+        mod the prime _SPOT_P.  With self = sqrt2**r X/den and below, above
+        = sqrt2**r_i X_i/d_i, r1 + r2 even, both sides times 2 d1 d2 den^2
+        are integers:
+        2**(1 + (r1 + r2)/2) X1 X2 den^2 = 2**r d1 d2 (9(XX'' - X'^2) + 2(2x^2 + 3c) X^2).
+        An odd r1 + r2 puts the two sides in different grades."""
+        rb = below._r + above._r
+        if rb & 1:
+            return False
+        p, t = _SPOT_P, _SPOT_X
+        x0 = x1 = x2 = 0  # X(t), X'(t) and X''(t)/2 by one Horner pass
+        for v in reversed(self._x):
+            x2 = (x2 * t + x1) % p
+            x1 = (x1 * t + x0) % p
+            x0 = (x0 * t + v) % p
+        lhs = (2 << (rb >> 1)) * _mod_value(below._x) * _mod_value(above._x) * self._den**2
+        rhs = (1 << self._r) * below._den * above._den * (
+            9 * (2 * x0 * x2 - x1 * x1) + 2 * (2 * t * t + 3 * c) * x0 * x0
+        )
+        return (lhs - rhs) % p == 0
+
     def __pow__(self, exponent: int) -> "ExactPoly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
@@ -474,9 +498,28 @@ class ExactPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactPoly":
-        return cls(
-            tuple(SqrtTwoScalar(Fraction(a), Fraction(b)) for a, b in data["coeffs"])
-        )
+        """The polynomial `to_json_dict` wrote: the [a, b] pairs are parsed
+        straight into one integer array over the lcm of their denominators,
+        with no scalar view.  A pair with both parts nonzero, or nonzero
+        entries of both grades, raises MixedGrade; a part that is not a
+        rational raises ValueError."""
+        nums, dens, grades = [], [], set()
+        for a, b in data["coeffs"]:
+            an, ad = _parse_rational(a)
+            bn, bd = _parse_rational(b)
+            if an and bn:
+                raise MixedGrade(f"{a} + {b}*sqrt2 has both a rational and a sqrt2 part")
+            if bn:
+                grades.add(1)
+                an, ad = bn, bd
+            elif an:
+                grades.add(0)
+            nums.append(an)
+            dens.append(ad)
+        if len(grades) > 1:
+            raise MixedGrade("coefficients in both Q and sqrt2*Q")
+        den = math.lcm(1, *dens)
+        return _make([v * (den // d) for v, d in zip(nums, dens)], 1 if grades == {1} else 0, den)
 
     def __repr__(self) -> str:
         return f"ExactPoly({self.pretty()})"
@@ -495,6 +538,34 @@ class ExactPoly:
                 xs = var if i == 1 else f"{var}^{i}"
                 parts.append(xs if c == _ONE else f"{c}*{xs}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# The prime and the point of ExactPoly._toda_spot_check.
+_SPOT_P = (1 << 61) - 1
+_SPOT_X = 1_234_567_891
+
+
+def _mod_value(X: Sequence[int]) -> int:
+    """X(_SPOT_X) mod _SPOT_P by Horner's rule."""
+    v = 0
+    for a in reversed(X):
+        v = (v * _SPOT_X + a) % _SPOT_P
+    return v
+
+
+def _parse_rational(s) -> tuple[int, int]:
+    """(p, q), q > 0, with p/q the value of a JSON coefficient part: the
+    "p/q" strings `to_json_dict` writes are split and read as integers, and
+    anything else is read by Fraction, which raises on what is not a
+    rational."""
+    if type(s) is str:
+        p, slash, q = s.partition("/")
+        if slash and q.isdecimal() and (p.isdecimal() or p[:1] == "-" and p[1:].isdecimal()):
+            q = int(q)
+            if q:
+                return int(p), q
+    f = Fraction(s)
+    return f.numerator, f.denominator
 
 
 def _raw(x: tuple, r: int, den: int, coeffs: tuple | None = None) -> ExactPoly:
@@ -519,7 +590,7 @@ def _make(x: list[int], r: int, den: int) -> ExactPoly:
     if den > 1:
         g = math.gcd(den, *x)
         if g > 1:
-            return _raw(tuple(v // g for v in x), r, den // g)
+            return _raw(tuple([v // g for v in x]), r, den // g)
     return _raw(tuple(x), r, den)
 
 
@@ -538,12 +609,81 @@ def _conv(X: Sequence[int], Y: Sequence[int]) -> list[int]:
     """Integer array of the product of the integer polynomials X and Y, both
     nonempty, skipping zero entries."""
     out = [0] * (len(X) + len(Y) - 1)
-    terms = [(j, y) for j, y in enumerate(Y) if y]
+    _add_conv(out, X, Y, 1)
+    return out
+
+
+def _add_conv(acc: list[int], X: Sequence[int], Y: Sequence[int], m: int) -> None:
+    """acc += m * (X*Y) in place, for nonempty X, Y with len(acc) >=
+    len(X) + len(Y) - 1, skipping zero entries."""
+    terms = [(j, y * m) for j, y in enumerate(Y) if y]
     for i, x in enumerate(X):
         if x:
             for j, y in terms:
-                out[i + j] += x * y
-    return out
+                acc[i + j] += x * y
+
+
+def sum_of_products(terms: Iterable[tuple[ScalarLike, Sequence[ExactPoly]]]) -> ExactPoly:
+    """The sum of c * f_1 * ... * f_k over the (c, (f_1, .., f_k)) terms,
+    brought to canonical form once.
+
+    c is an int, Fraction or graded SqrtTwoScalar and each f an ExactPoly;
+    an empty product is 1.  A term's grade and denominator are those of c
+    and its factors together, sqrt2**2 = 2 moves into the integer scalar,
+    and the terms of one grade are added over the lcm of their
+    denominators: each product is convolved on the factors' integer arrays
+    and its last convolution adds straight into the sum.  Nonzero parts in
+    Q[x] and in sqrt2*Q[x] raise MixedGrade, as a sum of ExactPoly does.
+    One term is a product of several factors made with one canonical form.
+    """
+    # Per grade: [lcm of the term denominators, length of the sum, terms].
+    grades = ([1, 0, []], [1, 0, []])
+    for c, factors in terms:
+        v, r, den = _graded(c)
+        if not v:
+            continue
+        size = 1
+        for f in factors:
+            if not f._x:
+                break
+            r += f._r
+            den *= f._den
+            size += len(f._x) - 1
+        else:
+            g = grades[r & 1]
+            if den != g[0]:
+                g[0] = math.lcm(g[0], den)
+            if size > g[1]:
+                g[1] = size
+            g[2].append((v << (r >> 1), den, factors))
+    sums = [(_sum_terms(*g), r) for r, g in enumerate(grades) if g[2]]
+    if len(sums) == 2:
+        sums = [s for s in sums if any(s[0])]
+        if len(sums) == 2:
+            raise MixedGrade("sum of a polynomial in Q[x] and one in sqrt2*Q[x]")
+    if not sums:
+        return ExactPoly.zero()
+    acc, r = sums[0]
+    return _make(acc, r, grades[r][0])
+
+
+def _sum_terms(den: int, size: int, terms: list) -> list[int]:
+    """Integer array, over den, of the sum of v/d * f_1 * .. * f_k over the
+    (v, d, factors) terms, d dividing den."""
+    acc = [0] * size
+    for v, d, fs in terms:
+        m = v * (den // d) if d != den else v
+        if not fs:
+            acc[0] += m
+            continue
+        X = fs[0]._x
+        for f in fs[1:-1]:
+            X = _square_ints(X) if f._x is X else _conv(X, f._x)
+        Y = fs[-1]._x if len(fs) > 1 else (1,)
+        if Y is X:
+            X, Y = _square_ints(X), (1,)
+        _add_conv(acc, X, Y, m)
+    return acc
 
 
 def _square_ints(X: Sequence[int]) -> list[int]:
@@ -794,9 +934,13 @@ class RationalFn:
             if not _reduced:
                 num, den = _cancel(num, den)
             if den._r or den._x[-1] != den._den:
-                inv = den.leading.inverse()
-                num = num * inv
-                den = den * inv
+                # num / leading(den) = sqrt2**(r - s) * X*e / (d*top) for
+                # num = sqrt2**r X/d and leading(den) = sqrt2**s top/e.
+                top, e = den._x[-1], den._den
+                if top < 0:
+                    top, e = -top, -e
+                num = _lift([v * e for v in num._x], num._r - den._r, num._den * top)
+                den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -864,7 +1008,8 @@ class RationalFn:
         other = RationalFn.coerce(other)
         if self.den == other.den:
             return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = sum_of_products(((1, (self.num, other.den)), (1, (other.num, self.den))))
+        return RationalFn(num, self.den * other.den)
 
     __radd__ = __add__
 
@@ -908,7 +1053,7 @@ class RationalFn:
         if self.is_polynomial:
             return RationalFn.from_poly(self.num.derivative())
         n, d = self.num, self.den
-        return RationalFn(n.derivative() * d - n * d.derivative(), d * d)
+        return RationalFn(_wronskian_pair(n, d), d * d)
 
     def eval(self, x: int | Fraction | float) -> SqrtTwoScalar:
         dv = self.den.eval(x)
@@ -943,22 +1088,17 @@ def log_derivative(p: ExactPoly, q: ExactPoly | None = None) -> RationalFn:
     """(ln p/q)' = (p'q - pq')/(pq), reduced once; (ln p)' = p'/p without q."""
     if q is None:
         return RationalFn(p.derivative(), p)
-    return RationalFn(p.derivative() * q - p * q.derivative(), p * q)
+    return RationalFn(_wronskian_pair(p, q), p * q)
 
 
+def _wronskian_pair(p: ExactPoly, q: ExactPoly) -> ExactPoly:
+    """p'q - pq', the numerator of (p/q)'."""
+    return sum_of_products(((1, (p.derivative(), q)), (-1, (p, q.derivative()))))
+
+
+_X = ExactPoly.x()
 # -x/3, the logarithmic derivative of exp(-x^2/6).
 _GAUSS_SLOPE = ExactPoly((0, Fraction(-1, 3)))
-
-
-def _gauss_numerator(r: RationalFn) -> tuple[ExactPoly, ExactPoly]:
-    """(B, N*D) for R = N/D, with (R exp(-x^2/6))' = (B/D^2) exp(-x^2/6):
-    B = N'D - ND' - (x/3) N D, which is N' - (x/3) N over 1 when D = 1."""
-    n, d = r.num, r.den
-    if r.is_polynomial:
-        bracket, nd = n.derivative(), n
-    else:
-        bracket, nd = n.derivative() * d - n * d.derivative(), n * d
-    return bracket + _GAUSS_SLOPE * nd, nd
 
 
 class QuasiGaussian:
@@ -1027,13 +1167,20 @@ def apply_first_order(op_sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGau
     r = g.rational
     if r.is_zero:
         return g
-    # With f = a/b and R = N/D: (op_sign*B*b + a*N*D) / (D^2*b), reduced once.
-    bracket, nd = _gauss_numerator(r)
-    if op_sign < 0:
-        bracket = -bracket
-    den = f.den if r.is_polynomial else r.den * r.den * f.den
+    # With f = a/b and R = N/D, (R exp(-x^2/6))' = (B/D^2) exp(-x^2/6) for
+    # B = N'D - ND' - (x/3) N D, and the result is
+    # (op_sign*B*b + a*N*D) / (D^2*b), reduced once.
+    n, d, b = r.num, r.den, f.den
+    nd = n * d
+    num = sum_of_products((
+        (op_sign, (n.derivative(), d, b)),
+        (-op_sign, (n, d.derivative(), b)),
+        (Fraction(-op_sign, 3), (_X, nd, b)),
+        (1, (f.num, nd)),
+    ))
+    den = sum_of_products(((1, (d, d, b)),))
     # Denominators are monic, so a constant one is 1 and there is nothing to reduce.
-    return QuasiGaussian(RationalFn(bracket * f.den + f.num * nd, den, _reduced=den.degree == 0))
+    return QuasiGaussian(RationalFn(num, den, _reduced=den.degree == 0))
 
 
 def _require_polys(entries: Iterable) -> None:

@@ -39,7 +39,7 @@ class OkamotoTable:
             (0, 0): one,
             (1, 0): one,
             (0, 1): one,
-            (1, 1): ExactPoly((0, SQRT2)),
+            (1, 1): ExactPoly.monomial(SQRT2, 1),
         }
         # (path, raw bytes, memo size if the file held the whole memo else
         # None): what the cache file held when this table last validated or
@@ -59,19 +59,18 @@ class OkamotoTable:
             return cached
         if n in (0, 1):
             value = self._fill_column(m, n)
-        elif n == -1:
-            value = self.get(m, 0)._toda_rhs(1 - m).exact_div(self.get(m, 1))
         else:
-            value = self.get(m, n - 1)._toda_rhs(3 - m - 2 * n).exact_div(self.get(m, n - 2))
+            mid, other, c = _recurrence(m, n)
+            value = self.get(*mid)._toda_rhs(c).exact_div(self.get(*other))
         self._memo[(m, n)] = value
         return value
 
     def _fill_column(self, m: int, n: int) -> ExactPoly:
         # Ascend the first index from the two seeds of column n.
         top = max(mm for (mm, nn) in self._memo if nn == n and (mm - 1, n) in self._memo)
-        for mm in range(top, m):
-            q = self._memo[(mm, n)]._toda_rhs(2 * mm + n - 1)
-            self._memo[(mm + 1, n)] = q.exact_div(self._memo[(mm - 1, n)])
+        for mm in range(top + 1, m + 1):
+            mid, other, c = _recurrence(mm, n)
+            self._memo[(mm, n)] = self._memo[mid]._toda_rhs(c).exact_div(self._memo[other])
         return self._memo[(m, n)]
 
     # -- optional on-disk persistence (used by the CLI cache) ----------------
@@ -107,7 +106,9 @@ class OkamotoTable:
         last validated or wrote for `path`, every key must name an index in
         the cone and every entry must be a polynomial of degree
         okamoto_degree(m, n), or CorruptCache is raised and nothing is
-        merged.  The recurrences are not re-checked."""
+        merged.  Each new entry whose two recurrence partners are in the
+        memo or the file must also satisfy the recurrence step that `get`
+        would make it by, at one point mod a prime (`_toda_spot_check`)."""
         try:
             raw = _read_bytes(path)
         except FileNotFoundError:
@@ -136,12 +137,32 @@ class OkamotoTable:
                     f"expected {okamoto_degree(m, n)}"
                 )
             entries[(m, n)] = poly
+        for (m, n), poly in sorted(entries.items()):
+            if (m, n) in self._memo:
+                continue
+            mid, other, c = _recurrence(m, n)
+            q = self._memo.get(mid) or entries.get(mid)
+            partner = self._memo.get(other) or entries.get(other)
+            if q is not None and partner is not None and not q._toda_spot_check(c, partner, poly):
+                raise CorruptCache(f"cached Q_({m},{n}) fails its recurrence")
         for key, poly in entries.items():
             self._memo.setdefault(key, poly)
         # The merged memo holds every file entry, so equal sizes mean the
         # file held the whole memo.
         size = len(self._memo)
         self._seen = (path, raw, size if size == len(entries) else None)
+
+
+def _recurrence(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """(mid, other, c) with Q_{m,n} * Q_other = Q_mid._toda_rhs(c): the step
+    that makes Q_{m,n} off the seeds.  Columns 0 and 1 advance the first
+    index, c = 2m' + n - 1 at m' = m - 1; the n = -1 column and columns
+    n >= 2 advance the second, c = 1 - m - 2n' at n' = n + 1 and n - 1."""
+    if n in (0, 1):
+        return (m - 1, n), (m - 2, n), 2 * m + n - 3
+    if n == -1:
+        return (m, 0), (m, 1), 1 - m
+    return (m, n - 1), (m, n - 2), 3 - m - 2 * n
 
 
 def _read_bytes(path: str) -> bytes:

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone, SingularMap, ZeroDenominator
-from .exact_ring import SQRT2, ExactPoly, RationalFn, log_derivative
+from .exact_ring import SQRT2, ExactPoly, RationalFn, log_derivative, sum_of_products
 from .okamoto import okamoto
 
 _X = ExactPoly.x()
+_X2 = ExactPoly.monomial(1, 2)
 _MINUS_2X3 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
 
 
@@ -110,18 +111,20 @@ def piv_residual(s: PIVSolution) -> RationalFn:
     if w.is_zero:
         raise ZeroDenominator("residual of the identically-zero function")
     n, d = w.num, w.den
-    a = n.derivative() * d - n * d.derivative()
-    n2 = n * n
-    d2 = d * d
-    x2_minus_alpha = ExactPoly((-s.alpha, 0, 1))
-    num = (
-        (a.derivative() * d - a * d.derivative() * 2) * n * 2
-        - a * a
-        - n2 * n2 * 3
-        - n2 * n * d * ExactPoly((0, 8))
-        - n2 * d2 * x2_minus_alpha * 4
-        - d2 * d2 * (2 * s.beta)
-    )
+    dd = d.derivative()
+    a = sum_of_products(((1, (n.derivative(), d)), (-1, (n, dd))))
+    n2, d2 = n * n, d * d
+    n2d2 = n2 * d2
+    num = sum_of_products((
+        (2, (a.derivative(), n, d)),
+        (-4, (a, n, dd)),
+        (-1, (a, a)),
+        (-3, (n2, n2)),
+        (-8, (_X, n2, n, d)),
+        (-4, (_X2, n2d2)),
+        (4 * s.alpha, (n2d2,)),
+        (-2 * s.beta, (d2, d2)),
+    ))
     if num.is_zero:
         return RationalFn.zero()
     return RationalFn(num, n * d * d2 * 2)
@@ -158,20 +161,29 @@ def backlund(s: PIVSolution, map_name: str) -> PIVSolution:
         raise SingularMap("maps are singular on the zero solution")
     c = _sqrt_fraction(-2 * b0)
     ec = Fraction(e) * c
-    # With w0 = N/D: f+- = w0' +- (2x w0 + w0^2) = (wr +- quad) / D^2, so every
-    # image is one quotient of polynomials in N and D, reduced once.
+    # With w0 = N/D: f+- = w0' +- (2x w0 + w0^2) = (wr +- quad) / D^2 for
+    # wr = N'D - ND' and quad = 2x N D + N^2, so every image is one quotient
+    # of polynomials in N and D, reduced once.
     n, d = w0.num, w0.den
-    d2 = d * d
-    wr = n.derivative() * d - n * d.derivative()
-    quad = _X * n * d * 2 + n * n
+    nd = n * d
+
+    def f_plus_minus(sign: int, shift: Fraction) -> list:
+        """Terms of wr + sign*quad + shift*D^2."""
+        return [
+            (1, (n.derivative(), d)),
+            (-1, (n, d.derivative())),
+            (2 * sign, (_X, nd)),
+            (sign, (n, n)),
+            (shift, (d, d)),
+        ]
 
     if kind == "w1":
-        w1 = RationalFn(wr - quad - d2 * ec, n * d * 2)
+        w1 = RationalFn(sum_of_products(f_plus_minus(-1, -ec)), nd * 2)
         alpha = (2 - 2 * a0 + 3 * ec) / 4
         beta = -Fraction(1, 2) * (1 + a0 + ec / 2) ** 2
         return PIVSolution(w1, alpha, beta)
     if kind == "w2":
-        w2 = RationalFn(-(wr + quad - d2 * ec), n * d * 2)
+        w2 = RationalFn(sum_of_products((-c, fs) for c, fs in f_plus_minus(1, -ec)), nd * 2)
         alpha = -(2 + 2 * a0 + 3 * ec) / 4
         beta = -Fraction(1, 2) * (1 - a0 + ec / 2) ** 2
         return PIVSolution(w2, alpha, beta)
@@ -179,20 +191,20 @@ def backlund(s: PIVSolution, map_name: str) -> PIVSolution:
     # w3/w4 = w0 + 2 kappa w0 / (f+- + dc) = (N G + 2 kappa N D^2) / (D G)
     # with G = wr +- quad + dc D^2.
     if kind == "w3":
-        g = wr + quad + d2 * dc
+        g = sum_of_products(f_plus_minus(1, dc))
         if g.is_zero:
             raise SingularMap("w3 denominator vanishes identically")
         kappa = 1 - a0 - ec / 2
         alpha = Fraction(3, 2) - a0 / 2 - Fraction(3, 4) * dc
         beta = -Fraction(1, 2) * (1 - a0 + ec / 2) ** 2
     else:
-        g = wr - quad + d2 * dc
+        g = sum_of_products(f_plus_minus(-1, dc))
         if g.is_zero:
             raise SingularMap("w4 denominator vanishes identically")
         kappa = 1 + a0 + ec / 2
         alpha = -Fraction(3, 2) - a0 / 2 + Fraction(3, 4) * dc
         beta = -Fraction(1, 2) * (-1 - a0 + ec / 2) ** 2
-    w34 = RationalFn(n * (g + d2 * (2 * kappa)), d * g)
+    w34 = RationalFn(sum_of_products(((1, (n, g)), (2 * kappa, (nd, d)))), d * g)
     return PIVSolution(w34, alpha, beta)
 
 

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone
-from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, apply_first_order
+from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, apply_first_order, sum_of_products
 from .okamoto import okamoto
 from .painleve4 import log_form
 
 _X = RationalFn.x()
+_X_POLY = ExactPoly.x()
+_X2 = ExactPoly.monomial(1, 2)
 
 
 def energy(k: int, j: int, n: int) -> Fraction:
@@ -60,8 +62,12 @@ class HamiltonianK:
         """H g = -g'' + V g, exactly: (-S v.den + v.num N D^2) / (D^3 v.den)
         for g = (N/D) exp(-x^2/6), reduced once."""
         r, v = g.rational, self.v
-        second, nd2 = _second_numerator(r.num, r.den)
-        return QuasiGaussian(RationalFn(v.num * nd2 - second * v.den, r.den**3 * v.den))
+        n, d = r.num, r.den
+        d2 = d * d
+        nd2 = n * d2
+        second = sum_of_products(_second_terms(n, d, d2, nd2))
+        num = sum_of_products(((1, (v.num, nd2)), (-1, (second, v.den))))
+        return QuasiGaussian(RationalFn(num, sum_of_products(((1, (d, d2, v.den)),))))
 
     def asymptotic_constant(self) -> Fraction:
         """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
@@ -105,31 +111,38 @@ class LadderOp:
         return LadderOp(tuple((-sign, f) for sign, f in reversed(self.factors)))
 
 
-def _second_numerator(n: ExactPoly, d: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
-    """(S, N D^2) with ((N/D) exp(-x^2/6))'' = (S/D^3) exp(-x^2/6):
+def _second_terms(n: ExactPoly, d: ExactPoly, d2: ExactPoly, nd2: ExactPoly) -> list:
+    """Terms of S, with ((N/D) exp(-x^2/6))'' = (S/D^3) exp(-x^2/6), given
+    D^2 and N D^2:
 
         S = N''D^2 - 2N'D'D - ND''D + 2ND'^2 - (2x/3)(N'D - ND')D + (x^2/9 - 1/3) N D^2.
     """
     dn, dd = n.derivative(), d.derivative()
-    d2 = d * d
-    nd2 = n * d2
-    second = dn.derivative() * d2 - (dn * dd * 2 + n * dd.derivative()) * d + n * dd * dd * 2
-    second = second + ExactPoly((0, Fraction(-2, 3))) * (dn * d - n * dd) * d
-    return second + ExactPoly((Fraction(-1, 3), 0, Fraction(1, 9))) * nd2, nd2
+    return [
+        (1, (dn.derivative(), d2)),
+        (-2, (dn, dd, d)),
+        (-1, (n, dd.derivative(), d)),
+        (2, (n, dd, dd)),
+        (Fraction(-2, 3), (_X_POLY, dn, d2)),
+        (Fraction(2, 3), (_X_POLY, n, dd, d)),
+        (Fraction(1, 9), (_X2, nd2)),
+        (Fraction(-1, 3), (nd2,)),
+    ]
 
 
-def _potential_parts(k: int) -> tuple[ExactPoly, ExactPoly, Fraction]:
-    """(T, Q, s) with V = x^2 + T/Q^2 + s: T = -(4/9) Q_{k+2} Q_k, Q = Q_{k+1}, s = 4k + 1."""
+def _potential_polys(k: int) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
+    """(Q_k, Q_{k+1}, Q_{k+2}), with V = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
     if k < 0:
         raise IndexOutOfCone("potential index k must be >= 0")
-    return okamoto(k + 2, 0) * okamoto(k, 0) * Fraction(-4, 9), okamoto(k + 1, 0), Fraction(4 * k + 1)
+    return okamoto(k, 0), okamoto(k + 1, 0), okamoto(k + 2, 0)
 
 
 def potential(k: int) -> HamiltonianK:
     """V(x) = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
-    top, q, shift = _potential_parts(k)
+    q_k, q, q_k2 = _potential_polys(k)
     q2 = q * q
-    return HamiltonianK(k, RationalFn(ExactPoly((shift, 0, 1)) * q2 + top, q2))
+    num = sum_of_products(((1, (_X2, q2)), (4 * k + 1, (q2,)), (Fraction(-4, 9), (q_k2, q_k))))
+    return HamiltonianK(k, RationalFn(num, q2))
 
 
 @functools.cache
@@ -219,12 +232,19 @@ def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
     so N is assembled as one polynomial and reduced at most once; a
     certified mode has N = 0 and needs no reduction at all.
     """
-    top, q, shift = _potential_parts(mode.k)
-    second, pq2 = _second_numerator(mode.P, q)
-    num = ExactPoly((shift - mode.energy, 0, 1)) * pq2 - second + top * mode.P
+    k, p = mode.k, mode.P
+    q_k, q, q_k2 = _potential_polys(k)
+    q2 = q * q
+    pq2 = p * q2
+    num = sum_of_products([
+        *((-c, fs) for c, fs in _second_terms(p, q, q2, pq2)),
+        (1, (_X2, pq2)),
+        (4 * k + 1 - mode.energy, (pq2,)),
+        (Fraction(-4, 9), (q_k2, q_k, p)),
+    ])
     if num.is_zero:
         return QuasiGaussian(RationalFn.zero())
-    return QuasiGaussian(RationalFn(num, q**3))
+    return QuasiGaussian(RationalFn(num, q * q2))
 
 
 def intertwining_checks(k: int) -> list[bool]:

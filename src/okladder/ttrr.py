@@ -10,10 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone, NonPolynomialResult
-from .exact_ring import ExactPoly, RationalFn, log_derivative
+from .exact_ring import ExactPoly, RationalFn, log_derivative, sum_of_products
 from .okamoto import okamoto
 from .painleve4 import log_form
 from .spectral import ModeFunction, energy, ladder_constant_sq, zero_mode
+
+_X = ExactPoly.x()
 
 
 class RecurrenceState:
@@ -113,15 +115,15 @@ def ode_residual(k: int, j: int, n: int, p: ExactPoly) -> ExactPoly:
     """Second-order equation satisfied by every sequence entry, cleared by
     Q_{k+1}:  Q P'' - ((2x/3) Q + 2 Q') P' + (Q'' + (2x/3) Q' - (4k/3 - E) Q) P."""
     q = okamoto(k + 1, 0)
-    dq = q.derivative()
-    e = energy(k, j, n)
-    two_x_3 = ExactPoly((0, Fraction(2, 3)))
-    dp = p.derivative()
-    return (
-        q * dp.derivative()
-        - (two_x_3 * q + dq * 2) * dp
-        + (dq.derivative() + two_x_3 * dq - q * (Fraction(4 * k, 3) - e)) * p
-    )
+    dq, dp = q.derivative(), p.derivative()
+    return sum_of_products((
+        (1, (q, dp.derivative())),
+        (Fraction(-2, 3), (_X, q, dp)),
+        (-2, (dq, dp)),
+        (1, (dq.derivative(), p)),
+        (Fraction(2, 3), (_X, dq, p)),
+        (energy(k, j, n) - Fraction(4 * k, 3), (q, p)),
+    ))
 
 
 def normalization_sq(k: int, j: int, n: int) -> Fraction:

@@ -11,7 +11,7 @@ import pytest
 
 from okladder.errors import CorruptCache, IndexOutOfCone
 from okladder.exact_ring import SQRT2, ExactPoly
-from okladder.okamoto import OkamotoTable, okamoto, okamoto_degree
+from okladder.okamoto import OkamotoTable, _recurrence, okamoto, okamoto_degree
 from okladder.reference_data import (
     OKAMOTO_COLUMN_0,
     OKAMOTO_COLUMN_MINUS_1,
@@ -277,3 +277,67 @@ def test_dump_after_loading_a_partial_file_writes(tmp_path):
     table.dump(str(path))
     assert "4,1" in json.loads(path.read_text())
 
+
+
+def test_load_builds_no_scalar_view(tmp_path):
+    table = OkamotoTable()
+    for m in range(7):
+        for n in range(-1, 7):
+            table.get(m, n)
+    path = tmp_path / "table.json"
+    table.dump(str(path))
+    fresh = OkamotoTable()
+    fresh.load(str(path))
+    assert fresh.known_indices() == table.known_indices()
+    for m, n in table.known_indices():
+        got = fresh.get(m, n)
+        assert got._coeffs is None, (m, n)
+        assert got == table.get(m, n), (m, n)
+
+
+def _bump_one_coefficient(entry: dict) -> None:
+    """Add one to the nonzero part of the lowest nonzero coefficient, which
+    keeps the degree of an entry of degree >= 1."""
+    pairs = entry["coeffs"]
+    i = next(i for i, pair in enumerate(pairs) if pair != ["0/1", "0/1"])
+    part = 0 if pairs[i][0] != "0/1" else 1
+    pairs[i][part] = str(Fraction(pairs[i][part]) + 1)
+
+
+def test_load_rejects_an_entry_off_its_recurrence(tmp_path):
+    table = OkamotoTable()
+    table.get(4, 5)
+    path = tmp_path / "table.json"
+    table.dump(str(path))
+    data = json.loads(path.read_text())
+    _bump_one_coefficient(data["4,3"])
+    assert ExactPoly.from_json_dict(data["4,3"]).degree == okamoto_degree(4, 3)
+    path.write_text(json.dumps(data))
+    fresh = OkamotoTable()
+    before = fresh.known_indices()
+    with pytest.raises(CorruptCache, match=r"Q_\(4,3\)"):
+        fresh.load(str(path))
+    assert fresh.known_indices() == before  # nothing merged
+
+
+@pytest.mark.parametrize("key", ["3,-1", "3,0", "2,1", "0,2"])
+def test_load_checks_every_recurrence(tmp_path, key):
+    # One entry made by each kind of step: the n = -1 column, columns 0
+    # and 1 (first index), and columns n >= 2 (second index).
+    table = OkamotoTable()
+    for m in range(4):
+        for n in range(-1, 3):
+            table.get(m, n)
+    path = tmp_path / "table.json"
+    table.dump(str(path))
+    data = json.loads(path.read_text())
+    _bump_one_coefficient(data[key])
+    # Drop the entries whose own step reads the bumped one, so that only
+    # the bumped entry's step can fail.
+    bumped = tuple(map(int, key.split(",")))
+    for other in list(data):
+        if bumped in _recurrence(*map(int, other.split(",")))[:2]:
+            del data[other]
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptCache, match=rf"Q_\({key}\)"):
+        OkamotoTable().load(str(path))
