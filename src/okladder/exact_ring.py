@@ -352,36 +352,6 @@ class ExactPoly:
         doubled: about half the products of a general multiplication."""
         return _lift(_square_ints(self._x), 2 * self._r, self._den * self._den)
 
-    def _toda_rhs(self, c: int) -> "ExactPoly":
-        """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 for q = self: the right side
-        of both Okamoto recurrences, where c = 2m + n - 1 advances the first
-        index at (m, n) and c = 1 - m - 2n the second.  One pass of the
-        integer kernel `_toda_ints` over q's array, reduced once; it is
-        quadratic in q, so q in sqrt2*Q[x] gives twice the value of X."""
-        return _lift(_toda_ints(self._x, c), 2 * self._r, 2 * self._den * self._den)
-
-    def _toda_spot_check(self, c: int, below: "ExactPoly", above: "ExactPoly") -> bool:
-        """Whether below * above == self._toda_rhs(c) at the point _SPOT_X
-        mod the prime _SPOT_P.  With self = sqrt2**r X/den and below, above
-        = sqrt2**r_i X_i/d_i, r1 + r2 even, both sides times 2 d1 d2 den^2
-        are integers:
-        2**(1 + (r1 + r2)/2) X1 X2 den^2 = 2**r d1 d2 (9(XX'' - X'^2) + 2(2x^2 + 3c) X^2).
-        An odd r1 + r2 puts the two sides in different grades."""
-        rb = below._r + above._r
-        if rb & 1:
-            return False
-        p, t = _SPOT_P, _SPOT_X
-        x0 = x1 = x2 = 0  # X(t), X'(t) and X''(t)/2 by one Horner pass
-        for v in reversed(self._x):
-            x2 = (x2 * t + x1) % p
-            x1 = (x1 * t + x0) % p
-            x0 = (x0 * t + v) % p
-        lhs = (2 << (rb >> 1)) * _mod_value(below._x) * _mod_value(above._x) * self._den**2
-        rhs = (1 << self._r) * below._den * above._den * (
-            9 * (2 * x0 * x2 - x1 * x1) + 2 * (2 * t * t + 3 * c) * x0 * x0
-        )
-        return (lhs - rhs) % p == 0
-
     def __pow__(self, exponent: int) -> "ExactPoly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
@@ -538,19 +508,6 @@ class ExactPoly:
                 xs = var if i == 1 else f"{var}^{i}"
                 parts.append(xs if c == _ONE else f"{c}*{xs}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-# The prime and the point of ExactPoly._toda_spot_check.
-_SPOT_P = (1 << 61) - 1
-_SPOT_X = 1_234_567_891
-
-
-def _mod_value(X: Sequence[int]) -> int:
-    """X(_SPOT_X) mod _SPOT_P by Horner's rule."""
-    v = 0
-    for a in reversed(X):
-        v = (v * _SPOT_X + a) % _SPOT_P
-    return v
 
 
 def _parse_rational(s) -> tuple[int, int]:
@@ -735,15 +692,16 @@ def _divmod_ints(
 
 
 def _toda_ints(A: Sequence[int], c: int) -> list[int]:
-    """Integer array of 2*(9/2 (a a'' - a'^2) + (2x^2 + 3c) a^2) for the
-    integer polynomial a = sum A_i x^i, length 2*len(A) + 1.
+    """Integer array of a a'' - a'^2 + (x^2 + c) a^2 for the integer
+    polynomial a = sum A_i x^i, length 2*len(A) + 1: the right side of the
+    Okamoto recurrences in the variable u = sqrt(2/3)*x (see `okamoto`).
 
     One pass over the nonzero pairs i <= j: each product A_i*A_j is made
-    once and feeds both the bilinear sum, with weight (j-i)^2 - (i+j) at
-    x^(i+j-2) (-i on the diagonal), and the square sum at x^(i+j).  Pairs
+    once and feeds both the bilinear part, with weight (j-i)^2 - (i+j) at
+    x^(i+j-2) (-i on the diagonal), and the square a^2 at x^(i+j).  Pairs
     with i + j < 2 have weight zero, so no negative power arises."""
     n = len(A)
-    bil = [0] * (2 * n - 1)
+    out = [0] * (2 * n + 1)  # the bilinear part first
     diag = [0] * (2 * n - 1)
     cross = [0] * (2 * n - 1)
     terms = [(i, a) for i, a in enumerate(A) if a]
@@ -751,25 +709,20 @@ def _toda_ints(A: Sequence[int], c: int) -> list[int]:
         p = a1 * a1
         diag[2 * i] += p
         if i:
-            bil[2 * i] -= i * p
+            out[2 * i - 2] -= i * p
         for j, a2 in terms[t + 1 :]:
             p = a1 * a2
             s = i + j
             cross[s] += p
             w = (j - i) * (j - i) - s
             if w:
-                bil[s] += w * p
-    sq = [x + 2 * y for x, y in zip(diag, cross)]
-    # 9 bil(x^(s-2)) + (4x^2 + 6c) sq, over twice the squared denominator.
-    out = [0] * (2 * n + 1)
-    c6 = 6 * c
-    for s, v in enumerate(sq):
+                out[s - 2] += w * p
+    for s, (x, y) in enumerate(zip(diag, cross)):
+        v = x + 2 * y  # the entry of a^2 at x^s
         if v:
-            out[s] += c6 * v
-            out[s + 2] += 4 * v
-    for s in range(2, 2 * n - 1):
-        if bil[s]:
-            out[s - 2] += 9 * bil[s]
+            out[s + 2] += v
+            if c:
+                out[s] += c * v
     return out
 
 
@@ -1237,7 +1190,7 @@ def _interpolate(values: Sequence[int], x0: int) -> list[int]:
     return acc
 
 
-def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
+def _det(matrix: Sequence[Sequence[ExactPoly]], mirror: int | None = None) -> ExactPoly:
     """Determinant of a matrix of polynomials by evaluation at integer points
     and interpolation (von zur Gathen and Gerhard, Modern Computer Algebra,
     ch. 5).
@@ -1252,6 +1205,11 @@ def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
     D + 1 integers centred on 0 the entries are evaluated by Horner's rule
     and the integer determinant taken; interpolation gives the result,
     times sqrt2**(sum r_c).
+
+    A caller that knows det(-x) = mirror * det(x), mirror = +-1, passes
+    it: the entries are evaluated and the determinant taken only at the
+    points x >= 0, and the value at each x < 0 is mirror times the value at
+    -x, which is one of them.
     """
     _require_polys(e for row in matrix for e in row)
     zero = ExactPoly.zero()
@@ -1275,7 +1233,7 @@ def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
             for row in matrix]
     x0 = -(bound // 2)
     dets = []
-    for x in range(x0, x0 + bound + 1):
+    for x in range(x0 if mirror is None else 0, x0 + bound + 1):
         m = []
         for row in rows:
             vals = []
@@ -1286,6 +1244,9 @@ def _det(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
                 vals.append(y)
             m.append(vals)
         dets.append(_int_det(m))
+    if mirror is not None:
+        # dets[k] is the value at x = k; prepend those at x = x0 .. -1.
+        dets[:0] = [mirror * dets[k] for k in range(-x0, 0, -1)]
     return _lift(
         _interpolate(dets, x0), sum(r for g in grades for r in g),
         math.prod(scales) * math.factorial(bound),
@@ -1297,13 +1258,21 @@ def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:
 
     A common factor f comes out as f^l, Wr(f*y_1, .., f*y_l) =
     f^l Wr(y_1, .., y_l), so seeds dressed by one Gaussian exp(s*x^2/6)
-    enter as their polynomial parts.
+    enter as their polynomial parts.  When every f_c has a parity p_c, the
+    i-th derivative of f_c has parity p_c + i, so Wr(-x) =
+    (-1)**(sum p_c + l(l-1)/2) Wr(x), and `_det` evaluates at half the
+    points.
     """
     entries = list(fs)
     if not entries:
         raise EmptyList("wronskian of an empty list")
     _require_polys(entries)
+    parities = [p.parity() for p in entries]
+    mirror = None
+    if None not in parities:
+        size = len(entries)
+        mirror = -1 if (sum(parities) + size * (size - 1) // 2) % 2 else 1
     rows = [entries]
     for _ in range(len(entries) - 1):
         rows.append([p.derivative() for p in rows[-1]])
-    return _det(rows)
+    return _det(rows, mirror)

@@ -11,6 +11,7 @@ normalization constant is involved.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -40,8 +41,9 @@ from .ttrr import ttrr_sequence
 _X_SQ_OVER_9 = RationalFn.from_poly(ExactPoly((0, 0, Fraction(1, 9))))
 
 
+@functools.cache
 def _seed_poly(r: int, c: int) -> ExactPoly:
-    """Coefficient of t^r in exp(2xt + c*t^2)."""
+    """Coefficient of t^r in exp(2xt + c*t^2), built once per (r, c)."""
     if r < 0:
         raise ValueError("seed index must be >= 0")
     coeffs = [Fraction(0)] * (r + 1)

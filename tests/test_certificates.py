@@ -20,7 +20,7 @@ from fractions import Fraction
 from okladder import wronskian_rep
 from okladder.errors import CertificateFailed
 from okladder.exact_ring import ExactPoly, RationalFn
-from okladder.okamoto import DEFAULT_TABLE, okamoto
+from okladder.okamoto import DEFAULT_TABLE, OkamotoTable, okamoto
 from okladder.painleve4 import rational_solution
 from okladder.spectral import HamiltonianK
 from okladder.ttrr import RecurrenceState
@@ -60,6 +60,22 @@ def okamoto_wronskian():
     wronskian_rep.okamoto_via_wronskian(2, 0, "psi")
 
 
+def okamoto_fill_partner():
+    # A partner that is not monic and integral in u.
+    table = OkamotoTable()
+    table.get(3, 0)
+    table._memo[(3, 0)] = table._memo[(3, 0)] * 2
+    table.get(4, 0)
+
+
+def okamoto_fill_division():
+    # A partner that is monic and integral in u (u^2 + 2) but not Q_{2,0}.
+    table = OkamotoTable()
+    table.get(3, 0)
+    table._memo[(2, 0)] = ExactPoly((6, 0, 2))
+    table.get(4, 0)
+
+
 def xhermite():
     wronskian_rep.ttrr_sequence = lambda k, j, n: [ExactPoly((0, 0, 1))] * (n + 1)
     wronskian_rep.xhermite_from_ttrr(1, 1, 1)
@@ -70,6 +86,8 @@ for case in (
     product_form_check,
     asymptotic_growth,
     okamoto_wronskian,
+    okamoto_fill_partner,
+    okamoto_fill_division,
     xhermite,
 ):
     try:
@@ -96,6 +114,8 @@ def test_corrupted_certificates_raise_under_optimize():
         "product_form_check raised",
         "asymptotic_growth raised",
         "okamoto_wronskian raised",
+        "okamoto_fill_partner raised",
+        "okamoto_fill_division raised",
         "xhermite raised",
     ]
 

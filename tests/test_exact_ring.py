@@ -1,5 +1,6 @@
 """Field, polynomial, rational-function and quasi-Gaussian arithmetic."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -281,30 +282,31 @@ class TestDivisionKernel:
             divmod(ExactPoly.one(), ExactPoly.zero())
 
     def test_okamoto_fill_divisions_match_oracle(self, monkeypatch, line_divisions):
-        from okladder.okamoto import OkamotoTable
-
+        # Each fill step divides its right side in u by the monic u form of
+        # a partner over Z (`_exact_quo`), with no rational long division.
+        okamoto = importlib.import_module("okladder.okamoto")
         seen = []
-        exact_div = ExactPoly.exact_div
+        quo = okamoto._exact_quo
 
-        def recording(p, d):
-            seen.append((p, d))
-            return exact_div(p, d)
+        def recording(X, H):
+            got = quo(X, H)
+            seen.append((X, H, got))
+            return got
 
-        monkeypatch.setattr(ExactPoly, "exact_div", recording)
-        table = OkamotoTable()
+        monkeypatch.setattr(okamoto, "_exact_quo", recording)
+        table = okamoto.OkamotoTable()
         for m in range(7):
             for n in range(-1, 7):
                 table.get(m, n)
         monkeypatch.undo()
         assert len(seen) == 7 * 8 - 4  # every entry but the four seeds
-        # One integer long division per entry.
-        assert len(line_divisions) == len(seen)
-        for p, d in seen:
-            _, r = same_division(p, d)
-            assert r.is_zero
-            if d.degree > 0:
-                with pytest.raises(NonZeroRemainder):
-                    (p + p.leading).exact_div(d)
+        assert not line_divisions
+        for X, H, got in seen:
+            assert H[-1] == 1 and got is not None
+            q, r = same_division(ExactPoly(X), ExactPoly(H))
+            assert r.is_zero and q == ExactPoly(got)
+            if len(H) > 1:
+                assert quo([X[0] + 1, *X[1:]], H) is None
 
 
 class FractionPoly:
@@ -466,8 +468,8 @@ def recorded_determinants(monkeypatch, build):
     seen = []
     det = exact_ring._det
 
-    def recording(matrix):
-        value = det(matrix)
+    def recording(matrix, *mirror):
+        value = det(matrix, *mirror)
         seen.append((matrix, value))
         return value
 
@@ -597,26 +599,43 @@ def rhs_oracle(q, c):
     return (q * dq.derivative() - dq * dq) * Fraction(9, 2) + shift * (q * q)
 
 
+def u_rhs_oracle(y, c):
+    """y y'' - y'^2 + (u^2 + c) y^2, the same right side in u = sqrt(2/3)*x,
+    as composed products."""
+    dy = y.derivative()
+    return y * dy.derivative() - dy * dy + type(y)((c, 0, 1)) * (y * y)
+
+
 _LINE_PAIRS = [(a, b) for a in _LINE_FACTORS for b in _LINE_FACTORS]
 
 
 class TestOkamotoKernels:
     def test_rhs_matches_composed_oracle_on_the_table(self):
-        from okladder.okamoto import OkamotoTable
+        # The u form of each table entry is monic and integral, its right
+        # side in u matches the composed products, and read back in x it is
+        # the x-form right side exactly: T_c(q)(x) = 3**(D+1) R(u).
+        from okladder.okamoto import OkamotoTable, _u_array, _x_poly
 
         table = OkamotoTable()
         for m in range(11):
             for n in range(-1, 11):
                 q = table.get(m, n)
+                y = _u_array(q)
+                assert y is not None and y[-1] == 1, (m, n)
+                assert _x_poly(y)._int_arrays() == q._int_arrays(), (m, n)
                 for c in (2 * m + n - 1, 1 - m - 2 * n, -7):
-                    got = q._toda_rhs(c)
-                    assert_canonical(got)
-                    assert got._int_arrays() == rhs_oracle(q, c)._int_arrays(), (m, n, c)
+                    got = exact_ring._toda_ints(y, c)
+                    assert ExactPoly(got) == u_rhs_oracle(ExactPoly(y), c), (m, n, c)
+                    x_form = _x_poly(got)
+                    assert_canonical(x_form)
+                    assert x_form._int_arrays() == rhs_oracle(q, c)._int_arrays(), (m, n, c)
 
-    @given(polys(), st.integers(-9, 9))
+    @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=10), st.integers(-9, 9))
     @settings(max_examples=100, deadline=None)
-    def test_rhs_matches_fraction_oracle(self, q, c):
-        same_json(q._toda_rhs(c), rhs_oracle(FractionPoly.of(q), c))
+    def test_rhs_matches_fraction_oracle(self, y, c):
+        got = exact_ring._toda_ints(y, c)
+        assert len(got) == 2 * len(y) + 1
+        same_json(ExactPoly(got), u_rhs_oracle(FractionPoly(y), c))
 
     @given(polys(), polys())
     @settings(max_examples=100, deadline=None)
@@ -795,6 +814,27 @@ def square_matrices(draw):
     return [list(row) for row in zip(*cols)]
 
 
+@st.composite
+def wronskian_seeds(draw):
+    """1 to 4 seeds, each in Q[x] or sqrt2*Q[x] with rational entries, and
+    each cut to its even or its odd entries or left of mixed parity."""
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(rational_polys(7)) * draw(line_factors)
+        keep = draw(st.sampled_from((0, 1, None)))
+        if keep is not None:
+            p = ExactPoly([c if i % 2 == keep else 0 for i, c in enumerate(p.coeffs)])
+        seeds.append(p)
+    return seeds
+
+
+def derivative_rows(seeds):
+    rows = [list(seeds)]
+    for _ in range(len(seeds) - 1):
+        rows.append([p.derivative() for p in rows[-1]])
+    return rows
+
+
 class TestDeterminant:
     """`_det` (each column's power of sqrt2 factored out, evaluation at
     integer points up to the degree bound, integer determinants,
@@ -936,6 +976,36 @@ class TestDeterminant:
             exact_ring._det([[f]])
         with pytest.raises(MixedKinds):
             exact_ring._det([[ExactPoly.one(), f], [ExactPoly.x(), ExactPoly.one()]])
+
+    @given(wronskian_seeds())
+    @settings(max_examples=200, deadline=None)
+    def test_mirrored_points_match_oracle(self, seeds):
+        # Seeds of parities p_c give Wr(-x) = (-1)**(sum p_c + l(l-1)/2) Wr(x):
+        # `_det` then evaluates only at x >= 0, with the same result.
+        rows = derivative_rows(seeds)
+        value = wronskian(seeds)
+        assert value == det_oracle(rows, ExactPoly.zero())
+        parities = [p.parity() for p in seeds]
+        if None not in parities:
+            size = len(seeds)
+            sign = (sum(parities) + size * (size - 1) // 2) % 2
+            assert exact_ring._det(rows, -1 if sign else 1) == exact_ring._det(rows) == value
+            if value:
+                assert value.parity() == sign
+
+    def test_mirror_halves_the_points(self, monkeypatch):
+        from okladder.wronskian_rep import psi_poly
+
+        seeds = [psi_poly(i) for i in (1, 2, 4, 5)]  # degree bound 6: x = -3..3
+        points = kernel_calls(monkeypatch, "_int_det")
+        even_odd = wronskian(seeds)
+        assert len(points) == 4  # x = 0..3
+        mixed = seeds[:3] + [seeds[3] + ExactPoly.one()]
+        assert mixed[3].parity() is None
+        points.clear()
+        assert wronskian(mixed) == det_oracle(derivative_rows(mixed), ExactPoly.zero())
+        assert len(points) == 7  # x = -3..3
+        assert even_odd == det_oracle(derivative_rows(seeds), ExactPoly.zero())
 
     @given(square_matrices())
     @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,9 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from okladder.errors import CorruptCache, IndexOutOfCone
+from okladder import exact_ring
+from okladder.errors import CertificateFailed, CorruptCache, IndexOutOfCone
 from okladder.exact_ring import SQRT2, ExactPoly
-from okladder.okamoto import OkamotoTable, _recurrence, okamoto, okamoto_degree
+from okladder.okamoto import (
+    OkamotoTable,
+    _recurrence,
+    _u_array,
+    _x_poly,
+    okamoto,
+    okamoto_degree,
+)
 from okladder.reference_data import (
     OKAMOTO_COLUMN_0,
     OKAMOTO_COLUMN_MINUS_1,
@@ -95,6 +104,101 @@ def test_both_recurrences_hold_on_stored_triples():
     for m in range(4):
         for n in range(0, 3):
             assert table.get(m, n + 1) * table.get(m, n - 1) == rhs2(m, n), (m, n)
+
+
+def _x_toda_ints(A, c):
+    """Integer array of 2*(9/2 (a a'' - a'^2) + (2x^2 + 3c) a^2) for the
+    integer polynomial a = sum A_i x^i: the fused x-form kernel of the fill
+    before it moved to u = sqrt(2/3)*x."""
+    n = len(A)
+    bil = [0] * (2 * n - 1)
+    diag = [0] * (2 * n - 1)
+    cross = [0] * (2 * n - 1)
+    terms = [(i, a) for i, a in enumerate(A) if a]
+    for t, (i, a1) in enumerate(terms):
+        p = a1 * a1
+        diag[2 * i] += p
+        if i:
+            bil[2 * i] -= i * p
+        for j, a2 in terms[t + 1 :]:
+            p = a1 * a2
+            s = i + j
+            cross[s] += p
+            w = (j - i) * (j - i) - s
+            if w:
+                bil[s] += w * p
+    sq = [x + 2 * y for x, y in zip(diag, cross)]
+    out = [0] * (2 * n + 1)
+    for s, v in enumerate(sq):
+        if v:
+            out[s] += 6 * c * v
+            out[s + 2] += 4 * v
+    for s in range(2, 2 * n - 1):
+        if bil[s]:
+            out[s - 2] += 9 * bil[s]
+    return out
+
+
+class XFormTable:
+    """The fill in x, kept as the oracle of the fill in u: each step is the
+    x-form right side over its rational scale, divided exactly by the
+    other partner with `ExactPoly.exact_div`."""
+
+    def __init__(self):
+        self.memo = {key: okamoto(*key) for key in ((0, 0), (1, 0), (0, 1), (1, 1))}
+
+    def get(self, m, n):
+        if (m, n) not in self.memo:
+            mid, other, c = _recurrence(m, n)
+            X, r, den = self.get(*mid)._int_arrays()
+            rhs = exact_ring._lift(_x_toda_ints(X, c), 2 * r, 2 * den * den)
+            self.memo[(m, n)] = rhs.exact_div(self.get(*other))
+        return self.memo[(m, n)]
+
+
+def test_fill_matches_the_x_form_oracle():
+    table, oracle = OkamotoTable(), XFormTable()
+    for m in range(11):
+        for n in range(-1, 11):
+            got, want = table.get(m, n), oracle.get(m, n)
+            assert got.to_json_dict() == want.to_json_dict(), (m, n)
+            assert got._int_arrays() == want._int_arrays(), (m, n)
+
+
+def test_every_entry_is_monic_and_integral_in_u():
+    # X_i = 2**(i // 2) * 3**((D - i)/2) * Y_i, sqrt2**(D mod 2), den 1.
+    for m in range(8):
+        for n in range(-1, 8):
+            q = okamoto(m, n)
+            d = okamoto_degree(m, n)
+            X, r, den = q._int_arrays()
+            y = _u_array(q)
+            assert (r, den) == (d % 2, 1) and y[-1] == 1, (m, n)
+            assert all(v == 0 for v in y[1 - d % 2 :: 2]), (m, n)
+            assert X == tuple(2 ** (i // 2) * 3 ** ((d - i) // 2) * v for i, v in enumerate(y))
+            assert _x_poly(y) == q
+
+
+@pytest.mark.parametrize(
+    "key,value,match",
+    [
+        ((3, 0), okamoto(3, 0) * 2, r"Q_\(3,0\) is not monic and integral in u"),
+        ((2, 0), ExactPoly((6, 0, 2)), r"the division leaves a remainder"),
+    ],
+    ids=["partner-off-the-u-lattice", "inexact-division"],
+)
+def test_a_failed_step_names_its_recurrence(key, value, match):
+    table = OkamotoTable()
+    table.get(3, 0)
+    table._memo[key] = value
+    with pytest.raises(CertificateFailed) as info:
+        table.get(4, 0)
+    text = str(info.value)
+    assert text.startswith(
+        "Q_(4,0) by the first-index recurrence Q_(4,0)*Q_(2,0) = T_5(Q_(3,0)): "
+    ), text
+    assert re.search(match, text), text
+    assert (4, 0) not in table
 
 
 def test_cone_errors():
@@ -296,12 +400,12 @@ def test_load_builds_no_scalar_view(tmp_path):
 
 
 def _bump_one_coefficient(entry: dict) -> None:
-    """Add one to the nonzero part of the lowest nonzero coefficient, which
-    keeps the degree of an entry of degree >= 1."""
-    pairs = entry["coeffs"]
-    i = next(i for i, pair in enumerate(pairs) if pair != ["0/1", "0/1"])
-    part = 0 if pairs[i][0] != "0/1" else 1
-    pairs[i][part] = str(Fraction(pairs[i][part]) + 1)
+    """Add one to the lowest entry of the parity of the degree of the u form
+    of an entry: the bumped entry is still monic and integral in u, and of
+    the same degree, so only its recurrence can reject it."""
+    y = _u_array(ExactPoly.from_json_dict(entry))
+    y[(len(y) - 1) % 2] += 1
+    entry["coeffs"] = _x_poly(y).to_json_dict()["coeffs"]
 
 
 def test_load_rejects_an_entry_off_its_recurrence(tmp_path):
@@ -315,7 +419,7 @@ def test_load_rejects_an_entry_off_its_recurrence(tmp_path):
     path.write_text(json.dumps(data))
     fresh = OkamotoTable()
     before = fresh.known_indices()
-    with pytest.raises(CorruptCache, match=r"Q_\(4,3\)"):
+    with pytest.raises(CorruptCache, match=r"Q_\(4,3\) fails its recurrence"):
         fresh.load(str(path))
     assert fresh.known_indices() == before  # nothing merged
 
@@ -339,5 +443,33 @@ def test_load_checks_every_recurrence(tmp_path, key):
         if bumped in _recurrence(*map(int, other.split(",")))[:2]:
             del data[other]
     path.write_text(json.dumps(data))
-    with pytest.raises(CorruptCache, match=rf"Q_\({key}\)"):
+    with pytest.raises(CorruptCache, match=rf"Q_\({key}\) fails its recurrence"):
         OkamotoTable().load(str(path))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda q: q * 2,
+        lambda q: -q,
+        lambda q: q * Fraction(1, 2),
+        lambda q: q * SQRT2,
+        lambda q: q + q.derivative(),
+        # One more at the lowest entry of the parity of the degree.
+        lambda q: q + ExactPoly.monomial(q.leading / 2 ** (q.degree // 2), q.degree % 2),
+    ],
+    ids=["doubled", "negated", "halved", "sqrt2-grade", "odd-entry", "off-the-u-lattice"],
+)
+@pytest.mark.parametrize("key", [(5, 3), (3, 0), (2, -1)])
+def test_load_rejects_an_entry_not_monic_and_integral_in_u(tmp_path, key, tamper):
+    # The entry's recurrence partners are not in the file, so the spot check
+    # cannot see it: the u form alone rejects it.
+    bad = tamper(okamoto(*key))
+    assert bad.degree == okamoto_degree(*key)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"%d,%d" % key: bad.to_json_dict()}))
+    table = OkamotoTable()
+    before = table.known_indices()
+    with pytest.raises(CorruptCache, match=r"Q_\(%d,%d\) is not monic and integral in u" % key):
+        table.load(str(path))
+    assert table.known_indices() == before  # nothing merged

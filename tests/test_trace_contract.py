@@ -4,7 +4,7 @@
 including `RationalFn.__init__(num, den=None, *, _reduced=False)` and
 `ExactPoly.__mul__`/`__rmul__`, so renaming one or changing its signature
 breaks the traced benchmark run only.  This test installs the recorder,
-runs one op of each certify kind through the benchmark's own executor,
+runs ops of the certify kinds through the benchmark's own executor,
 and checks that the verdicts hold and the originals come back.  It reads
 perfbench/ and writes nothing there (no bytecode either).
 """
@@ -18,7 +18,15 @@ import pytest
 from okladder import exact_ring, painleve4
 
 _BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-_OPS = ("backlund:m1:n0:w1+", "eigen:k1:j2:n1", "raise:k1:j2:n1", "sturm:m4:n2")
+_OPS = (
+    "backlund:m1:n0:w1+",
+    "eigen:k1:j2:n1",
+    "raise:k1:j2:n1",
+    "sturm:m4:n2",
+    "fill:m3:n2",
+    "wmode:k1:j2:n1",
+    "okw:psi:m2:n1",
+)
 
 
 @pytest.fixture
@@ -46,7 +54,9 @@ def test_traced_ops_pass_and_originals_return(bench):
     assert all(verdicts.values()), verdicts
     layers = recorder.metrics(1.0)
     assert layers["exact_ring.reduce.calls"] > 0
-    assert layers["rootcount.sturm_count.calls"] == 1
+    assert layers["rootcount.sturm_count.calls"] == 2
+    assert layers["okamoto.get.calls"] > 0
+    assert layers["exact_ring.wronskian.calls"] > 0
     assert painleve4.piv_residual is originals[0]
     assert exact_ring.RationalFn.__init__ is originals[1]
     assert exact_ring.ExactPoly.__dict__["__mul__"] is originals[2]
