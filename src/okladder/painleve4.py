@@ -105,7 +105,12 @@ def piv_residual(s: PIVSolution) -> RationalFn:
 
     The combination is assembled over the single denominator 2*N*D^3 for
     w = N/D, so no intermediate reduction is needed; the result is zero
-    exactly when w solves the equation at (alpha, beta).
+    exactly when w solves the equation at (alpha, beta).  With
+    a = N'D - ND' the numerator is built nested,
+
+        N [2(a'D - 2aD') - N (3N^2 + 8xND + (4x^2 - 4 alpha) D^2)] - a^2 - 2 beta D^4,
+
+    which factors N out of the six terms that carry it.
     """
     w = s.w
     if w.is_zero:
@@ -113,18 +118,15 @@ def piv_residual(s: PIVSolution) -> RationalFn:
     n, d = w.num, w.den
     dd = d.derivative()
     a = sum_of_products(((1, (n.derivative(), d)), (-1, (n, dd))))
-    n2, d2 = n * n, d * d
-    n2d2 = n2 * d2
-    num = sum_of_products((
-        (2, (a.derivative(), n, d)),
-        (-4, (a, n, dd)),
-        (-1, (a, a)),
-        (-3, (n2, n2)),
-        (-8, (_X, n2, n, d)),
-        (-4, (_X2, n2d2)),
-        (4 * s.alpha, (n2d2,)),
-        (-2 * s.beta, (d2, d2)),
+    d2 = d * d
+    inner = sum_of_products((
+        (3, (n, n)),
+        (8, (_X, n, d)),
+        (4, (_X2, d2)),
+        (-4 * s.alpha, (d2,)),
     ))
+    bracket = sum_of_products(((2, (a.derivative(), d)), (-4, (a, dd)), (-1, (n, inner))))
+    num = sum_of_products(((1, (n, bracket)), (-1, (a, a)), (-2 * s.beta, (d2, d2))))
     if num.is_zero:
         return RationalFn.zero()
     return RationalFn(num, n * d * d2 * 2)

@@ -18,12 +18,12 @@ import sys
 from fractions import Fraction
 
 from okladder import wronskian_rep
-from okladder.errors import CertificateFailed
+from okladder.errors import CertificateFailed, NonPolynomialResult
 from okladder.exact_ring import ExactPoly, RationalFn
 from okladder.okamoto import DEFAULT_TABLE, OkamotoTable, okamoto
 from okladder.painleve4 import rational_solution
 from okladder.spectral import HamiltonianK
-from okladder.ttrr import RecurrenceState
+from okladder.ttrr import RecurrenceState, ttrr_next
 
 assert sys.flags.optimize >= 1
 
@@ -76,12 +76,24 @@ def okamoto_fill_division():
     table.get(4, 0)
 
 
+def recurrence_step():
+    # P_1 of the (1, 1) sequence shifted by a constant of its grade.
+    state = RecurrenceState(1, 1)
+    state.extend_to(1)
+    p = state.entries[1]
+    state.entries[1] = p + ExactPoly.constant(p.leading)
+    ttrr_next(state, 0)
+
+
 def xhermite():
     wronskian_rep.ttrr_sequence = lambda k, j, n: [ExactPoly((0, 0, 1))] * (n + 1)
     wronskian_rep.xhermite_from_ttrr(1, 1, 1)
 
 
+# recurrence_step reads the shared table, so it runs before the cases that
+# leave entries of it corrupted.
 for case in (
+    recurrence_step,
     recurrence_closed_forms,
     product_form_check,
     asymptotic_growth,
@@ -94,6 +106,8 @@ for case in (
         case()
     except CertificateFailed:
         print(case.__name__, "raised")
+    except NonPolynomialResult as exc:
+        print(case.__name__, "raised:", exc)
     else:
         print(case.__name__, "passed silently")
 """
@@ -110,6 +124,8 @@ def test_corrupted_certificates_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
+        "recurrence_step raised: recurrence step n=2 (k=1, j=1) left denominator"
+        " x^6 + 3*x^4 - 9/4*x^2 + 27/4",
         "recurrence_closed_forms raised",
         "product_form_check raised",
         "asymptotic_growth raised",

@@ -149,8 +149,9 @@ class TestRetry:
 
 
 def test_default_suites_never_fall_back(monkeypatch):
-    """Every reduction of the default-bound backlund, ladder and piv suites
-    is settled by the heuristic: a silent fallback fails here."""
+    """Every reduction of the default-bound backlund, ladder, piv and
+    wronskian suites is settled by the heuristic: a silent fallback fails
+    here."""
     monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
     monkeypatch.setattr(ttrr, "_STATES", {})
     superpotentials.cache_clear()
@@ -158,7 +159,7 @@ def test_default_suites_never_fall_back(monkeypatch):
     heu = exact_ring._heu_gcd
     monkeypatch.setattr(exact_ring, "_heu_gcd", lambda X, Y: kernel.append(1) or heu(X, Y))
     prs = fallbacks(monkeypatch)
-    results = run_verify(VerifySuiteConfig(which=("backlund", "ladder", "piv")))
+    results = run_verify(VerifySuiteConfig(which=("backlund", "ladder", "piv", "wronskian")))
     assert results and all(r.passed for r in results)
-    assert len(kernel) > 1000
+    assert len(kernel) > 1000, len(kernel)
     assert prs == []

@@ -5,7 +5,9 @@
 and `HamiltonianK.apply` assemble each result as one quotient of
 polynomials and reduce it at most once.  The oracles below build the same
 values the long way, through `RationalFn` arithmetic that reduces after
-every operation, and every result must serialize identically.
+every operation, and every result must serialize identically.  The TTRR
+step, which reduces nothing, and the downward relation have the same kind
+of oracle.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okladder.errors import SingularMap
+from okladder.errors import NonPolynomialResult, SingularMap
 from okladder.exact_ring import (
     SQRT2,
     ExactPoly,
@@ -31,6 +33,7 @@ from okladder.painleve4 import (
     PIVSolution,
     _sqrt_fraction,
     backlund,
+    log_form,
     rational_solution,
 )
 from okladder.spectral import (
@@ -43,8 +46,10 @@ from okladder.spectral import (
     ladder_constant_sq,
     potential,
     superpotentials,
+    zero_mode,
 )
-from okladder.ttrr import RecurrenceState, ttrr_next, ttrr_sequence
+from okladder import ttrr
+from okladder.ttrr import RecurrenceState, downward_residual, ttrr_next, ttrr_sequence
 
 
 def backlund_per_op(s: PIVSolution, map_name: str, denominator_sign: int | None = None) -> PIVSolution:
@@ -337,21 +342,94 @@ class TestInverseOracle:
         assert _json(f.inverse()) == _json(RationalFn(f.den, f.num))
 
 
-def ttrr_first_oracle(state: RecurrenceState) -> ExactPoly:
-    """P_1 from P_0 by the first-step formula
-    L~_0 P_1 = [-w2 g_1 + E_0 w1 g_1/g_0 + w3 (2/3 - 2k + E_0)] P_0."""
-    k, j = state.k, state.j
-    e0 = energy(k, j, 0)
-    g1 = state.g(1)
-    bracket = -state.w2 * g1 + state.w3 * RationalFn.constant(Fraction(2, 3) - 2 * k + e0)
-    if e0:
-        bracket = bracket + state.w1 * (g1 / state.g(0)) * RationalFn.constant(e0)
-    result = bracket * RationalFn.from_poly(state.entries[0]) / ladder_constant_sq(k, j, 0)
-    return result.as_poly()
+def g_oracle(k: int, j: int, m: int) -> RationalFn:
+    """g_m = (2/9) Q_{k+2} Q_k / Q_{k+1}^2 - E_m in RationalFn."""
+    g = RationalFn(okamoto(k + 2, 0) * okamoto(k, 0) * Fraction(2, 9), okamoto(k + 1, 0) ** 2)
+    return g - RationalFn.constant(energy(k, j, m))
+
+
+def ttrr_step_oracle(k: int, j: int, entries: list, n: int) -> RationalFn:
+    """P_{n+2} from entries P_n, P_{n+1} by the step as it was built in
+    RationalFn, reducing after every operation, from the log forms:
+    L~_{n+1} P_{n+2} = [-w2 g_{n+2} + E_{n+1} w1 g_{n+2}/g_{n+1}
+                        + w3 (2/3 - 2k + E_{n+1})] P_{n+1} - (g_{n+2}/g_{n+1}) P_n
+    with g_m from `g_oracle` and P_{-1} = 0."""
+    w1, w2, w3 = (log_form(f, k, 0) for f in (1, 2, 3))
+    e_next = energy(k, j, n + 1)
+    g_n2 = g_oracle(k, j, n + 2)
+    bracket = -w2 * g_n2 + w3 * RationalFn.constant(Fraction(2, 3) - 2 * k + e_next)
+    if e_next or n >= 0:
+        ratio = g_n2 / g_oracle(k, j, n + 1)
+        bracket = bracket + w1 * ratio * RationalFn.constant(e_next)
+    result = bracket * RationalFn.from_poly(entries[n + 1])
+    if n >= 0:
+        result = result - ratio * RationalFn.from_poly(entries[n])
+    return result / ladder_constant_sq(k, j, n + 1)
+
+
+def downward_oracle(k: int, j: int, entries: list, n: int) -> RationalFn:
+    """g_n P_n' + (-(ln Q_k)' g_n + E_n w1) P_n - P_{n-1} in RationalFn."""
+    g = g_oracle(k, j, n)
+    p_n = RationalFn.from_poly(entries[n])
+    lhs = g * RationalFn.from_poly(entries[n].derivative()) + (
+        -log_derivative(okamoto(k, 0)) * g + log_form(1, k, 0) * RationalFn.constant(energy(k, j, n))
+    ) * p_n
+    return lhs - RationalFn.from_poly(entries[n - 1])
+
+
+def ttrr_sequence_oracle(k: int, j: int, max_n: int) -> list[ExactPoly]:
+    """P_0 .. P_max_n, each step by `ttrr_step_oracle` on the oracle's own entries."""
+    entries = [zero_mode(k, j).P]
+    while len(entries) <= max_n:
+        entries.append(ttrr_step_oracle(k, j, entries, len(entries) - 2).as_poly())
+    return entries
 
 
 class TestRecurrenceFirstStepOracle:
     @pytest.mark.parametrize("k,j", [(k, j) for k in range(4) for j in (1, 2, 3)])
     def test_first_step(self, k, j):
         state = RecurrenceState(k, j)
-        assert ttrr_next(state, -1).to_json_dict() == ttrr_first_oracle(state).to_json_dict()
+        expected = ttrr_step_oracle(k, j, state.entries, -1).as_poly()
+        assert ttrr_next(state, -1).to_json_dict() == expected.to_json_dict()
+
+
+class TestRecurrenceStepOracle:
+    @pytest.mark.parametrize("k,j", [(k, j) for k in range(4) for j in (1, 2, 3)])
+    def test_sequence(self, k, j, monkeypatch):
+        monkeypatch.setattr(ttrr, "_STATES", {})
+        got = [p.to_json_dict() for p in ttrr_sequence(k, j, 6)]
+        assert got == [p.to_json_dict() for p in ttrr_sequence_oracle(k, j, 6)]
+
+    @pytest.mark.parametrize("k,j", [(k, j) for k in range(3) for j in (1, 2, 3)])
+    def test_downward_relation(self, k, j):
+        state = RecurrenceState(k, j)
+        state.extend_to(3)
+        for n in (1, 2, 3):
+            assert downward_residual(state, n).is_zero
+        # A shifted entry leaves a nonzero residual, equal to the oracle's.
+        p = state.entries[2]
+        state.entries[2] = p + ExactPoly.constant(p.leading)
+        for n in (2, 3):
+            got = downward_residual(state, n)
+            assert not got.is_zero
+            assert got.to_json_dict() == downward_oracle(k, j, state.entries, n).to_json_dict()
+
+    @pytest.mark.parametrize("k,j,n", [(0, 1, 0), (1, 1, 1), (1, 3, 0), (2, 2, 1)])
+    def test_perturbed_entry_names_the_oracle_denominator(self, k, j, n):
+        state = RecurrenceState(k, j)
+        state.extend_to(n + 1)
+        p = state.entries[n + 1]
+        state.entries[n + 1] = p + ExactPoly.constant(p.leading)
+        leftover = ttrr_step_oracle(k, j, state.entries, n)
+        assert not leftover.is_polynomial
+        message = f"recurrence step n={n + 2} (k={k}, j={j}) left denominator {leftover.den.pretty()}"
+        with pytest.raises(NonPolynomialResult) as raised:
+            ttrr_next(state, n)
+        assert str(raised.value) == message
+
+    def test_steps_reduce_nothing(self, monkeypatch):
+        monkeypatch.setattr(ttrr, "_STATES", {})
+        reductions = count_reductions(monkeypatch)
+        for j in (1, 2, 3):
+            ttrr_sequence(2, j, 4)
+        assert reductions == []

@@ -22,6 +22,7 @@ _OPS = (
     "backlund:m1:n0:w1+",
     "eigen:k1:j2:n1",
     "raise:k1:j2:n1",
+    "shape:k1:j2:n1",
     "sturm:m4:n2",
     "fill:m3:n2",
     "wmode:k1:j2:n1",
@@ -57,6 +58,7 @@ def test_traced_ops_pass_and_originals_return(bench):
     assert layers["rootcount.sturm_count.calls"] == 2
     assert layers["okamoto.get.calls"] > 0
     assert layers["exact_ring.wronskian.calls"] > 0
+    assert layers["ttrr.sequence.calls"] > 0
     assert painleve4.piv_residual is originals[0]
     assert exact_ring.RationalFn.__init__ is originals[1]
     assert exact_ring.ExactPoly.__dict__["__mul__"] is originals[2]

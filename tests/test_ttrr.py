@@ -6,7 +6,9 @@ import pytest
 
 from okladder import ttrr
 from okladder.errors import IndexOutOfCone
-from okladder.exact_ring import ExactPoly
+from okladder.exact_ring import ExactPoly, RationalFn, log_derivative
+from okladder.okamoto import okamoto
+from okladder.painleve4 import log_form
 from okladder.reference_data import MODE_TABLE
 from okladder.spectral import energy, mode_degree
 from okladder.ttrr import (
@@ -97,28 +99,31 @@ class TestCoefficientFunctions:
 
     @pytest.mark.parametrize("k", range(6))
     def test_w_log_derivative_oracle(self, k):
-        # the construction before the w's became the Painleve IV log forms:
-        # -2x/3 + (ln a/b)' on the neighbouring Okamoto pairs at (k, 0)
-        from okladder.exact_ring import RationalFn, log_derivative
-        from okladder.okamoto import okamoto
-
-        x23 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
+        # omega_f / delta_f against the Painleve IV log forms at (k, 0) and
+        # the construction before them: -2x/3 + (ln a/b)' on the
+        # neighbouring Okamoto pairs (a, b), with delta_f = a b
         q_k, q_k1, q_k_1 = okamoto(k, 0), okamoto(k + 1, 0), okamoto(k, 1)
-        expected = [
-            x23 + log_derivative(q_k1, q_k),
-            x23 + log_derivative(q_k, q_k_1),
-            x23 + log_derivative(q_k_1, q_k1),
-        ]
+        x23 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
+        pairs = [(q_k1, q_k), (q_k, q_k_1), (q_k_1, q_k1)]
+        expected = [(x23 + log_derivative(a, b)).to_json_dict() for a, b in pairs]
+        assert [log_form(f, k, 0).to_json_dict() for f in (1, 2, 3)] == expected
         for j in (1, 2, 3):
             state = RecurrenceState(k, j)
-            got = [state.w1, state.w2, state.w3]
-            assert [f.to_json_dict() for f in got] == [f.to_json_dict() for f in expected]
+            got = [RationalFn(w, a * b) for w, (a, b) in zip(state.omegas, pairs)]
+            assert [f.to_json_dict() for f in got] == expected
 
     def test_g_difference_is_energy_step(self):
-        state = RecurrenceState(1, 2)
-        from okladder.exact_ring import RationalFn
-
-        assert state.g(0) - state.g(3) == RationalFn.constant(Fraction(6))
+        # gamma_n / Q^2 against g_n = (2/9) Q_{k+2} Q_k / Q_{k+1}^2 - E_n
+        for k in range(4):
+            q2 = okamoto(k + 1, 0) ** 2
+            g_base = RationalFn(okamoto(k + 2, 0) * okamoto(k, 0) * Fraction(2, 9), q2)
+            for j in (1, 2, 3):
+                state = RecurrenceState(k, j)
+                assert state.q2 == q2 and state.den == q2 * okamoto(k, 0) * okamoto(k, 1)
+                for n in range(4):
+                    g = g_base - RationalFn.constant(energy(k, j, n))
+                    assert RationalFn(state.gamma(n), q2) == g
+                assert state.gamma(0) - state.gamma(3) == q2 * 6
 
 
 class TestReducedEquation:
@@ -166,6 +171,16 @@ class TestNormalization:
 
     def test_two_factors(self):
         assert normalization_sq(0, 2, 2) == Fraction(64, 9) * Fraction(560, 9)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_level_rejected(self, n):
+        with pytest.raises(ValueError, match="^level index n must be >= 0$"):
+            normalization_sq(0, 1, n)
+
+    @pytest.mark.parametrize("j,n", [(5, 0), (0, 0), (4, 2)])
+    def test_invalid_sequence_rejected(self, j, n):
+        with pytest.raises(ValueError, match=f"^sequence index j must be 1, 2 or 3, got {j}$"):
+            normalization_sq(0, j, n)
 
 
 class TestMemo:
