@@ -5,7 +5,6 @@ representations, and zero-count laws."""
 
 from .exact_ring import (
     ExactPoly,
-    QuasiGaussian,
     RationalFn,
     SQRT2,
     SqrtTwoScalar,

@@ -51,9 +51,9 @@ def _float_repr(value: float) -> str:
 _DEFAULT_SPAN = (-5.0, 5.0)
 
 
-def _csv(expr, span, samples: int) -> str:
-    """CSV text: an x,value header, then expr at `samples` evenly spaced points
-    of span (the default span when None)."""
+def _csv(sample, span, samples: int) -> str:
+    """CSV text: an x,value header, then the values `sample` gives at
+    `samples` evenly spaced points of span (the default span when None)."""
     import numpy as np
 
     a, b = span or _DEFAULT_SPAN
@@ -68,40 +68,41 @@ def _csv(expr, span, samples: int) -> str:
     lines = ["x,value"]
     lines.extend(
         f"{_float_repr(float(x))},{_float_repr(float(v))}"
-        for x, v in zip(xs, numerics.eval_array(expr, xs))
+        for x, v in zip(xs, sample(xs))
     )
     return "\n".join(lines) + "\n"
 
 
 # -- the paper's objects -------------------------------------------------------
 # Each builder returns the object, the JSON payload that `export` writes, and
-# a thunk for the expression that CSV rows sample (a mode's phi costs a
-# reduction that JSON output never needs).
+# a sampler, from points to the values that CSV rows print (a mode's phi
+# costs a reduction that JSON output never needs).
 
 def _okamoto(args):
     poly = okamoto(args.m, args.n)
     payload = poly.to_json_dict()
     payload.update(degree=okamoto_degree(args.m, args.n), index=[args.m, args.n])
-    return poly, payload, lambda: poly
+    return poly, payload, functools.partial(numerics.eval_array, poly)
 
 
 def _mode(args):
     mode = ttrr.ttrr_modes(args.k, args.j, args.n)[args.n]
     payload = mode.P.to_json_dict()
     payload.update(energy=_frac(mode.energy), index=[args.k, args.j, args.n])
-    return mode.P, payload, mode.phi
+    return mode.P, payload, lambda xs: numerics.eval_array(mode.phi(), xs, gaussian=True)
 
 
 def _xhermite(args):
     poly = wronskian_rep.xhermite_from_ttrr(args.k, args.j, args.n)
     payload = poly.to_json_dict()
     payload["sigma"] = wronskian_rep.sigma_index(args.k, args.j, args.n)
-    return poly, payload, lambda: poly
+    return poly, payload, functools.partial(numerics.eval_array, poly)
 
 
 def _potential(args):
     v = spectral.potential(args.k).potential_fn()
-    return v, {"k": args.k, "potential": v.to_json_dict()}, lambda: v
+    payload = {"k": args.k, "potential": v.to_json_dict()}
+    return v, payload, functools.partial(numerics.eval_array, v)
 
 
 # kind -> (builder, the index options it needs)
@@ -166,7 +167,7 @@ def _cmd_potential(args) -> int:
             v = wronskian_rep.wronskian_potential(args.k, args.via)
         payload = {"k": args.k, "potential": v.to_json_dict()}
     if args.csv:
-        sys.stdout.write(_csv(v, args.range, args.samples))
+        sys.stdout.write(_csv(functools.partial(numerics.eval_array, v), args.range, args.samples))
         return 0
     payload["via"] = args.via
     if args.eval is not None:
@@ -271,11 +272,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     """`export`, and `plot-data` as `export {potential,mode} --format csv`."""
-    _, payload, expr = _build(args, args.kind)
+    _, payload, sample = _build(args, args.kind)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
-        text = _csv(expr(), args.range, args.samples)
+        text = _csv(sample, args.range, args.samples)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,8 +2,9 @@
 
 Scalars a or b*sqrt(2) with arbitrary-precision rational a, b; dense
 polynomials over them, each in Q[x] or in sqrt2*Q[x], evaluated at
-rational points; reduced rational functions; and quasi-Gaussian
-functions R(x)*exp(-x^2/6) closed under first-order ladder factors.
+rational points; reduced rational functions, the first-order factors
+(+-d/dx + f) acting on them, and the conjugation of such a factor by the
+Gaussian exp(-x^2/6).
 All values are immutable and every operation is a pure function.
 """
 
@@ -425,13 +426,20 @@ class ExactPoly:
         return _raw(tuple(v // g for v in X), self._r, 1)
 
     def proportionality(self, other: "ExactPoly") -> SqrtTwoScalar | None:
-        """Scalar c with self == c*other, or None if not proportional."""
-        if self.is_zero:
-            return _ONE if other.is_zero else _ZERO
-        if other.is_zero or self.degree != other.degree:
+        """Scalar c with self == c*other, or None if not proportional.
+
+        For nonzero arrays X, Y of one length, c exists exactly when
+        X*top(Y) == Y*top(X) entry by entry, whatever the two grades; c,
+        the ratio of the leading coefficients, is built only then."""
+        X, Y = self._x, other._x
+        if not X:
+            return _ZERO if Y else _ONE
+        if len(X) != len(Y):
             return None
-        c = self.leading / other.leading
-        return c if self == other * c else None
+        xt, yt = X[-1], Y[-1]
+        if [v * yt for v in X] != [v * xt for v in Y]:
+            return None
+        return self.leading / other.leading
 
     # -- serialization -------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -1050,90 +1058,34 @@ def _wronskian_pair(p: ExactPoly, q: ExactPoly) -> ExactPoly:
 
 
 _X = ExactPoly.x()
-# -x/3, the logarithmic derivative of exp(-x^2/6).
-_GAUSS_SLOPE = ExactPoly((0, Fraction(-1, 3)))
 
 
-class QuasiGaussian:
-    """R(x) * exp(-x^2/6) with R rational: every eigenfunction, zero-mode
-    and ladder image of the paper has this form, R = P/Q_{k+1}.
-
-    Closed under multiplication by rational functions and under every
-    first-order factor (+-d/dx + f) through `apply_first_order`; the
-    derivative is apply_first_order(+1, RationalFn.zero(), g). Two
-    quasi-Gaussians are never multiplied.
-    """
-
-    __slots__ = ("rational",)
-
-    def __init__(self, rational: RationalFn | ExactPoly) -> None:
-        object.__setattr__(self, "rational", RationalFn.coerce(rational))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("QuasiGaussian is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rational.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuasiGaussian):
-            return NotImplemented
-        return self.rational == other.rational
-
-    def __hash__(self) -> int:
-        return hash(self.rational)
-
-    def __mul__(self, other):
-        return QuasiGaussian(self.rational * RationalFn.coerce(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "QuasiGaussian") -> "QuasiGaussian":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return QuasiGaussian(self.rational + other.rational)
-
-    def __sub__(self, other: "QuasiGaussian") -> "QuasiGaussian":
-        return self + QuasiGaussian(-other.rational)
-
-    def __neg__(self) -> "QuasiGaussian":
-        return QuasiGaussian(-self.rational)
-
-    def proportionality(self, other: "QuasiGaussian") -> SqrtTwoScalar | None:
-        if self.is_zero:
-            return _ONE if other.is_zero else _ZERO
-        if other.is_zero:
-            return None
-        return self.rational.proportionality(other.rational)
-
-    def __repr__(self) -> str:
-        return f"QuasiGaussian({self.rational!r} * exp(-x^2/6))"
+def conjugate_factor(op_sign: int, f: RationalFn) -> RationalFn:
+    """f - op_sign*x/3: with G = exp(-x^2/6), G^-1 (op_sign*d/dx + f) G =
+    op_sign*d/dx + (f - op_sign*x/3), the factor as it acts on the rational
+    part R of R*G.  For f = a/b the numerator a - (op_sign/3)*x*b equals a
+    mod b, so the quotient is reduced as built."""
+    num = sum_of_products(((1, (f.num,)), (Fraction(-op_sign, 3), (_X, f.den))))
+    return RationalFn(num, f.den, _reduced=True)
 
 
-def apply_first_order(op_sign: int, f: RationalFn, g: QuasiGaussian) -> QuasiGaussian:
-    """(op_sign * d/dx + f) applied to g, exactly."""
+def apply_first_order(op_sign: int, f: RationalFn, r: RationalFn) -> RationalFn:
+    """(op_sign * d/dx + f) applied to r, exactly."""
     if op_sign not in (-1, 1):
         raise ValueError("op_sign must be +1 or -1")
-    r = g.rational
     if r.is_zero:
-        return g
-    # With f = a/b and R = N/D, (R exp(-x^2/6))' = (B/D^2) exp(-x^2/6) for
-    # B = N'D - ND' - (x/3) N D, and the result is
-    # (op_sign*B*b + a*N*D) / (D^2*b), reduced once.
+        return r
+    # With f = a/b and r = N/D the result is
+    # (op_sign*(N'D - ND')*b + a*N*D) / (D^2*b), reduced once.
     n, d, b = r.num, r.den, f.den
-    nd = n * d
     num = sum_of_products((
         (op_sign, (n.derivative(), d, b)),
         (-op_sign, (n, d.derivative(), b)),
-        (Fraction(-op_sign, 3), (_X, nd, b)),
-        (1, (f.num, nd)),
+        (1, (f.num, n, d)),
     ))
     den = sum_of_products(((1, (d, d, b)),))
     # Denominators are monic, so a constant one is 1 and there is nothing to reduce.
-    return QuasiGaussian(RationalFn(num, den, _reduced=den.degree == 0))
+    return RationalFn(num, den, _reduced=den.degree == 0)
 
 
 def _require_polys(entries: Iterable) -> None:

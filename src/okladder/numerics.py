@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse
-from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar, _graded
+from .exact_ring import ExactPoly, RationalFn, SqrtTwoScalar, _graded
 from .spectral import ModeFunction, energy, potential
 
 
@@ -65,31 +65,32 @@ ORTHOGONALITY_TOL = 1e-8
 COARSE_SHIFT_TOL = 1e-3
 
 
-def eval_float(expr, x: float) -> float:
+def eval_float(expr, x: float, gaussian: bool = False) -> float:
     """Value of an exact expression at x, correctly rounded to a double.
 
     The expression is evaluated exactly at Fraction(x) in Q(sqrt2) and
-    rounded once; a quasi-Gaussian is its rounded rational part R times the
-    double exp(-x^2/6), or sign(R)*exp(ln|R| - x^2/6) where R overflows or
-    that double is not normal.  A non-finite x raises ValueError.
+    rounded once.  With gaussian, expr is the rational part R of the mode
+    R exp(-x^2/6), whose value is the rounded R times the double
+    exp(-x^2/6), or sign(R)*exp(ln|R| - x^2/6) where R overflows or that
+    double is not normal.  A non-finite x raises ValueError.
     """
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"cannot evaluate at x = {x}")
-    if isinstance(expr, QuasiGaussian):
-        value = expr.rational.eval(Fraction(x))
-        base, gauss = _round(value), math.exp(-x * x / 6)
-        if not value or (math.isfinite(base) and gauss >= sys.float_info.min):
-            return base * gauss
-        v, r, den = _graded(value)  # value = sqrt2^r * v/den: ln|value| needs no rounding
-        try:
-            return value.sign() * math.exp(
-                math.log(abs(v)) - math.log(den) + r * math.log(2) / 2 - x * x / 6
-            )
-        except OverflowError:
-            return value.sign() * math.inf
     if not isinstance(expr, (ExactPoly, RationalFn)):
         raise TypeError(f"cannot evaluate {type(expr).__name__}")
-    return _round(expr.eval(Fraction(x)))
+    value = expr.eval(Fraction(x))
+    if not gaussian:
+        return _round(value)
+    base, gauss = _round(value), math.exp(-x * x / 6)
+    if not value or (math.isfinite(base) and gauss >= sys.float_info.min):
+        return base * gauss
+    v, r, den = _graded(value)  # value = sqrt2^r * v/den: ln|value| needs no rounding
+    try:
+        return value.sign() * math.exp(
+            math.log(abs(v)) - math.log(den) + r * math.log(2) / 2 - x * x / 6
+        )
+    except OverflowError:
+        return value.sign() * math.inf
 
 
 def _round(value: SqrtTwoScalar) -> float:
@@ -125,46 +126,44 @@ def _poly_array(p: ExactPoly) -> np.ndarray:
     return np.array(p.to_floats(), dtype=float) if not p.is_zero else np.zeros(1)
 
 
-def eval_array(expr, xs: np.ndarray) -> np.ndarray:
+def eval_array(expr, xs: np.ndarray, gaussian: bool = False) -> np.ndarray:
     """Vectorized double-precision evaluation on a grid.
 
     A rational function is num(x)/den(x), and a polynomial is one over 1.
     Where num or den overflows, it is taken instead as
     num_rev(1/x)/den_rev(1/x) * x^(deg num - deg den) with the reversed
     coefficient arrays, so a value that fits a double is not lost to the
-    overflow of the powers of x."""
+    overflow of the powers of x.  With gaussian, expr is the rational part
+    R of the mode R exp(-x^2/6), and the values are those of the mode."""
     if isinstance(expr, ExactPoly):
         expr = RationalFn.from_poly(expr)
-    if isinstance(expr, RationalFn):
-        polyval = np.polynomial.polynomial.polyval
-        cn, cd = _poly_array(expr.num), _poly_array(expr.den)
-        with np.errstate(over="ignore", invalid="ignore"):
-            num, den = polyval(xs, cn), polyval(xs, cd)
-            vals = num / den
-            far = ~(np.isfinite(num) & np.isfinite(den))
-            if far.any():
-                x = xs[far]
-                vals[far] = polyval(1.0 / x, cn[::-1]) / polyval(1.0 / x, cd[::-1]) * x ** (
-                    expr.num.degree - expr.den.degree
-                )
+    if not isinstance(expr, RationalFn):
+        raise TypeError(f"cannot evaluate {type(expr).__name__}")
+    polyval = np.polynomial.polynomial.polyval
+    cn, cd = _poly_array(expr.num), _poly_array(expr.den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = polyval(xs, cn), polyval(xs, cd)
+        vals = num / den
+        far = ~(np.isfinite(num) & np.isfinite(den))
+        if far.any():
+            x = xs[far]
+            vals[far] = polyval(1.0 / x, cn[::-1]) / polyval(1.0 / x, cd[::-1]) * x ** (
+                expr.num.degree - expr.den.degree
+            )
+    if not gaussian:
         return vals
-    if isinstance(expr, QuasiGaussian):
-        r = expr.rational
-        vals = eval_array(r, xs)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            gauss = np.exp(-xs * xs / 6.0)
-            # Where R overflows or the Gaussian is below the smallest normal
-            # double: sign(R)*exp(ln|R| - x^2/6), ln|R| from the reversed arrays.
-            far = ~np.isfinite(vals) | (gauss < sys.float_info.min)
-            vals = np.where(far, 0.0, vals) * gauss
-            if far.any():
-                x, d = xs[far], r.num.degree - r.den.degree
-                rev = lambda p: np.polynomial.polynomial.polyval(1.0 / x, _poly_array(p)[::-1])
-                q = rev(r.num) / rev(r.den)  # R(x) = q * x^d
-                log_abs = np.log(np.abs(q)) + d * np.log(np.abs(x))
-                vals[far] = np.sign(q * x**d) * np.exp(log_abs - x * x / 6.0)
-        return vals
-    raise TypeError(f"cannot evaluate {type(expr).__name__}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gauss = np.exp(-xs * xs / 6.0)
+        # Where R overflows or the Gaussian is below the smallest normal
+        # double: sign(R)*exp(ln|R| - x^2/6), ln|R| from the reversed arrays.
+        far = ~np.isfinite(vals) | (gauss < sys.float_info.min)
+        vals = np.where(far, 0.0, vals) * gauss
+        if far.any():
+            x, d = xs[far], expr.num.degree - expr.den.degree
+            q = polyval(1.0 / x, cn[::-1]) / polyval(1.0 / x, cd[::-1])  # R(x) = q * x^d
+            log_abs = np.log(np.abs(q)) + d * np.log(np.abs(x))
+            vals[far] = np.sign(q * x**d) * np.exp(log_abs - x * x / 6.0)
+    return vals
 
 
 # Lowest Dirichlet eigenvalues per (k, grid, count), read-only.  count
@@ -255,7 +254,8 @@ def quadrature_inner(a: ModeFunction, b: ModeFunction) -> float:
     if a.k != b.k:
         raise ValueError("inner products are defined for modes of one Hamiltonian")
     xs, ws = _gauss_panels()
-    return float(np.sum(ws * eval_array(a.phi(), xs) * eval_array(b.phi(), xs)))
+    va, vb = eval_array(a.phi(), xs, gaussian=True), eval_array(b.phi(), xs, gaussian=True)
+    return float(np.sum(ws * va * vb))
 
 
 def normalized_cross_inner(a: ModeFunction, b: ModeFunction) -> float:

@@ -115,13 +115,15 @@ class OkamotoTable:
                 if _read_bytes(path) == seen[1]:
                     return
         data = {f"{m},{n}": poly.to_json_dict() for (m, n), poly in items}
+        # json.dumps runs the C encoder, where json.dump to a file runs the
+        # pure-Python one; both write these same ASCII bytes.
+        raw = json.dumps(data, sort_keys=True).encode("ascii")
         # One temp name per process, so dumps from several processes never
         # share a file; it is created like `path` itself, under the umask.
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True)
-            raw = _read_bytes(tmp)
+            with open(tmp, "wb") as fh:
+                fh.write(raw)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

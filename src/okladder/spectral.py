@@ -8,11 +8,11 @@ energy unit is fixed by lambda = 1 (spectral shift 2 per ladder step).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone
-from .exact_ring import ExactPoly, QuasiGaussian, RationalFn, apply_first_order, sum_of_products
+from .exact_ring import ExactPoly, RationalFn, apply_first_order, conjugate_factor, sum_of_products
 from .okamoto import okamoto
 from .painleve4 import log_form
 
@@ -45,29 +45,41 @@ def mode_degree(k: int, j: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class HamiltonianK:
-    """H = -d^2/dx^2 + v for a reduced potential v.
+    """H = -d^2/dx^2 + v for a reduced potential v, acting on the rational
+    part R of R exp(-x^2/6).
 
     potential(k) holds the level-k V = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2
     + 4k + 1, which grows like x^2/9 + const; intertwining_checks holds the
-    auxiliary potentials of the factor chain the same way.
+    auxiliary potentials of the factor chain the same way.  Conjugated by
+    G = exp(-x^2/6), G^-1 H G = -d^2/dx^2 + (2x/3) d/dx + v_tilde with
+    v_tilde = v - x^2/9 + 1/3, built once with the operator.
     """
 
     k: int
     v: RationalFn
+    v_tilde: RationalFn = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # v.num - (x^2/9 - 1/3) v.den equals v.num mod v.den: still reduced.
+        v = self.v
+        num = sum_of_products(
+            ((1, (v.num,)), (Fraction(-1, 9), (_X2, v.den)), (Fraction(1, 3), (v.den,)))
+        )
+        object.__setattr__(self, "v_tilde", RationalFn(num, v.den, _reduced=True))
 
     def potential_fn(self) -> RationalFn:
         return self.v
 
-    def apply(self, g: QuasiGaussian) -> QuasiGaussian:
-        """H g = -g'' + V g, exactly: (-S v.den + v.num N D^2) / (D^3 v.den)
-        for g = (N/D) exp(-x^2/6), reduced once."""
-        r, v = g.rational, self.v
+    def apply(self, r: RationalFn) -> RationalFn:
+        """The rational part of H (r exp(-x^2/6)), -r'' + (2x/3) r' +
+        v_tilde r, exactly: (T e + c N D^2) / (D^3 e) for r = N/D and
+        v_tilde = c/e, with D^3 (-r'' + (2x/3) r') = T, reduced once."""
+        v = self.v_tilde
         n, d = r.num, r.den
         d2 = d * d
-        nd2 = n * d2
-        second = sum_of_products(_second_terms(n, d, d2, nd2))
-        num = sum_of_products(((1, (v.num, nd2)), (-1, (second, v.den))))
-        return QuasiGaussian(RationalFn(num, sum_of_products(((1, (d, d2, v.den)),))))
+        second = sum_of_products(_second_terms(n, d, d2))
+        num = sum_of_products(((1, (v.num, n, d2)), (1, (second, v.den))))
+        return RationalFn(num, sum_of_products(((1, (d, d2, v.den)),)))
 
     def asymptotic_constant(self) -> Fraction:
         """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
@@ -88,45 +100,57 @@ class ModeFunction:
     P: ExactPoly
     energy: Fraction
 
-    def phi(self) -> QuasiGaussian:
-        return QuasiGaussian(RationalFn(self.P, okamoto(self.k + 1, 0)))
+    def phi(self) -> RationalFn:
+        """The rational part P/Q_{k+1} of phi_{n;j}."""
+        return RationalFn(self.P, okamoto(self.k + 1, 0))
 
 
 @dataclass(frozen=True)
 class LadderOp:
-    """Ordered composition of first-order factors (sign * d/dx + f).
+    """Ordered composition of first-order factors (sign * d/dx + f), acting
+    on the rational part R of R exp(-x^2/6).
 
     factors are stored in composition order (leftmost first); application
-    on a function runs right-to-left.
+    on a function runs right-to-left, through the factors conjugated by
+    exp(-x^2/6), which are built once with the operator.  Each image is
+    kept per input R; the memo has no eviction and takes no locks, as the
+    package runs no threads.
     """
 
     factors: tuple[tuple[int, RationalFn], ...]
+    conjugated: tuple[tuple[int, RationalFn], ...] = field(init=False, repr=False, compare=False)
+    _images: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def apply(self, g: QuasiGaussian) -> QuasiGaussian:
-        for sign, f in reversed(self.factors):
-            g = apply_first_order(sign, f, g)
-        return g
+    def __post_init__(self) -> None:
+        conjugated = tuple((sign, conjugate_factor(sign, f)) for sign, f in self.factors)
+        object.__setattr__(self, "conjugated", conjugated)
+
+    def apply(self, r: RationalFn) -> RationalFn:
+        image = self._images.get(r)
+        if image is None:
+            image = r
+            for sign, f in reversed(self.conjugated):
+                image = apply_first_order(sign, f, image)
+            self._images[r] = image
+        return image
 
     def adjoint(self) -> "LadderOp":
         return LadderOp(tuple((-sign, f) for sign, f in reversed(self.factors)))
 
 
-def _second_terms(n: ExactPoly, d: ExactPoly, d2: ExactPoly, nd2: ExactPoly) -> list:
-    """Terms of S, with ((N/D) exp(-x^2/6))'' = (S/D^3) exp(-x^2/6), given
-    D^2 and N D^2:
+def _second_terms(n: ExactPoly, d: ExactPoly, d2: ExactPoly) -> list:
+    """Terms of T = D^3 (-r'' + (2x/3) r') for r = N/D, given D^2:
 
-        S = N''D^2 - 2N'D'D - ND''D + 2ND'^2 - (2x/3)(N'D - ND')D + (x^2/9 - 1/3) N D^2.
+        T = -N''D^2 + 2N'D'D + ND''D - 2ND'^2 + (2x/3)(N'D - ND')D.
     """
     dn, dd = n.derivative(), d.derivative()
     return [
-        (1, (dn.derivative(), d2)),
-        (-2, (dn, dd, d)),
-        (-1, (n, dd.derivative(), d)),
-        (2, (n, dd, dd)),
-        (Fraction(-2, 3), (_X_POLY, dn, d2)),
-        (Fraction(2, 3), (_X_POLY, n, dd, d)),
-        (Fraction(1, 9), (_X2, nd2)),
-        (Fraction(-1, 3), (nd2,)),
+        (-1, (dn.derivative(), d2)),
+        (2, (dn, dd, d)),
+        (1, (n, dd.derivative(), d)),
+        (-2, (n, dd, dd)),
+        (Fraction(2, 3), (_X_POLY, dn, d2)),
+        (Fraction(-2, 3), (_X_POLY, n, dd, d)),
     ]
 
 
@@ -137,8 +161,10 @@ def _potential_polys(k: int) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
     return okamoto(k, 0), okamoto(k + 1, 0), okamoto(k + 2, 0)
 
 
+@functools.cache
 def potential(k: int) -> HamiltonianK:
-    """V(x) = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
+    """V(x) = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1.  Memoized per k;
+    the HamiltonianK is immutable."""
     q_k, q, q_k2 = _potential_polys(k)
     q2 = q * q
     num = sum_of_products(((1, (_X2, q2)), (4 * k + 1, (q2,)), (Fraction(-4, 9), (q_k2, q_k))))
@@ -193,11 +219,15 @@ def zero_mode(k: int, j: int, branch: str = "+") -> ModeFunction:
     return ModeFunction(k=k, j=j, n=0, P=p, energy=energy(k, jj, 0))
 
 
+@functools.cache
 def ladder(k: int, direction: str) -> LadderOp:
     """Third-order ladder operators in factored form.
 
     raise:  (+d/dx + W) o (-d/dx + W2) o (-d/dx + W1)
     lower:  (+d/dx + W1) o (+d/dx + W2) o (-d/dx + W), the adjoint of raise
+
+    Memoized per (k, direction), so each operator is conjugated once and
+    keeps its images.
     """
     if direction not in ("raise", "lower"):
         raise ValueError("direction must be 'raise' or 'lower'")
@@ -221,13 +251,14 @@ def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
     raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
 
 
-def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
-    """(-d^2/dx^2 + V - E) applied to mode.phi(); zero certifies the mode.
+def hamiltonian_residual(mode: ModeFunction) -> RationalFn:
+    """(-d^2/dx^2 + V - E) applied to phi = (P/Q) exp(-x^2/6), Q = Q_{k+1},
+    as its rational part; zero certifies the mode.
 
-    With phi = (P/Q) exp(-x^2/6), Q = Q_{k+1} and phi'' = (S/Q^3) exp(-x^2/6),
-    the result is N/Q^3 times exp(-x^2/6) where
+    With V - x^2/9 + 1/3 = (8/9) x^2 - (4/9) Q_{k+2} Q_k / Q^2 + 4k + 4/3
+    and T = Q^3 (-R'' + (2x/3) R') for R = P/Q, the result is N/Q^3 where
 
-        N = -S + (x^2 + 4k + 1 - E) P Q^2 - (4/9) Q_{k+2} Q_k P,
+        N = T + ((8/9) x^2 + 4k + 4/3 - E) P Q^2 - (4/9) Q_{k+2} Q_k P,
 
     so N is assembled as one polynomial and reduced at most once; a
     certified mode has N = 0 and needs no reduction at all.
@@ -237,19 +268,19 @@ def hamiltonian_residual(mode: ModeFunction) -> QuasiGaussian:
     q2 = q * q
     pq2 = p * q2
     num = sum_of_products([
-        *((-c, fs) for c, fs in _second_terms(p, q, q2, pq2)),
-        (1, (_X2, pq2)),
-        (4 * k + 1 - mode.energy, (pq2,)),
+        *_second_terms(p, q, q2),
+        (Fraction(8, 9), (_X2, pq2)),
+        (4 * k + Fraction(4, 3) - mode.energy, (pq2,)),
         (Fraction(-4, 9), (q_k2, q_k, p)),
     ])
     if num.is_zero:
-        return QuasiGaussian(RationalFn.zero())
-    return QuasiGaussian(RationalFn(num, q * q2))
+        return RationalFn.zero()
+    return RationalFn(num, q * q2)
 
 
 def intertwining_checks(k: int) -> list[bool]:
     """Exact intertwining relations of the factor chain, applied to the test
-    function (Q_{k,1}/Q_{k+1,0}) exp(-x^2/6):
+    function (Q_{k,1}/Q_{k+1,0}) exp(-x^2/6) through its rational part:
 
         H M1! = M1! H2     H2 M1 = M1 H
         H1 M2 = M2 H2      H2 M2! = M2! H1
@@ -265,20 +296,21 @@ def intertwining_checks(k: int) -> list[bool]:
     ham = potential(k).apply
     ham1 = HamiltonianK(k, v1).apply
     ham2 = HamiltonianK(k, v2).apply
-    g = QuasiGaussian(RationalFn(okamoto(k, 1), okamoto(k + 1, 0)))
-    m1_up = lambda f: apply_first_order(1, w1, f)
-    m1_dn = lambda f: apply_first_order(-1, w1, f)
-    m2_up = lambda f: apply_first_order(1, w2, f)
-    m2_dn = lambda f: apply_first_order(-1, w2, f)
-    q_up = lambda f: apply_first_order(1, w, f)
-    q_dn = lambda f: apply_first_order(-1, w, f)
+    g = RationalFn(okamoto(k, 1), okamoto(k + 1, 0))
+
+    factor = lambda sign, f: LadderOp(((sign, f),)).apply
+    m1_up, m1_dn = factor(1, w1), factor(-1, w1)
+    m2_up, m2_dn = factor(1, w2), factor(-1, w2)
+    q_up, q_dn = factor(1, w), factor(-1, w)
+    # Each Hamiltonian is applied to g once; each factor keeps its images.
+    h_g, h1_g, h2_g = ham(g), ham1(g), ham2(g)
     return [
-        (ham(m1_up(g)) - m1_up(ham2(g))).is_zero,
-        (ham2(m1_dn(g)) - m1_dn(ham(g))).is_zero,
-        (ham1(m2_dn(g)) - m2_dn(ham2(g))).is_zero,
-        (ham2(m2_up(g)) - m2_up(ham1(g))).is_zero,
-        (ham(q_up(g)) - (q_up(ham1(g)) + q_up(g) * 2)).is_zero,
-        (ham1(q_dn(g)) - (q_dn(ham(g)) - q_dn(g) * 2)).is_zero,
+        (ham(m1_up(g)) - m1_up(h2_g)).is_zero,
+        (ham2(m1_dn(g)) - m1_dn(h_g)).is_zero,
+        (ham1(m2_dn(g)) - m2_dn(h2_g)).is_zero,
+        (ham2(m2_up(g)) - m2_up(h1_g)).is_zero,
+        (ham(q_up(g)) - (q_up(h1_g) + q_up(g) * 2)).is_zero,
+        (ham1(q_dn(g)) - (q_dn(h_g) - q_dn(g) * 2)).is_zero,
     ]
 
 

@@ -345,7 +345,7 @@ def _worst_cross_inner(modes: list[spectral.ModeFunction]) -> float:
     import numpy as np
 
     xs, ws = numerics._gauss_panels()
-    samples = [numerics.eval_array(mode.phi(), xs) for mode in modes]
+    samples = [numerics.eval_array(mode.phi(), xs, gaussian=True) for mode in modes]
     norms = [float(np.sum(ws * v * v)) for v in samples]
     worst = 0.0
     for i, a in enumerate(samples):
@@ -373,8 +373,9 @@ def _norm_ratio(k: int) -> Outcome:
     xs, ws = numerics._gauss_panels()
     for j in (1, 2, 3):
         for mode in ttrr.ttrr_modes(k, j, 2):
-            raised_vals = numerics.eval_array(up.apply(mode.phi()), xs)
-            mode_vals = numerics.eval_array(mode.phi(), xs)
+            phi = mode.phi()
+            raised_vals = numerics.eval_array(up.apply(phi), xs, gaussian=True)
+            mode_vals = numerics.eval_array(phi, xs, gaussian=True)
             ratio = float(np.sum(ws * raised_vals**2) / np.sum(ws * mode_vals**2))
             expected = float(spectral.ladder_constant_sq(k, j, mode.n))
             if abs(ratio - expected) > 1e-6 * max(1.0, abs(expected)):

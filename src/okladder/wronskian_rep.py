@@ -25,9 +25,7 @@ from .errors import (
     SingularWronskian,
 )
 from .exact_ring import (
-    _GAUSS_SLOPE,
     ExactPoly,
-    QuasiGaussian,
     RationalFn,
     apply_first_order,
     log_derivative,
@@ -217,12 +215,14 @@ def susy_chain_potential(deleted_levels: list[int]) -> RationalFn:
     if len(set(levels)) != len(levels) or any(v < 1 for v in levels):
         raise ValueError("deleted levels must be distinct integers >= 1")
     v = _X_SQ_OVER_9 + RationalFn.constant(Fraction(-1, 3))
-    seeds = [QuasiGaussian(psi_poly(i)) for i in sorted(levels)]
+    # Each seed is held by its rational part R, u = R exp(-x^2/6): then
+    # L = (ln R)' - x/3, and d/dx - L acts on R as d/dx - (ln R)'.
+    seeds = [RationalFn.from_poly(psi_poly(i)) for i in sorted(levels)]
     while seeds:
-        u = seeds.pop(0).rational
-        log_u = log_derivative(u.num, u.den) + _GAUSS_SLOPE
-        v = v - log_u.derivative() * 2
-        seeds = [apply_first_order(1, -log_u, seed) for seed in seeds]
+        u = seeds.pop(0)
+        log_r = log_derivative(u.num, u.den)
+        v = v - (log_r.derivative() - RationalFn.constant(Fraction(1, 3))) * 2
+        seeds = [apply_first_order(1, -log_r, seed) for seed in seeds]
     if sturm_count(v.den).n_total:
         raise SingularWronskian(f"chained potential for levels {sorted(levels)} has a real pole")
     return v

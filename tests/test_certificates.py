@@ -42,8 +42,12 @@ def recurrence_closed_forms():
 def product_form_check():
     for key in ((2, 1), (1, 1), (2, 0), (1, 2)):
         okamoto(*key)
-    DEFAULT_TABLE._memo[(1, 2)] = okamoto(1, 2) * 2
-    rational_solution(1, 1, 1)
+    sound = okamoto(1, 2)
+    DEFAULT_TABLE._memo[(1, 2)] = sound * 2
+    try:
+        rational_solution(1, 1, 1)
+    finally:
+        DEFAULT_TABLE._memo[(1, 2)] = sound
 
 
 def _hamiltonian(quotient):
@@ -55,9 +59,12 @@ def asymptotic_growth():
 
 
 def okamoto_wronskian():
-    okamoto(2, 0)
+    sound = okamoto(2, 0)
     DEFAULT_TABLE._memo[(2, 0)] = ExactPoly((1, 1))
-    wronskian_rep.okamoto_via_wronskian(2, 0, "psi")
+    try:
+        wronskian_rep.okamoto_via_wronskian(2, 0, "psi")
+    finally:
+        DEFAULT_TABLE._memo[(2, 0)] = sound
 
 
 def okamoto_fill_partner():
@@ -90,8 +97,6 @@ def xhermite():
     wronskian_rep.xhermite_from_ttrr(1, 1, 1)
 
 
-# recurrence_step reads the shared table, so it runs before the cases that
-# leave entries of it corrupted.
 for case in (
     recurrence_step,
     recurrence_closed_forms,

@@ -1,4 +1,5 @@
-"""Field, polynomial, rational-function and quasi-Gaussian arithmetic."""
+"""Field, polynomial and rational-function arithmetic, and first-order
+factors conjugated by the Gaussian exp(-x^2/6)."""
 
 import importlib
 import math
@@ -14,13 +15,14 @@ from okladder.errors import EmptyList, MixedGrade, MixedKinds, NonZeroRemainder,
 from okladder.exact_ring import (
     SQRT2,
     ExactPoly,
-    QuasiGaussian,
     RationalFn,
     SqrtTwoScalar,
     apply_first_order,
+    conjugate_factor,
     poly_gcd,
     wronskian,
 )
+from oracles import QuasiGaussian
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 
@@ -589,6 +591,27 @@ class TestRepresentation:
             same_json(q * q, fq * fq)
             same_json(q**3, fq * fq * fq)
 
+    @given(polys(6), polys(6), graded_scalars, st.sampled_from((1, SQRT2)))
+    @settings(max_examples=200, deadline=None)
+    def test_proportionality_matches_scaled_copy(self, p, q, c, line):
+        # Zero operands, unrelated pairs, proportional pairs of each grade
+        # and pairs of one value in both grades (p and p*sqrt2).
+        pairs = [(p, q), (q, p), (p, p * c), (p * c, p), (p, p * line), (p * line, q)]
+        pairs += [(p, ExactPoly.zero()), (ExactPoly.zero(), p), (ExactPoly.zero(), ExactPoly.zero())]
+        for a, b in pairs:
+            assert a.proportionality(b) == proportionality_oracle(a, b), (a, b)
+
+
+def proportionality_oracle(p: ExactPoly, q: ExactPoly) -> SqrtTwoScalar | None:
+    """c with p == c*q, checked on the scaled copy q*c as it was before the
+    test read the integer arrays."""
+    if p.is_zero:
+        return SqrtTwoScalar(1, 0) if q.is_zero else SqrtTwoScalar(0, 0)
+    if q.is_zero or p.degree != q.degree:
+        return None
+    c = p.leading / q.leading
+    return c if p == q * c else None
+
 
 def rhs_oracle(q, c):
     """(9/2)(q q'' - q'^2) + (2x^2 + 3c) q^2 as composed products, the way
@@ -1016,32 +1039,42 @@ class TestDeterminant:
 
 
 class TestQuasiGaussian:
+    """Factors act on the rational part R of R exp(-x^2/6) through
+    conjugate_factor: G^-1 (s d/dx + f) G = s d/dx + (f - s x/3)."""
+
     def test_ground_mode_annihilation(self):
         # the lowering factor -d/dx + W with W = -x/3 kills exp(-x^2/6)
         w = RationalFn.from_poly(ExactPoly((0, Fraction(-1, 3))))
-        g = QuasiGaussian(RationalFn.one())
-        assert apply_first_order(-1, w, g).is_zero
+        assert conjugate_factor(-1, w).is_zero
+        assert apply_first_order(-1, conjugate_factor(-1, w), RationalFn.one()).is_zero
 
     def test_plain_derivative(self):
         # (d/dx + x/3)(x G) = G for G = exp(-x^2/6)
-        g = QuasiGaussian(RationalFn.from_poly(ExactPoly.x()))
-        out = apply_first_order(1, RationalFn.from_poly(ExactPoly((0, Fraction(1, 3)))), g)
-        assert out == QuasiGaussian(RationalFn.one())
+        f = conjugate_factor(1, RationalFn.from_poly(ExactPoly((0, Fraction(1, 3)))))
+        assert apply_first_order(1, f, RationalFn.x()) == RationalFn.one()
 
     def test_product_rule_against_gaussian(self):
-        f = RationalFn.from_poly(ExactPoly((0, Fraction(1, 3))))
-        g = QuasiGaussian(RationalFn.one())
-        out = apply_first_order(-1, f, g)
-        assert out == QuasiGaussian(RationalFn.from_poly(ExactPoly((0, Fraction(2, 3)))))
+        f = conjugate_factor(-1, RationalFn.from_poly(ExactPoly((0, Fraction(1, 3)))))
+        out = apply_first_order(-1, f, RationalFn.one())
+        assert out == RationalFn.from_poly(ExactPoly((0, Fraction(2, 3))))
 
     def test_derivative_vs_difference_quotient(self):
         from okladder.numerics import eval_float
 
         rng = random.Random(11)
-        g = QuasiGaussian(RationalFn(ExactPoly((1, 2)), ExactPoly((3, 0, 2))))
-        dg = apply_first_order(1, RationalFn.zero(), g)
+        r = RationalFn(ExactPoly((1, 2)), ExactPoly((3, 0, 2)))
+        dr = apply_first_order(1, conjugate_factor(1, RationalFn.zero()), r)
         for _ in range(100):
             x0 = rng.uniform(-4, 4)
             h = 1e-6
-            quotient = (eval_float(g, x0 + h) - eval_float(g, x0 - h)) / (2 * h)
-            assert abs(quotient - eval_float(dg, x0)) < 1e-8
+            step = eval_float(r, x0 + h, gaussian=True) - eval_float(r, x0 - h, gaussian=True)
+            quotient = step / (2 * h)
+            assert abs(quotient - eval_float(dr, x0, gaussian=True)) < 1e-8
+
+    @given(rational_polys(4), rational_polys(3).filter(bool), st.sampled_from((-1, 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_is_reduced(self, a, b, sign):
+        f = RationalFn(a, b)
+        got = conjugate_factor(sign, f)
+        slope = RationalFn.from_poly(ExactPoly((0, Fraction(sign, 3))))
+        assert got.to_json_dict() == (f - slope).to_json_dict()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from okladder import exact_ring, painleve4, ttrr
 from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, _cancel, poly_gcd
-from okladder.spectral import superpotentials
+from okladder.spectral import ladder, potential, superpotentials
 from okladder.verify import VerifySuiteConfig, run_verify
 from test_exact_ring import divmod_oracle, line_factors, polys
 
@@ -149,17 +149,22 @@ class TestRetry:
 
 
 def test_default_suites_never_fall_back(monkeypatch):
-    """Every reduction of the default-bound backlund, ladder, piv and
-    wronskian suites is settled by the heuristic: a silent fallback fails
-    here."""
+    """Every reduction of the backlund, ladder, piv and wronskian suites at
+    k <= 5, n <= 8, which hold every check of the default bounds, is
+    settled by the heuristic: a silent fallback fails here.  The memoized
+    operators are cleared, so every application reduces afresh."""
     monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
     monkeypatch.setattr(ttrr, "_STATES", {})
     superpotentials.cache_clear()
+    potential.cache_clear()
+    ladder.cache_clear()
     kernel = []
     heu = exact_ring._heu_gcd
     monkeypatch.setattr(exact_ring, "_heu_gcd", lambda X, Y: kernel.append(1) or heu(X, Y))
     prs = fallbacks(monkeypatch)
-    results = run_verify(VerifySuiteConfig(which=("backlund", "ladder", "piv", "wronskian")))
+    results = run_verify(
+        VerifySuiteConfig(k_max=5, n_max=8, which=("backlund", "ladder", "piv", "wronskian"))
+    )
     assert results and all(r.passed for r in results)
     assert len(kernel) > 1000, len(kernel)
     assert prs == []

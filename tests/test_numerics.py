@@ -12,7 +12,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from okladder import numerics
 from okladder.errors import GridTooCoarse, PoleAtPoint
-from okladder.exact_ring import SQRT2, ExactPoly, QuasiGaussian, RationalFn, SqrtTwoScalar
+import oracles
+from okladder.exact_ring import SQRT2, ExactPoly, RationalFn, SqrtTwoScalar
 from okladder.numerics import (
     NumericGrid,
     eval_array,
@@ -58,7 +59,7 @@ class TestEvalFloat:
         assert eval_float(potential(1).potential_fn(), 1.0) == pytest.approx(178 / 225, abs=1e-15)
 
     def test_weight_at_origin(self):
-        assert eval_float(zero_mode(0, 1).phi(), 0.0) == 1.0
+        assert eval_float(zero_mode(0, 1).phi(), 0.0, gaussian=True) == 1.0
 
     def test_high_precision_request(self):
         # The exact value at 1/2, rounded once.
@@ -80,7 +81,7 @@ class TestEvalFloat:
         with pytest.raises(ValueError, match="cannot evaluate at x = "):
             eval_float(potential(1).potential_fn(), x)
         with pytest.raises(ValueError, match="cannot evaluate at x = "):
-            eval_float(zero_mode(1, 1).phi(), x)
+            eval_float(zero_mode(1, 1).phi(), x, gaussian=True)
 
     @pytest.mark.parametrize("c", [1, -1, SQRT2, -SQRT2])
     def test_overflow_rounds_to_signed_inf(self, c):
@@ -129,6 +130,26 @@ class TestEvalFloat:
         assert vals[0] == pytest.approx(2.7778e198, rel=1e-4)
 
 
+def _nodeless_quotient(num: ExactPoly, den: ExactPoly, line, power: int) -> RationalFn:
+    """num*line*x^power / (den^2 + 1): a denominator with no real zero."""
+    return RationalFn(num * line * ExactPoly.monomial(1, power), den * den + ExactPoly.one())
+
+
+_small = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=20), max_size=4
+).map(ExactPoly)
+# Rational parts whose values overflow a double far out (x^power up to 220)
+# and points where the Gaussian underflows or R overflows.
+_mode_parts = st.builds(
+    _nodeless_quotient, _small, _small, st.sampled_from((1, SQRT2)), st.integers(0, 220)
+)
+_mode_points = st.one_of(
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
+    st.sampled_from((0.0, 38.0, 60.0, -66.0, 76.0, 90.0, -1e3, 1e6, 1e150, -1e300)),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
 @pytest.mark.filterwarnings("error")
 class TestQuasiGaussianEval:
     """R exp(-x^2/6) where R overflows a double or the Gaussian is below the
@@ -142,17 +163,19 @@ class TestQuasiGaussianEval:
     def test_monomials(self, power, x, value):
         import numpy as np
 
-        g = QuasiGaussian(ExactPoly.x() ** power)
-        assert eval_float(g, x) == pytest.approx(value, rel=1e-12)
-        assert list(eval_array(g, np.array([x, -x]))) == pytest.approx([value, value], rel=1e-12)
+        r = ExactPoly.x() ** power
+        assert eval_float(r, x, gaussian=True) == pytest.approx(value, rel=1e-12)
+        got = eval_array(r, np.array([x, -x]), gaussian=True)
+        assert list(got) == pytest.approx([value, value], rel=1e-12)
 
     def test_beyond_the_largest_double(self):
         import numpy as np
 
         # x^400 exp(-x^2/6) at 60 is about e^1038
-        g = QuasiGaussian(ExactPoly.x() ** 400)
-        assert eval_float(g, 60.0) == math.inf and eval_float(-g, 60.0) == -math.inf
-        assert list(eval_array(-g, np.array([60.0, 1e300]))) == [-math.inf, 0.0]
+        r = ExactPoly.x() ** 400
+        assert eval_float(r, 60.0, gaussian=True) == math.inf
+        assert eval_float(-r, 60.0, gaussian=True) == -math.inf
+        assert list(eval_array(-r, np.array([60.0, 1e300]), gaussian=True)) == [-math.inf, 0.0]
 
     def test_modes_match_300_bit_mpmath(self):
         import numpy as np
@@ -160,10 +183,10 @@ class TestQuasiGaussianEval:
         xs = [-1e3, -80.0, -66.0, 60.0, 65.5, 70.0, 100.0]
         for k, j, n in ((1, 1, 5), (1, 2, 3), (2, 3, 2)):
             phi = ModeFunction(k, j, n, ttrr_sequence(k, j, n)[n], energy(k, j, n)).phi()
-            arr = eval_array(phi, np.array(xs))
+            arr = eval_array(phi, np.array(xs), gaussian=True)
             for x, got in zip(xs, arr):
-                want = mp_value(phi, x)
-                assert eval_float(phi, x) == pytest.approx(want, rel=1e-12, abs=0)
+                want = mp_value(phi, x, gaussian=True)
+                assert eval_float(phi, x, gaussian=True) == pytest.approx(want, rel=1e-12, abs=0)
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_other_points_are_rational_part_times_gaussian(self):
@@ -171,10 +194,26 @@ class TestQuasiGaussianEval:
 
         phi = zero_mode(2, 3).phi()
         xs = np.linspace(-25, 25, 101)
-        assert list(eval_array(phi, xs)) == list(eval_array(phi.rational, xs) * np.exp(-xs * xs / 6))
+        want = eval_array(phi, xs) * np.exp(-xs * xs / 6)
+        assert list(eval_array(phi, xs, gaussian=True)) == list(want)
         for x in xs:
             x = float(x)
-            assert eval_float(phi, x) == eval_float(phi.rational, x) * math.exp(-x * x / 6)
+            assert eval_float(phi, x, gaussian=True) == eval_float(phi, x) * math.exp(-x * x / 6)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_product_rule_route(self, data):
+        import numpy as np
+
+        r = data.draw(_mode_parts)
+        xs = data.draw(st.lists(_mode_points, min_size=1, max_size=6))
+        g = oracles.QuasiGaussian(r)
+        got = eval_array(r, np.array(xs), gaussian=True)
+        want = oracles.eval_array(g, np.array(xs))
+        assert got.tobytes() == want.tobytes()
+        for x in xs:
+            got, want = eval_float(r, x, gaussian=True), oracles.eval_float(g, x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
 
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
@@ -203,9 +242,9 @@ sqrt2_exprs = st.one_of(
 )
 
 
-def mp_value(expr, x: float) -> float:
-    """expr at x in 300-bit mpmath arithmetic, rounded to a double; a
-    QuasiGaussian is rounded once, after its Gaussian factor."""
+def mp_value(expr, x: float, gaussian: bool = False) -> float:
+    """expr at x in 300-bit mpmath arithmetic, rounded to a double; with
+    gaussian, expr times exp(-x^2/6), rounded once after that factor."""
     with mpmath.workprec(300):
         root2 = mpmath.sqrt(2)
 
@@ -219,9 +258,8 @@ def mp_value(expr, x: float) -> float:
 
         if isinstance(expr, ExactPoly):
             return float(poly(expr))
-        if isinstance(expr, QuasiGaussian):
-            r = expr.rational
-            return float(poly(r.num) / poly(r.den) * mpmath.exp(-mpmath.mpf(x) ** 2 / 6))
+        if gaussian:
+            return float(poly(expr.num) / poly(expr.den) * mpmath.exp(-mpmath.mpf(x) ** 2 / 6))
         return float(poly(expr.num) / poly(expr.den))
 
 
@@ -417,7 +455,7 @@ class TestInnerProducts:
         up = ladder(1, "raise")
         seq = ttrr_sequence(1, 2, 1)
         mode = ModeFunction(1, 2, 0, seq[0], energy(1, 2, 0))
-        raised = eval_array(up.apply(mode.phi()), xs)
-        base = eval_array(mode.phi(), xs)
+        raised = eval_array(up.apply(mode.phi()), xs, gaussian=True)
+        base = eval_array(mode.phi(), xs, gaussian=True)
         ratio = float(np.sum(ws * raised**2) / np.sum(ws * base**2))
         assert ratio == pytest.approx(float(ladder_constant_sq(1, 2, 0)), rel=1e-6)

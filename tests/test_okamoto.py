@@ -1,5 +1,6 @@
 """Generation, seeding, degrees, parity, and recurrence consistency."""
 
+import importlib
 import json
 import os
 import re
@@ -26,6 +27,9 @@ from okladder.reference_data import (
     OKAMOTO_COLUMN_MINUS_1,
     OKAMOTO_COLUMN_PLUS_1,
 )
+
+# The package exports the function `okamoto` under the module's name.
+okamoto_module = importlib.import_module("okladder.okamoto")
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -282,17 +286,47 @@ def test_dump_failure_keeps_previous_file(tmp_path, monkeypatch):
     table.get(2, 1)
     table.dump(str(path))
     before = path.read_bytes()
+    real_open = open
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"2,1": {"coeffs": [["')
-        raise OSError("disk full")
+    class FailingFile:
+        """A temp file whose write stops part way with a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:20])
+            raise OSError("disk full")
 
     table.get(4, 1)
-    monkeypatch.setattr(json, "dump", failing_dump)
+    monkeypatch.setattr(
+        okamoto_module, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)), raising=False
+    )
     with pytest.raises(OSError, match="disk full"):
         table.dump(str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["table.json"]
+
+
+def test_dump_writes_the_bytes_of_json_dump(tmp_path):
+    # Entries of both grades; the file holds what json.dump to a text file
+    # wrote, and the table keeps those bytes as the last written.
+    table = OkamotoTable()
+    table.get(4, 2)
+    path = tmp_path / "table.json"
+    table.dump(str(path))
+    data = {f"{m},{n}": poly.to_json_dict() for (m, n), poly in table._memo.items()}
+    old = tmp_path / "old.json"
+    with open(old, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True)
+    assert path.read_bytes() == old.read_bytes()
+    assert table._seen[1] == old.read_bytes()
 
 
 _DUMP_SCRIPT = r"""

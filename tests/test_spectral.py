@@ -4,15 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from okladder import spectral
 from okladder.exact_ring import (
     ExactPoly,
-    QuasiGaussian,
     RationalFn,
     SqrtTwoScalar,
+    apply_first_order,
+    conjugate_factor,
     log_derivative,
 )
 from okladder.okamoto import okamoto
 from okladder.spectral import (
+    HamiltonianK,
+    LadderOp,
     ModeFunction,
     auxiliary_potential_checks,
     energy,
@@ -93,7 +101,7 @@ class TestSuperpotentials:
         # (-d^2/dx^2 + V) e^{int W} = 0 exactly, via the quasi-Gaussian form
         for k in range(3):
             ham = potential(k)
-            ground = QuasiGaussian(RationalFn(okamoto(k, 0), okamoto(k + 1, 0)))
+            ground = RationalFn(okamoto(k, 0), okamoto(k + 1, 0))
             assert ham.apply(ground).is_zero
 
     def test_branch_formulas_reproduce_zero_modes(self):
@@ -102,8 +110,8 @@ class TestSuperpotentials:
             for branch, jwant in (("+", 2), ("-", 3)):
                 w, w1, w2 = superpotentials(k, branch)
                 b = okamoto(k, 1) if branch == "+" else okamoto(k + 1, -1)
-                exp_part = QuasiGaussian(RationalFn(b, okamoto(k, 0)))
-                built = QuasiGaussian((w - w2) * exp_part.rational)
+                exp_part = RationalFn(b, okamoto(k, 0))
+                built = (w - w2) * exp_part
                 target = zero_mode(k, jwant, branch="+").phi()
                 c = built.proportionality(target)
                 assert c is not None and not c.is_zero, (k, branch)
@@ -180,7 +188,7 @@ class TestLadder:
 
     def test_raise_on_oscillator_ground(self):
         raised = ladder(0, "raise").apply(zero_mode(0, 1).phi())
-        target = QuasiGaussian(RationalFn.from_poly(ExactPoly((0, -9, 0, 2))))
+        target = RationalFn.from_poly(ExactPoly((0, -9, 0, 2)))
         c = raised.proportionality(target)
         assert c is not None and not c.is_zero
 
@@ -248,3 +256,90 @@ class TestHamiltonianResidual:
         assert mode_degree(1, 2, 0) == 4
         assert mode_degree(1, 3, 0) == 5
         assert mode_degree(2, 3, 1) == 13
+
+
+def _mode_parts():
+    """(k, mode) for k <= 2, j = 1, 2, 3 and n <= 3."""
+    for k in range(3):
+        for j in (1, 2, 3):
+            for n, p in enumerate(ttrr_sequence(k, j, 3)):
+                yield k, ModeFunction(k, j, n, p, energy(k, j, n))
+
+
+def _rational_parts():
+    """(k, R) for the modes of `_mode_parts` and the seeds
+    (Q_{k,1}/Q_{k+1,0}) exp(-x^2/6) of intertwining_checks."""
+    for k, mode in _mode_parts():
+        yield k, mode.phi()
+    for k in range(3):
+        yield k, RationalFn(okamoto(k, 1), okamoto(k + 1, 0))
+
+
+def _same(new: RationalFn, old: "oracles.QuasiGaussian") -> None:
+    assert new.to_json_dict() == old.rational.to_json_dict()
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+_rational_polys = st.lists(_fractions, max_size=4).map(ExactPoly)
+_nonzero_polys = _rational_polys.filter(bool)
+_quotients = st.builds(RationalFn, _rational_polys, _nonzero_polys)
+
+
+class TestProductRuleOracle:
+    """Operators acting on R against the product rule on R exp(-x^2/6)."""
+
+    def test_first_order_factors(self):
+        for k, r in _rational_parts():
+            for f in superpotentials(k):
+                for sign in (-1, 1):
+                    new = apply_first_order(sign, conjugate_factor(sign, f), r)
+                    _same(new, oracles.apply_first_order(sign, f, oracles.QuasiGaussian(r)))
+
+    def test_ladders_and_hamiltonians(self):
+        for k, r in _rational_parts():
+            g = oracles.QuasiGaussian(r)
+            for direction in ("raise", "lower"):
+                # A fresh operator, so no image comes from the memo.
+                op = LadderOp(ladder(k, direction).factors)
+                _same(op.apply(r), oracles.ladder_apply(op, g))
+            _same(potential(k).apply(r), oracles.hamiltonian_apply(potential(k), g))
+
+    def test_hamiltonian_residuals(self):
+        for _, mode in _mode_parts():
+            _same(hamiltonian_residual(mode), oracles.hamiltonian_residual(mode))
+            off = ModeFunction(mode.k, mode.j, mode.n, mode.P, mode.energy + Fraction(1, 3))
+            _same(hamiltonian_residual(off), oracles.hamiltonian_residual(off))
+
+    @given(_quotients, _quotients, st.sampled_from((-1, 1)))
+    @settings(max_examples=80, deadline=None)
+    def test_random_quotients(self, f, r, sign):
+        g = oracles.QuasiGaussian(r)
+        new = apply_first_order(sign, conjugate_factor(sign, f), r)
+        _same(new, oracles.apply_first_order(sign, f, g))
+        if f:
+            h = HamiltonianK(0, f)
+            assert h.potential_fn() is f
+            _same(h.apply(r), oracles.hamiltonian_apply(h, g))
+
+
+class TestOperatorMemos:
+    def test_operators_are_built_once(self):
+        for k in range(3):
+            assert potential(k) is potential(k)
+            for direction in ("raise", "lower"):
+                assert ladder(k, direction) is ladder(k, direction)
+
+    def test_hit_returns_an_equal_image_without_applying(self, monkeypatch):
+        up = ladder(1, "raise")
+        mode = ModeFunction(1, 2, 1, ttrr_sequence(1, 2, 1)[1], energy(1, 2, 1))
+        first = up.apply(mode.phi())
+
+        def refuse(*args):
+            raise AssertionError("apply_first_order ran on a memoized input")
+
+        monkeypatch.setattr(spectral, "apply_first_order", refuse)
+        again = up.apply(mode.phi())  # an equal R, built again
+        assert again == first
+        _same(again, oracles.ladder_apply(up, oracles.QuasiGaussian(mode.phi())))
+        with pytest.raises(AssertionError, match="memoized input"):
+            up.apply(RationalFn(okamoto(1, 1), okamoto(2, 0)) * 3)

@@ -150,8 +150,14 @@ def ode_residual_oracle(k: int, j: int, n: int, p: ExactPoly) -> ExactPoly:
 
 
 def _second(n: ExactPoly, d: ExactPoly) -> ExactPoly:
+    """S from the conjugated terms T = D^3 (-R'' + (2x/3) R') of R = N/D:
+    S = -T + (x^2/9 - 1/3) N D^2."""
     d2 = d * d
-    return sum_of_products(_second_terms(n, d, d2, n * d2))
+    return sum_of_products([
+        *((-c, fs) for c, fs in _second_terms(n, d, d2)),
+        (Fraction(1, 9), (ExactPoly.monomial(1, 2), n, d2)),
+        (Fraction(-1, 3), (n, d2)),
+    ])
 
 
 def _solutions():
