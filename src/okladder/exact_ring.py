@@ -60,10 +60,6 @@ class SqrtTwoScalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -420,10 +416,7 @@ class ExactPoly:
         X = self._x
         if not X:
             return self
-        g = math.gcd(*X)
-        if X[-1] < 0:
-            g = -g
-        return _raw(tuple(v // g for v in X), self._r, 1)
+        return _raw(tuple(_primitive(X)), self._r, 1)
 
     def proportionality(self, other: "ExactPoly") -> SqrtTwoScalar | None:
         """Scalar c with self == c*other, or None if not proportional.
@@ -945,11 +938,6 @@ class RationalFn:
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def as_poly(self) -> ExactPoly:
-        if not self.is_polynomial:
-            raise NonZeroRemainder("rational function is not a polynomial")
-        return self.num  # denominator is monic degree 0, i.e. exactly 1
 
     def __bool__(self) -> bool:
         return not self.is_zero

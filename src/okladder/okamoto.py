@@ -36,16 +36,23 @@ def okamoto_degree(m: int, n: int) -> int:
     return m * m + n * n + m * n - m - n
 
 
+def in_cone(m: int, n: int) -> bool:
+    """Whether (m, n) lies in the cone m >= 0, n >= -1 of the table."""
+    return m >= 0 and n >= -1
+
+
 def check_cone(m: int, n: int) -> None:
     """Raise IndexOutOfCone unless (m, n) lies in the cone of the table."""
-    if m < 0 or n < -1:
+    if not in_cone(m, n):
         raise IndexOutOfCone(f"Q_({m},{n}) is outside the supported cone m >= 0, n >= -1")
 
 
 class OkamotoTable:
-    """Append-only memo of Q_{m,n}; fills columns n = 0 and n = 1 by the
-    first-index recurrence, the n = -1 column by the second-index recurrence
-    at n = 0, and columns n >= 2 by the second-index recurrence ascending n.
+    """Append-only memo of Q_{m,n}; each entry off the seeds is made by its
+    step of `_recurrence` once the step's two partners are in the memo:
+    columns n = 0 and n = 1 by the first-index recurrence, the n = -1 column
+    by the second-index recurrence at n = 0, and columns n >= 2 by the
+    second-index recurrence ascending n.
     """
 
     def __init__(self) -> None:
@@ -64,28 +71,26 @@ class OkamotoTable:
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._memo
 
-    def known_indices(self) -> list[tuple[int, int]]:
-        return sorted(self._memo)
-
     def get(self, m: int, n: int) -> ExactPoly:
         check_cone(m, n)
-        cached = self._memo.get((m, n))
+        memo = self._memo
+        cached = memo.get((m, n))
         if cached is not None:
             return cached
-        if n in (0, 1):
-            return self._fill_column(m, n)
-        mid, other, _ = _recurrence(m, n)
-        self.get(*mid)
-        self.get(*other)
-        value = self._memo[(m, n)] = self._step(m, n)
-        return value
-
-    def _fill_column(self, m: int, n: int) -> ExactPoly:
-        # Ascend the first index from the two seeds of column n.
-        top = max(mm for (mm, nn) in self._memo if nn == n and (mm - 1, n) in self._memo)
-        for mm in range(top + 1, m + 1):
-            self._memo[(mm, n)] = self._step(mm, n)
-        return self._memo[(m, n)]
+        # Depth first over the recurrence partners, on an explicit stack so
+        # that no index is too deep to reach: an entry is made once both its
+        # partners are in the memo.
+        stack = [(m, n)]
+        while stack:
+            key = stack[-1]
+            mid, other, _ = _recurrence(*key)
+            missing = [p for p in (mid, other) if p not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                memo[key] = self._step(*key)
+                stack.pop()
+        return memo[(m, n)]
 
     def _step(self, m: int, n: int) -> ExactPoly:
         """Q_{m,n} by its recurrence in u from its two partners in the memo."""
@@ -304,7 +309,7 @@ def _cache_key(key: str) -> tuple[int, int]:
         raise CorruptCache(f"cache key {key!r} is not of the form 'm,n'") from None
     if key != f"{m},{n}":
         raise CorruptCache(f"cache key {key!r} is not of the form 'm,n'")
-    if m < 0 or n < -1:
+    if not in_cone(m, n):
         raise CorruptCache(f"cache key {key!r} is outside the cone m >= 0, n >= -1")
     return m, n
 

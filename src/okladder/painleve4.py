@@ -1,9 +1,10 @@
 """Rational solutions of the fourth Painleve equation, hierarchy "-2x/3".
 
 Solutions come in three families built from logarithmic derivatives of
-quotients of generalized Okamoto polynomials, with equivalent product
-forms checked as theorems.  The residual test and the eight parameter
-maps that generate new solutions are exact.
+quotients of generalized Okamoto polynomials, read from one table, with
+equivalent product forms checked as theorems, each as one polynomial
+identity.  The residual test and the eight parameter maps that generate
+new solutions are exact.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateFailed, IndexOutOfCone, SingularMap, ZeroDenominator
-from .exact_ring import SQRT2, ExactPoly, RationalFn, log_derivative, sum_of_products
-from .okamoto import okamoto
+from .exact_ring import SQRT2, ExactPoly, RationalFn, _wronskian_pair, sum_of_products
+from .okamoto import in_cone, okamoto
 
 _X = ExactPoly.x()
 _X2 = ExactPoly.monomial(1, 2)
-_MINUS_2X3 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
+_SQRT2_3 = SQRT2 / 3
 
 
 @dataclass(frozen=True)
@@ -30,43 +31,70 @@ class PIVSolution:
     beta: Fraction
 
 
+# Family f at (m, n): alpha, s with beta = -2 s^2, the log-form pair (a, b)
+# with w = -2x/3 + (ln a/b)' and the product-form pair (N1, N2) with
+# w = -(sqrt2/3) N1 N2 / (a b), each pair as two Okamoto indices.
+_THIRD = Fraction(1, 3)
+_FAMILIES = {
+    1: lambda m, n: (2 * m + n, n - _THIRD, ((m + 1, n), (m, n)), ((m + 1, n - 1), (m, n + 1))),
+    2: lambda m, n: (-m - 2 * n, m - _THIRD, ((m, n), (m, n + 1)), ((m + 1, n), (m - 1, n + 1))),
+    3: lambda m, n: (n - m, m + n + _THIRD, ((m, n + 1), (m + 1, n)), ((m + 1, n + 1), (m, n))),
+}
+
+
+def _family(family: int, m: int, n: int) -> tuple:
+    """(alpha, s, log-form pair, product-form pair) of w^family_{m,n}."""
+    if family not in (1, 2, 3):
+        raise ValueError(f"family must be 1, 2 or 3, got {family}")
+    return _FAMILIES[family](m, n)
+
+
 def family_parameters(family: int, m: int, n: int) -> tuple[Fraction, Fraction]:
-    if family == 1:
-        return Fraction(2 * m + n), -2 * (Fraction(n) - Fraction(1, 3)) ** 2
-    if family == 2:
-        return Fraction(-m - 2 * n), -2 * (Fraction(m) - Fraction(1, 3)) ** 2
-    if family == 3:
-        return Fraction(n - m), -2 * (Fraction(m + n) + Fraction(1, 3)) ** 2
-    raise ValueError(f"family must be 1, 2 or 3, got {family}")
+    """(alpha, beta) of w^family_{m,n}."""
+    alpha, s, _, _ = _family(family, m, n)
+    return Fraction(alpha), -2 * s * s
+
+
+def _omega(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    """omega = -(2x/3) a b + a'b - a b', the numerator of the log form
+    -2x/3 + (ln a/b)' over a b."""
+    return sum_of_products((
+        (Fraction(-2, 3), (_X, a, b)),
+        (1, (a.derivative(), b)),
+        (-1, (a, b.derivative())),
+    ))
+
+
+def _log_parts(family: int, m: int, n: int) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
+    """(a, b, omega(a, b)): the log-form pair of w^family_{m,n} and the
+    numerator of its log form over a b, unreduced."""
+    a, b = (okamoto(*index) for index in _family(family, m, n)[2])
+    return a, b, _omega(a, b)
 
 
 def log_form(family: int, m: int, n: int) -> RationalFn:
-    """w^family_{m,n} = -2x/3 + (ln a/b)' with (a, b) = (Q_{m+1,n}, Q_{m,n}),
-    (Q_{m,n}, Q_{m,n+1}) or (Q_{m,n+1}, Q_{m+1,n}) for family 1, 2, 3."""
-    pairs = {1: ((m + 1, n), (m, n)), 2: ((m, n), (m, n + 1)), 3: ((m, n + 1), (m + 1, n))}
-    if family not in pairs:
-        raise ValueError(f"family must be 1, 2 or 3, got {family}")
-    a, b = pairs[family]
-    return _MINUS_2X3 + log_derivative(okamoto(*a), okamoto(*b))
+    """w^family_{m,n} = -2x/3 + (ln a/b)' = omega(a, b) / (a b), reduced
+    once, with (a, b) = (Q_{m+1,n}, Q_{m,n}), (Q_{m,n}, Q_{m,n+1}) or
+    (Q_{m,n+1}, Q_{m+1,n}) for family 1, 2, 3."""
+    a, b, num = _log_parts(family, m, n)
+    return RationalFn(num, a * b)
 
 
-def product_form(family: int, m: int, n: int) -> RationalFn:
-    """The equivalent all-product representation of the same solution."""
-    c = RationalFn.constant(SQRT2 * Fraction(-1, 3))
-    if family == 1:
-        num = okamoto(m + 1, n - 1) * okamoto(m, n + 1)
-        den = okamoto(m, n) * okamoto(m + 1, n)
-    elif family == 2:
-        if m < 1:
-            raise IndexOutOfCone("product form of family 2 needs m >= 1")
-        num = okamoto(m + 1, n) * okamoto(m - 1, n + 1)
-        den = okamoto(m, n + 1) * okamoto(m, n)
-    elif family == 3:
-        num = okamoto(m + 1, n + 1) * okamoto(m, n)
-        den = okamoto(m + 1, n) * okamoto(m, n + 1)
-    else:
-        raise ValueError(f"family must be 1, 2 or 3, got {family}")
-    return c * RationalFn(num, den)
+def _check_product_form(key: tuple[int, int, int], num: ExactPoly) -> None:
+    """Raise CertificateFailed unless the product form -(sqrt2/3) N1 N2 / (a b)
+    of member key equals its log form num / (a b), num = omega(a, b): the
+    two share their denominator, so the check is num + (sqrt2/3) N1 N2 = 0,
+    one sum of products and no reduction.  Skipped when an index of N1 or
+    N2 leaves the cone: family 1 at n = -1 and family 2 at m = 0."""
+    product = _family(*key)[3]
+    if not all(in_cone(*index) for index in product):
+        return
+    n1, n2 = (okamoto(*index) for index in product)
+    if not sum_of_products(((1, (num,)), (_SQRT2_3, (n1, n2)))).is_zero:
+        family, m, n = key
+        raise CertificateFailed(
+            f"product and logarithmic forms disagree for family {family}, ({m},{n})"
+        )
 
 
 # One certified PIVSolution per (family, m, n), shared by every caller as the
@@ -83,20 +111,16 @@ def rational_solution(family: int, m: int, n: int) -> PIVSolution:
     checked exactly equal, raising CertificateFailed otherwise.  Each member
     is built and checked once per process.
     """
-    if m < 0 or n < -1:
+    if not in_cone(m, n):
         raise IndexOutOfCone("rational solutions are indexed by m >= 0, n >= -1")
     key = (family, m, n)
     sol = _SOLUTIONS.get(key)
     if sol is not None:
         return sol
-    w = log_form(family, m, n)
     alpha, beta = family_parameters(family, m, n)
-    if not (family == 2 and m == 0) and not (family == 1 and n == -1):
-        if product_form(family, m, n) != w:
-            raise CertificateFailed(
-                f"product and logarithmic forms disagree for family {family}, ({m},{n})"
-            )
-    sol = _SOLUTIONS[key] = PIVSolution(w=w, alpha=alpha, beta=beta)
+    a, b, num = _log_parts(family, m, n)
+    _check_product_form(key, num)
+    sol = _SOLUTIONS[key] = PIVSolution(RationalFn(num, a * b), alpha, beta)
     return sol
 
 
@@ -252,18 +276,15 @@ def bilinear_identities(m: int, n: int) -> list[bool]:
     q_m1nm1 = q(m + 1, n - 1)
     q_mm1n1 = q(m - 1, n + 1)
 
-    def wr(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-        return a * b.derivative() - a.derivative() * b
-
     checks = [
         # from comparing the first and eighth map on family 1
-        x * q_m1n * q_mn1 * (-2) + wr(q_m1n, q_mn1) * 3 == -(root2 * q_mn * q_m1n1),
-        wr(q_m1n1, q_mn) == -(root2 * q_m1n * q_mn1) * (3 * m + 3 * n + 1),
+        x * q_m1n * q_mn1 * (-2) + _wronskian_pair(q_mn1, q_m1n) * 3 == -(root2 * q_mn * q_m1n1),
+        _wronskian_pair(q_mn, q_m1n1) == -(root2 * q_m1n * q_mn1) * (3 * m + 3 * n + 1),
         # from comparing the third and fifth map on family 1
-        x * q_mn1 * q_mn * (-2) + wr(q_mn1, q_mn) * 3 == -(root2 * q_m1n * q_mm1n1),
-        wr(q_m1n, q_mm1n1) == -(root2 * q_mn1 * q_mn) * (3 * m - 1),
+        x * q_mn1 * q_mn * (-2) + _wronskian_pair(q_mn, q_mn1) * 3 == -(root2 * q_m1n * q_mm1n1),
+        _wronskian_pair(q_mm1n1, q_m1n) == -(root2 * q_mn1 * q_mn) * (3 * m - 1),
         # from comparing the first and eighth map on family 2
-        x * q_mn * q_m1n * (-2) + wr(q_mn, q_m1n) * 3 == -(root2 * q_m1nm1 * q_mn1),
-        wr(q_m1nm1, q_mn1) == root2 * q_mn * q_m1n * (3 * n - 1),
+        x * q_mn * q_m1n * (-2) + _wronskian_pair(q_m1n, q_mn) * 3 == -(root2 * q_m1nm1 * q_mn1),
+        _wronskian_pair(q_mn1, q_m1nm1) == root2 * q_mn * q_m1n * (3 * n - 1),
     ]
     return checks

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import IndexOutOfCone
 # poly_gcd stays bound here: perfbench/selftest.py checks its tracer wraps it.
 from .exact_ring import ExactPoly, _divmod_ints, _primitive, poly_gcd  # noqa: F401
+from .spectral import check_potential_index, energy
 
 
 @dataclass(frozen=True)
@@ -129,19 +130,15 @@ def predicted_okamoto_count(m: int, n: int) -> RootCountReport:
 
 
 def predicted_mode_count(k: int, j: int, n: int) -> int:
-    """Total real zeros of the (n, j) mode polynomial; the indices are
-    checked in the order the mode's construction checks them."""
+    """Total real zeros of the (n, j) mode polynomial, max(n, sigma - 2k)
+    at the oscillator level sigma = 3 E_{n;j} / 2 of the mode: n, then
+    3n - 2k from n = k up on tower 1, and 3n + k + j - 1 on towers 2 and 3.
+    The indices are checked in the order the mode's construction checks
+    them."""
     if n < 0:
         raise ValueError("level index n must be >= 0")
-    if k < 0:
-        raise IndexOutOfCone("potential index k must be >= 0")
-    if j == 1:
-        return n if n <= k else 3 * n - 2 * k
-    if j == 2:
-        return 3 * n + k + 1
-    if j == 3:
-        return 3 * n + k + 2
-    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    check_potential_index(k)
+    return max(n, int(energy(k, j, n) * 3 / 2) - 2 * k)
 
 
 def predicted_wronskian_count(xi: list[int]) -> RootCountReport:

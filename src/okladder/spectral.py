@@ -1,8 +1,9 @@
 """Hamiltonians with third-order shape invariance over the "-2x/3" hierarchy.
 
 Potential, superpotentials, factorization energies, the three zero-modes,
-exact third-order ladder operators, and the three-sequence spectrum.  The
-energy unit is fixed by lambda = 1 (spectral shift 2 per ladder step).
+exact third-order ladder operators, and the three-sequence spectrum, whose
+towers are read from one table.  The energy unit is fixed by lambda = 1
+(spectral shift 2 per ladder step).
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CertificateFailed, IndexOutOfCone
+from .errors import IndexOutOfCone
 from .exact_ring import ExactPoly, RationalFn, apply_first_order, conjugate_factor, sum_of_products
-from .okamoto import okamoto
+from .okamoto import okamoto, okamoto_degree
 from .painleve4 import log_form
 
 _X = RationalFn.x()
@@ -21,26 +22,39 @@ _X_POLY = ExactPoly.x()
 _X2 = ExactPoly.monomial(1, 2)
 
 
+# Tower j = 1, 2, 3 of the spectrum starts at the zero-mode Q_{k+dm, dn}
+# with ground energy E_0 = slope*k + offset, as (dm, dn, slope, offset).
+_TOWERS = {
+    1: (0, 0, 0, Fraction(0)),
+    2: (1, 1, 2, Fraction(2, 3)),
+    3: (2, -1, 2, Fraction(4, 3)),
+}
+
+
+def tower(k: int, j: int) -> tuple[tuple[int, int], Fraction]:
+    """(Okamoto index of the zero-mode polynomial, ground energy E_0) of
+    tower j: ((k, 0), 0), ((k+1, 1), 2k + 2/3) or ((k+2, -1), 2k + 4/3)."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    dm, dn, slope, offset = _TOWERS[j]
+    return (k + dm, dn), slope * k + offset
+
+
+def check_potential_index(k: int) -> None:
+    """Raise IndexOutOfCone unless k >= 0."""
+    if k < 0:
+        raise IndexOutOfCone("potential index k must be >= 0")
+
+
 def energy(k: int, j: int, n: int) -> Fraction:
-    """E_{n;j}: three disjoint arithmetic progressions of step 2."""
-    if j == 1:
-        return Fraction(2 * n)
-    if j == 2:
-        return 2 * k + 2 * n + Fraction(2, 3)
-    if j == 3:
-        return 2 * k + 2 * n + Fraction(4, 3)
-    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    """E_{n;j} = E_0 + 2n: three disjoint arithmetic progressions of step 2."""
+    return tower(k, j)[1] + 2 * n
 
 
 def mode_degree(k: int, j: int, n: int) -> int:
-    """Degree of the polynomial part of the (n, j) mode."""
-    if j == 1:
-        return k * k - k + 3 * n
-    if j == 2:
-        return (k + 1) * (k + 1) + 3 * n
-    if j == 3:
-        return k * k + 2 * k + 2 + 3 * n
-    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    """Degree of the polynomial part of the (n, j) mode: that of its
+    zero-mode plus 3 per ladder step."""
+    return okamoto_degree(*tower(k, j)[0]) + 3 * n
 
 
 @dataclass(frozen=True)
@@ -80,14 +94,6 @@ class HamiltonianK:
         second = sum_of_products(_second_terms(n, d, d2))
         num = sum_of_products(((1, (v.num, n, d2)), (1, (second, v.den))))
         return RationalFn(num, sum_of_products(((1, (d, d2, v.den)),)))
-
-    def asymptotic_constant(self) -> Fraction:
-        """Limit of V(x) - x^2/9 for |x| -> oo (finite by construction)."""
-        quot, _ = divmod(self.v.num, self.v.den)
-        # quot = x^2/9 + c; a polynomial has one grade, so c is rational.
-        if not (quot.degree == 2 and quot.coeff(2) == Fraction(1, 9) and quot.coeff(1).is_zero):
-            raise CertificateFailed(f"V does not grow like x^2/9 at k={self.k}")
-        return quot.coeff(0).a
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,7 @@ def _second_terms(n: ExactPoly, d: ExactPoly, d2: ExactPoly) -> list:
 
 def _potential_polys(k: int) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
     """(Q_k, Q_{k+1}, Q_{k+2}), with V = x^2 - (4/9) Q_{k+2} Q_k / Q_{k+1}^2 + 4k + 1."""
-    if k < 0:
-        raise IndexOutOfCone("potential index k must be >= 0")
+    check_potential_index(k)
     return okamoto(k, 0), okamoto(k + 1, 0), okamoto(k + 2, 0)
 
 
@@ -203,20 +208,12 @@ def zero_mode(k: int, j: int, branch: str = "+") -> ModeFunction:
     Polynomial parts Q_k, Q_{k+1,1}, Q_{k+2,-1} at energies 0, 2k+2/3,
     2k+4/3 on the '+' branch; the '-' branch swaps j = 2 and j = 3.
     """
-    if j not in (1, 2, 3):
-        raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    index, e0 = tower(k, j)
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    jj = j
-    if branch == "-" and j in (2, 3):
-        jj = 5 - j
-    if jj == 1:
-        p = okamoto(k, 0)
-    elif jj == 2:
-        p = okamoto(k + 1, 1)
-    else:
-        p = okamoto(k + 2, -1)
-    return ModeFunction(k=k, j=j, n=0, P=p, energy=energy(k, jj, 0))
+    if branch == "-" and j != 1:
+        index, e0 = tower(k, 5 - j)
+    return ModeFunction(k=k, j=j, n=0, P=okamoto(*index), energy=e0)
 
 
 @functools.cache
@@ -238,17 +235,12 @@ def ladder(k: int, direction: str) -> LadderOp:
 
 def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
     """Squared proportionality constant C^2_{n+1;j} of the raising step,
-    equal to (E - eps1)(E - eps2)(E + 2) at E = E_{n;j}."""
+    (E - eps1)(E - eps2)(E + 2) at E = E_{n;j}."""
     if n < 0:
         raise ValueError("level index n must be >= 0")
-    np1 = Fraction(n + 1)
-    if j == 1:
-        return 8 * np1 * (n - k + Fraction(2, 3)) * (n - k + Fraction(1, 3))
-    if j == 2:
-        return 8 * np1 * (n + Fraction(2, 3)) * (n + k + Fraction(4, 3))
-    if j == 3:
-        return 8 * np1 * (n + Fraction(4, 3)) * (n + k + Fraction(5, 3))
-    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    e = energy(k, j, n)
+    e1, e2 = factorization_energies(k)
+    return (e - e1) * (e - e2) * (e + 2)
 
 
 def hamiltonian_residual(mode: ModeFunction) -> RationalFn:

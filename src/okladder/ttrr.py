@@ -18,22 +18,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CertificateFailed, IndexOutOfCone, NonPolynomialResult
+from .errors import CertificateFailed, NonPolynomialResult
 from .exact_ring import ExactPoly, RationalFn, sum_of_products
 from .okamoto import okamoto
-from .spectral import ModeFunction, energy, ladder_constant_sq, zero_mode
+from .painleve4 import _omega
+from .spectral import ModeFunction, check_potential_index, energy, ladder_constant_sq, tower, zero_mode
 
 _X = ExactPoly.x()
-
-
-def _omega(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """omega = -(2x/3) a b + a'b - a b', the numerator of the log form
-    -2x/3 + (ln a/b)' over a b."""
-    return sum_of_products((
-        (Fraction(-2, 3), (_X, a, b)),
-        (1, (a.derivative(), b)),
-        (-1, (a, b.derivative())),
-    ))
 
 
 class RecurrenceState:
@@ -46,8 +37,7 @@ class RecurrenceState:
     """
 
     def __init__(self, k: int, j: int) -> None:
-        if k < 0:
-            raise IndexOutOfCone("potential index k must be >= 0")
+        check_potential_index(k)
         self.k = k
         self.j = j
         self.q_k = q_k = okamoto(k, 0)
@@ -172,8 +162,7 @@ def normalization_sq(k: int, j: int, n: int) -> Fraction:
     """(N_{n;j}/N_{0;j})^2 = product of the squared ladder constants."""
     if n < 0:
         raise ValueError("level index n must be >= 0")
-    if j not in (1, 2, 3):
-        raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    tower(k, j)  # checks j also at n = 0, where the product is empty
     out = Fraction(1)
     for p in range(n):
         out *= ladder_constant_sq(k, j, p)

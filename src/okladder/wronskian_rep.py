@@ -20,20 +20,20 @@ from .errors import (
     CertificateFailed,
     DuplicateIndex,
     ExcludedDegree,
-    IndexOutOfCone,
     MalformedIndexList,
     SingularWronskian,
 )
 from .exact_ring import (
     ExactPoly,
     RationalFn,
+    _wronskian_pair,
     apply_first_order,
     log_derivative,
     wronskian,
 )
 from .okamoto import okamoto
 from .rootcount import sturm_count
-from .spectral import ModeFunction, energy
+from .spectral import ModeFunction, check_potential_index, energy
 from .ttrr import ttrr_sequence
 
 _X_SQ_OVER_9 = RationalFn.from_poly(ExactPoly((0, 0, Fraction(1, 9))))
@@ -98,19 +98,13 @@ def index_set_added(k: int) -> list[int]:
 
 
 def sigma_index(k: int, j: int, n: int) -> int:
-    """Oscillator level sigma_{n;j} whose state-deleting image is mode (n, j)
-    of potential k; every Wronskian and definition route starts here."""
-    if k < 0:
-        raise IndexOutOfCone("potential index k must be >= 0")
+    """Oscillator level sigma_{n;j} = 3 E_{n;j} / 2 whose state-deleting
+    image is mode (n, j) of potential k; every Wronskian and definition
+    route starts here."""
+    check_potential_index(k)
     if n < 0:
         raise ValueError("level index n must be >= 0")
-    if j == 1:
-        return 3 * n
-    if j == 2:
-        return 3 * n + 3 * k + 1
-    if j == 3:
-        return 3 * n + 3 * k + 2
-    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+    return int(energy(k, j, n) * 3 / 2)
 
 
 def _okamoto_wronskian_indices(m: int, n: int, form: str) -> list[int]:
@@ -170,8 +164,7 @@ def wronskian_mode(k: int, j: int, n: int) -> ModeFunction:
 
 def _log_second_derivative(p: ExactPoly) -> RationalFn:
     """(ln p)'' = (p'' p - p'^2)/p^2."""
-    dp = p.derivative()
-    return RationalFn(dp.derivative() * p - dp * dp, p * p)
+    return RationalFn(_wronskian_pair(p.derivative(), p), p * p)
 
 
 def wronskian_potential(k: int, form: str) -> RationalFn:

@@ -1,11 +1,16 @@
-"""The product-rule route for quasi-Gaussians, kept as a test oracle.
+"""Older routes kept as test oracles.
 
-Before the operators were conjugated by G = exp(-x^2/6), every mode, zero-mode
-and ladder image was carried as a `QuasiGaussian` R*G, and each operator
-differentiated the product R*G and carried the -x/3 terms by hand.  The
-library now acts on R alone; the code below is that older route, with the
-Gaussian kept explicit, so that tests can require the same rational parts
-and the same doubles from both.
+The product-rule route for quasi-Gaussians: before the operators were
+conjugated by G = exp(-x^2/6), every mode, zero-mode and ladder image was
+carried as a `QuasiGaussian` R*G, and each operator differentiated the
+product R*G and carried the -x/3 terms by hand.  The library now acts on R
+alone; the code below is that older route, with the Gaussian kept explicit,
+so that tests can require the same rational parts and the same doubles from
+both.
+
+The closed forms per tower j and per Painleve IV family, as each function
+wrote them out before the towers and the families were read from one table
+each, and the product form of a family member as a rational function.
 """
 
 import math
@@ -14,8 +19,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from okladder.exact_ring import _ONE, _ZERO, ExactPoly, RationalFn, _graded, sum_of_products
+from okladder.exact_ring import (
+    _ONE,
+    _ZERO,
+    SQRT2,
+    ExactPoly,
+    RationalFn,
+    _graded,
+    log_derivative,
+    sum_of_products,
+)
 from okladder.numerics import _poly_array, _round
+from okladder.okamoto import okamoto
 from okladder.numerics import eval_array as eval_rational
 from okladder.spectral import HamiltonianK, LadderOp, ModeFunction, _potential_polys
 
@@ -182,3 +197,100 @@ def eval_array(g: QuasiGaussian, xs: np.ndarray) -> np.ndarray:
             log_abs = np.log(np.abs(q)) + d * np.log(np.abs(x))
             vals[far] = np.sign(q * x**d) * np.exp(log_abs - x * x / 6.0)
     return vals
+
+
+# -- closed forms per tower j = 1, 2, 3 ------------------------------------
+
+
+def energy(k: int, j: int, n: int) -> Fraction:
+    if j == 1:
+        return Fraction(2 * n)
+    if j == 2:
+        return 2 * k + 2 * n + Fraction(2, 3)
+    if j == 3:
+        return 2 * k + 2 * n + Fraction(4, 3)
+    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+
+
+def mode_degree(k: int, j: int, n: int) -> int:
+    if j == 1:
+        return k * k - k + 3 * n
+    if j == 2:
+        return (k + 1) * (k + 1) + 3 * n
+    if j == 3:
+        return k * k + 2 * k + 2 + 3 * n
+    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+
+
+def zero_mode_index(k: int, j: int, branch: str = "+") -> tuple[tuple[int, int], Fraction]:
+    """(Okamoto index of the zero-mode polynomial, its energy)."""
+    jj = 5 - j if branch == "-" and j in (2, 3) else j
+    index = {1: (k, 0), 2: (k + 1, 1), 3: (k + 2, -1)}[jj]
+    return index, energy(k, jj, 0)
+
+
+def ladder_constant_sq(k: int, j: int, n: int) -> Fraction:
+    np1 = Fraction(n + 1)
+    if j == 1:
+        return 8 * np1 * (n - k + Fraction(2, 3)) * (n - k + Fraction(1, 3))
+    if j == 2:
+        return 8 * np1 * (n + Fraction(2, 3)) * (n + k + Fraction(4, 3))
+    if j == 3:
+        return 8 * np1 * (n + Fraction(4, 3)) * (n + k + Fraction(5, 3))
+    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+
+
+def sigma_index(k: int, j: int, n: int) -> int:
+    if j == 1:
+        return 3 * n
+    if j == 2:
+        return 3 * n + 3 * k + 1
+    if j == 3:
+        return 3 * n + 3 * k + 2
+    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+
+
+def predicted_mode_count(k: int, j: int, n: int) -> int:
+    if j == 1:
+        return n if n <= k else 3 * n - 2 * k
+    if j == 2:
+        return 3 * n + k + 1
+    if j == 3:
+        return 3 * n + k + 2
+    raise ValueError(f"sequence index j must be 1, 2 or 3, got {j}")
+
+
+# -- closed forms per Painleve IV family f = 1, 2, 3 -----------------------
+
+
+def family_parameters(family: int, m: int, n: int) -> tuple[Fraction, Fraction]:
+    if family == 1:
+        return Fraction(2 * m + n), -2 * (Fraction(n) - Fraction(1, 3)) ** 2
+    if family == 2:
+        return Fraction(-m - 2 * n), -2 * (Fraction(m) - Fraction(1, 3)) ** 2
+    if family == 3:
+        return Fraction(n - m), -2 * (Fraction(m + n) + Fraction(1, 3)) ** 2
+    raise ValueError(f"family must be 1, 2 or 3, got {family}")
+
+
+def log_form(family: int, m: int, n: int) -> RationalFn:
+    """-2x/3 + (ln a/b)', reduced in the log derivative and again in the sum."""
+    pairs = {1: ((m + 1, n), (m, n)), 2: ((m, n), (m, n + 1)), 3: ((m, n + 1), (m + 1, n))}
+    a, b = pairs[family]
+    minus_2x3 = RationalFn.from_poly(ExactPoly((0, Fraction(-2, 3))))
+    return minus_2x3 + log_derivative(okamoto(*a), okamoto(*b))
+
+
+def product_form(family: int, m: int, n: int) -> RationalFn:
+    """The all-product representation -(sqrt2/3) N1 N2 / (a b) of the same solution."""
+    c = RationalFn.constant(SQRT2 * Fraction(-1, 3))
+    if family == 1:
+        num = okamoto(m + 1, n - 1) * okamoto(m, n + 1)
+        den = okamoto(m, n) * okamoto(m + 1, n)
+    elif family == 2:
+        num = okamoto(m + 1, n) * okamoto(m - 1, n + 1)
+        den = okamoto(m, n + 1) * okamoto(m, n)
+    else:
+        num = okamoto(m + 1, n + 1) * okamoto(m, n)
+        den = okamoto(m + 1, n) * okamoto(m, n + 1)
+    return c * RationalFn(num, den)

@@ -15,14 +15,12 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 _SCRIPT = r"""
 import sys
-from fractions import Fraction
 
 from okladder import wronskian_rep
 from okladder.errors import CertificateFailed, NonPolynomialResult
-from okladder.exact_ring import ExactPoly, RationalFn
+from okladder.exact_ring import ExactPoly
 from okladder.okamoto import DEFAULT_TABLE, OkamotoTable, okamoto
 from okladder.painleve4 import rational_solution
-from okladder.spectral import HamiltonianK
 from okladder.ttrr import RecurrenceState, ttrr_next
 
 assert sys.flags.optimize >= 1
@@ -48,14 +46,6 @@ def product_form_check():
         rational_solution(1, 1, 1)
     finally:
         DEFAULT_TABLE._memo[(1, 2)] = sound
-
-
-def _hamiltonian(quotient):
-    return HamiltonianK(0, RationalFn.from_poly(ExactPoly((1, 0, 1)) + quotient))
-
-
-def asymptotic_growth():
-    _hamiltonian(ExactPoly((0, 0, Fraction(-7, 9)))).asymptotic_constant()
 
 
 def okamoto_wronskian():
@@ -101,7 +91,6 @@ for case in (
     recurrence_step,
     recurrence_closed_forms,
     product_form_check,
-    asymptotic_growth,
     okamoto_wronskian,
     okamoto_fill_partner,
     okamoto_fill_division,
@@ -133,7 +122,6 @@ def test_corrupted_certificates_raise_under_optimize():
         " x^6 + 3*x^4 - 9/4*x^2 + 27/4",
         "recurrence_closed_forms raised",
         "product_form_check raised",
-        "asymptotic_growth raised",
         "okamoto_wronskian raised",
         "okamoto_fill_partner raised",
         "okamoto_fill_division raised",

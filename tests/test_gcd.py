@@ -2,6 +2,7 @@
 reduction from, against a Euclid gcd over SqrtTwoScalar Fractions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -149,10 +150,13 @@ class TestRetry:
 
 
 def test_default_suites_never_fall_back(monkeypatch):
-    """Every reduction of the backlund, ladder, piv and wronskian suites at
-    k <= 5, n <= 8, which hold every check of the default bounds, is
-    settled by the heuristic: a silent fallback fails here.  The memoized
-    operators are cleared, so every application reduces afresh."""
+    """Every reduction of the backlund, ladder, orthogonality, piv and
+    wronskian suites at k <= 5, n <= 8, which hold every check of the
+    default bounds, and of the eight map images of the family 2 and 3
+    members with m, n <= 3, which the backlund suite (family 1 seeds) does
+    not reach, is settled by the heuristic: a silent fallback fails here.
+    The memoized operators are cleared, so every application reduces
+    afresh."""
     monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
     monkeypatch.setattr(ttrr, "_STATES", {})
     superpotentials.cache_clear()
@@ -163,8 +167,13 @@ def test_default_suites_never_fall_back(monkeypatch):
     monkeypatch.setattr(exact_ring, "_heu_gcd", lambda X, Y: kernel.append(1) or heu(X, Y))
     prs = fallbacks(monkeypatch)
     results = run_verify(
-        VerifySuiteConfig(k_max=5, n_max=8, which=("backlund", "ladder", "piv", "wronskian"))
+        VerifySuiteConfig(
+            k_max=5, n_max=8, which=("backlund", "ladder", "orthogonality", "piv", "wronskian")
+        )
     )
     assert results and all(r.passed for r in results)
+    for family, m, n, name in product((2, 3), range(4), range(4), painleve4.BACKLUND_MAPS):
+        image = painleve4.backlund(painleve4.rational_solution(family, m, n), name)
+        assert painleve4.piv_residual(image).is_zero
     assert len(kernel) > 1000, len(kernel)
     assert prs == []

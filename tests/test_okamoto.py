@@ -212,6 +212,36 @@ def test_cone_errors():
         okamoto(0, -2)
 
 
+def test_fill_depth_is_not_bounded_by_the_recursion_limit(monkeypatch):
+    # With each step stubbed, a request 3x the recursion limit deep along
+    # the second index fills its whole chain Q_(0,2) .. Q_(0,n).
+    table = OkamotoTable()
+    monkeypatch.setattr(table, "_step", lambda m, n: ExactPoly.one())
+    n = 3 * sys.getrecursionlimit()
+    assert table.get(0, n) == ExactPoly.one()
+    chain = {(0, i) for i in range(1, n + 1)}
+    assert sorted(table._memo) == sorted({(0, 0), (1, 0), (1, 1)} | chain)
+
+
+@pytest.mark.parametrize(
+    "request_, made",
+    [
+        ((5, 0), [(2, 0), (3, 0), (4, 0), (5, 0)]),
+        ((4, 1), [(2, 1), (3, 1), (4, 1)]),
+        ((3, 2), [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]),
+        ((2, -1), [(2, -1), (2, 0), (2, 1)]),
+        ((0, 3), [(0, 2), (0, 3)]),
+        ((2, 4), [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4)]),
+        ((1, -1), [(1, -1)]),
+    ],
+)
+def test_a_request_makes_exactly_its_recurrence_partners(request_, made):
+    table = OkamotoTable()
+    seeds = set(table._memo)
+    table.get(*request_)
+    assert sorted(set(table._memo) - seeds) == made
+
+
 def test_disk_roundtrip(tmp_path):
     table = OkamotoTable()
     table.get(3, 1)
@@ -263,10 +293,10 @@ def test_load_rejects_corrupt_entries(tmp_path, payload):
         payload = {"2,0": _valid_entry(2, 0), **payload}
     path.write_text(json.dumps(payload))
     table = OkamotoTable()
-    before = table.known_indices()
+    before = sorted(table._memo)
     with pytest.raises(CorruptCache):
         table.load(str(path))
-    assert table.known_indices() == before  # nothing merged
+    assert sorted(table._memo) == before  # nothing merged
 
 
 def test_load_rejects_truncated_json(tmp_path):
@@ -426,8 +456,8 @@ def test_load_builds_no_scalar_view(tmp_path):
     table.dump(str(path))
     fresh = OkamotoTable()
     fresh.load(str(path))
-    assert fresh.known_indices() == table.known_indices()
-    for m, n in table.known_indices():
+    assert sorted(fresh._memo) == sorted(table._memo)
+    for m, n in sorted(table._memo):
         got = fresh.get(m, n)
         assert got._coeffs is None, (m, n)
         assert got == table.get(m, n), (m, n)
@@ -452,10 +482,10 @@ def test_load_rejects_an_entry_off_its_recurrence(tmp_path):
     assert ExactPoly.from_json_dict(data["4,3"]).degree == okamoto_degree(4, 3)
     path.write_text(json.dumps(data))
     fresh = OkamotoTable()
-    before = fresh.known_indices()
+    before = sorted(fresh._memo)
     with pytest.raises(CorruptCache, match=r"Q_\(4,3\) fails its recurrence"):
         fresh.load(str(path))
-    assert fresh.known_indices() == before  # nothing merged
+    assert sorted(fresh._memo) == before  # nothing merged
 
 
 @pytest.mark.parametrize("key", ["3,-1", "3,0", "2,1", "0,2"])
@@ -503,7 +533,7 @@ def test_load_rejects_an_entry_not_monic_and_integral_in_u(tmp_path, key, tamper
     path = tmp_path / "table.json"
     path.write_text(json.dumps({"%d,%d" % key: bad.to_json_dict()}))
     table = OkamotoTable()
-    before = table.known_indices()
+    before = sorted(table._memo)
     with pytest.raises(CorruptCache, match=r"Q_\(%d,%d\) is not monic and integral in u" % key):
         table.load(str(path))
-    assert table.known_indices() == before  # nothing merged
+    assert sorted(table._memo) == before  # nothing merged

@@ -17,9 +17,9 @@ from okladder.painleve4 import (
     family_parameters,
     match_hierarchy_parameters,
     piv_residual,
-    product_form,
     rational_solution,
 )
+from oracles import product_form
 from test_single_reduction import backlund_per_op
 
 
@@ -57,8 +57,10 @@ class TestRationalSolution:
     def test_each_member_is_built_and_checked_once(self, monkeypatch):
         monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
         calls = []
-        real = painleve4.product_form
-        monkeypatch.setattr(painleve4, "product_form", lambda *a: calls.append(a) or real(*a))
+        real = painleve4._check_product_form
+        monkeypatch.setattr(
+            painleve4, "_check_product_form", lambda key, *a: calls.append(key) or real(key, *a)
+        )
         first = rational_solution(1, 2, 1)
         assert rational_solution(1, 2, 1) is first
         assert calls == [(1, 2, 1)]
@@ -68,7 +70,11 @@ class TestRationalSolution:
 
     def test_a_failed_certificate_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(painleve4, "_SOLUTIONS", {})
-        monkeypatch.setattr(painleve4, "product_form", lambda *a: RationalFn.zero())
+        real = painleve4._check_product_form
+        # The certificate sees the log-form numerator doubled.
+        monkeypatch.setattr(
+            painleve4, "_check_product_form", lambda key, num: real(key, num * 2)
+        )
         for _ in range(2):
             with pytest.raises(CertificateFailed):
                 rational_solution(3, 1, 1)

@@ -389,11 +389,17 @@ def downward_oracle(k: int, j: int, entries: list, n: int) -> RationalFn:
     return lhs - RationalFn.from_poly(entries[n - 1])
 
 
+def _as_poly(r: RationalFn) -> ExactPoly:
+    """The polynomial r, which must have denominator 1."""
+    assert r.is_polynomial
+    return r.num
+
+
 def ttrr_sequence_oracle(k: int, j: int, max_n: int) -> list[ExactPoly]:
     """P_0 .. P_max_n, each step by `ttrr_step_oracle` on the oracle's own entries."""
     entries = [zero_mode(k, j).P]
     while len(entries) <= max_n:
-        entries.append(ttrr_step_oracle(k, j, entries, len(entries) - 2).as_poly())
+        entries.append(_as_poly(ttrr_step_oracle(k, j, entries, len(entries) - 2)))
     return entries
 
 
@@ -401,7 +407,7 @@ class TestRecurrenceFirstStepOracle:
     @pytest.mark.parametrize("k,j", [(k, j) for k in range(4) for j in (1, 2, 3)])
     def test_first_step(self, k, j):
         state = RecurrenceState(k, j)
-        expected = ttrr_step_oracle(k, j, state.entries, -1).as_poly()
+        expected = _as_poly(ttrr_step_oracle(k, j, state.entries, -1))
         assert ttrr_next(state, -1).to_json_dict() == expected.to_json_dict()
 
 

@@ -32,7 +32,7 @@ def _grade(c, factors) -> int | None:
     if not c or not all(factors):
         return None
     scalars = [ExactPoly.constant(c).leading] + [f.leading for f in factors]
-    return sum(0 if v.is_rational else 1 for v in scalars) % 2
+    return sum(0 if not v.b else 1 for v in scalars) % 2
 
 
 @st.composite
