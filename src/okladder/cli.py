@@ -18,9 +18,14 @@ from fractions import Fraction
 
 from . import numerics, painleve4, rootcount, spectral, ttrr, verify, wronskian_rep
 from .errors import InvalidIndices
-from .okamoto import DEFAULT_TABLE, check_cone, okamoto, okamoto_degree
+from .okamoto import DEFAULT_TABLE, check_cone, in_cone, okamoto, okamoto_degree
 
 _CACHE_ENV = "OKLADDER_CACHE_DIR"
+
+# The largest degree of an Okamoto table entry a command may build.  On one
+# 2.1 GHz Xeon vCPU `okamoto --m 0 --n 30` (degree 870) takes about 2 s and
+# `--n 40` (degree 1 560) about 20 s; the fill grows steeply beyond.
+OKAMOTO_DEGREE_BUDGET = 1000
 
 
 def _cache_path() -> str | None:
@@ -73,12 +78,24 @@ def _csv(sample, span, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_budget(m: int, n: int) -> None:
+    """Raise InvalidIndices when Q_{m,n} lies in the cone and its degree
+    exceeds OKAMOTO_DEGREE_BUDGET; an index off the cone keeps its own
+    error."""
+    if in_cone(m, n) and okamoto_degree(m, n) > OKAMOTO_DEGREE_BUDGET:
+        raise InvalidIndices(
+            f"Q_({m},{n}) has degree {okamoto_degree(m, n)}, "
+            f"above the budget of {OKAMOTO_DEGREE_BUDGET}"
+        )
+
+
 # -- the paper's objects -------------------------------------------------------
 # Each builder returns the object, the JSON payload that `export` writes, and
 # a sampler, from points to the values that CSV rows print (a mode's phi
 # costs a reduction that JSON output never needs).
 
 def _okamoto(args):
+    _check_budget(args.m, args.n)
     poly = okamoto(args.m, args.n)
     payload = poly.to_json_dict()
     payload.update(degree=okamoto_degree(args.m, args.n), index=[args.m, args.n])
@@ -143,6 +160,9 @@ def _cmd_okamoto(args) -> int:
 
 
 def _cmd_piv(args) -> int:
+    # Q_{m+1,n+1} is the largest entry a member reads.
+    if in_cone(args.m, args.n):
+        _check_budget(args.m + 1, args.n + 1)
     sol = painleve4.rational_solution(args.family, args.m, args.n)
     if args.backlund:
         sol = painleve4.backlund(sol, args.backlund)
@@ -225,6 +245,7 @@ def _cmd_zeros(args) -> int:
         _require(args, args.poly_from)
         if args.poly_from == "okamoto":
             check_cone(args.m, args.n)
+            _check_budget(args.m, args.n)
     else:
         poly, _, _ = _build(args, args.poly_from)
     if args.poly_from == "okamoto":

@@ -4,15 +4,20 @@ Scalars a or b*sqrt(2) with arbitrary-precision rational a, b; dense
 polynomials over them, each in Q[x] or in sqrt2*Q[x], evaluated at
 rational points; reduced rational functions, the first-order factors
 (+-d/dx + f) acting on them, and the conjugation of such a factor by the
-Gaussian exp(-x^2/6).
-All values are immutable and every operation is a pure function.
+Gaussian exp(-x^2/6); Wronskians, of a list of polynomials or of a family
+of Hermite-type seeds over an index list, by exact integer determinants at
+integer points and interpolation.
+All values are immutable and every operation is a pure function.  The seed
+form keeps the cofactors of each bordered base per process in _BORDERS;
+that memo has no eviction and takes no locks, as the package runs no
+threads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     EmptyList,
@@ -1082,12 +1087,16 @@ def _require_polys(entries: Iterable) -> None:
         raise MixedKinds(f"entries must be ExactPoly, got {sorted(k.__name__ for k in kinds)}")
 
 
-def _int_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    with row pivoting (Bareiss 1968): every `//` is exact.  Overwrites a."""
+def _bareiss(a: list[list[int]], steps: int) -> int:
+    """Run `steps` steps of fraction-free elimination with row pivoting
+    (Bareiss 1968) on the integer matrix a, in place: every `//` is exact,
+    and after step k each entry (i, j) below row k is the minor of rows
+    0..k, i and columns 0..k, j of the row-swapped matrix.  Returns the sign
+    of the row swaps, or 0 when a column has no pivot (its leading columns
+    are then dependent)."""
     n = len(a)
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(steps):
         if not a[k][k]:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
@@ -1103,7 +1112,23 @@ def _int_det(a: list[list[int]]) -> int:
             else:
                 row[k + 1 :] = [pivot * x // prev for x in row[k + 1 :]]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign
+
+
+def _int_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by `_bareiss`.  Overwrites a."""
+    return _bareiss(a, len(a) - 1) * a[-1][-1]
+
+
+def _cofactors(a: list[list[int]]) -> list[int]:
+    """[det(a | e_i)] over the unit columns e_i, for an integer matrix a of
+    l rows and l - 1 columns: det(a | b) is then the dot product with b.
+    `_bareiss` on (a | I) leaves them in the last row, times the sign of
+    its row swaps."""
+    size = len(a)
+    rows = [row + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
+    sign = _bareiss(rows, size - 1)
+    return [sign * v for v in rows[-1][size - 1 :]]
 
 
 def _interpolate(values: Sequence[int], x0: int) -> list[int]:
@@ -1130,6 +1155,21 @@ def _interpolate(values: Sequence[int], x0: int) -> list[int]:
     return acc
 
 
+def _interpolated(bound: int, mirror: int | None, det_at) -> list[int]:
+    """D!*P, D = bound, for the polynomial P of degree <= D whose value at
+    each integer x is det_at(x): the one point loop of every determinant.
+    It runs over the D + 1 integers centred on 0, or, when the caller knows
+    P(-x) = mirror * P(x), mirror = +-1, over the points x >= 0 only, in
+    increasing order; the value at each x < 0 is then mirror times the
+    value at -x, which is one of them."""
+    x0 = -(bound // 2)
+    dets = [det_at(x) for x in range(x0 if mirror is None else 0, x0 + bound + 1)]
+    if mirror is not None:
+        # dets[k] is the value at x = k; prepend those at x = x0 .. -1.
+        dets[:0] = [mirror * dets[k] for k in range(-x0, 0, -1)]
+    return _interpolate(dets, x0)
+
+
 def _det(matrix: Sequence[Sequence[ExactPoly]], mirror: int | None = None) -> ExactPoly:
     """Determinant of a matrix of polynomials by evaluation at integer points
     and interpolation (von zur Gathen and Gerhard, Modern Computer Algebra,
@@ -1141,15 +1181,10 @@ def _det(matrix: Sequence[Sequence[ExactPoly]], mirror: int | None = None) -> Ex
     sum deg f_c - l(l-1)/2); a zero row or column, or D < 0, gives zero.
     The nonzero entries of column c share one grade r_c, so sqrt2**r_c
     comes out of the column (MixedGrade if they do not), and the column is
-    scaled to integer arrays over its lcm denominator.  At each of the
-    D + 1 integers centred on 0 the entries are evaluated by Horner's rule
-    and the integer determinant taken; interpolation gives the result,
-    times sqrt2**(sum r_c).
-
-    A caller that knows det(-x) = mirror * det(x), mirror = +-1, passes
-    it: the entries are evaluated and the determinant taken only at the
-    points x >= 0, and the value at each x < 0 is mirror times the value at
-    -x, which is one of them.
+    scaled to integer arrays over its lcm denominator.  At each point of
+    `_interpolated` the entries are evaluated by Horner's rule and the
+    integer determinant taken; the result comes times sqrt2**(sum r_c).
+    A caller that knows det(-x) = mirror * det(x) passes mirror on.
     """
     _require_polys(e for row in matrix for e in row)
     zero = ExactPoly.zero()
@@ -1171,9 +1206,8 @@ def _det(matrix: Sequence[Sequence[ExactPoly]], mirror: int | None = None) -> Ex
     scales = [math.lcm(*(p._den for p in col)) for col in cols]
     rows = [[[v * (s // p._den) for v in reversed(p._x)] for p, s in zip(row, scales)]
             for row in matrix]
-    x0 = -(bound // 2)
-    dets = []
-    for x in range(x0 if mirror is None else 0, x0 + bound + 1):
+
+    def det_at(x: int) -> int:
         m = []
         for row in rows:
             vals = []
@@ -1183,18 +1217,102 @@ def _det(matrix: Sequence[Sequence[ExactPoly]], mirror: int | None = None) -> Ex
                     y = y * x + co
                 vals.append(y)
             m.append(vals)
-        dets.append(_int_det(m))
-    if mirror is not None:
-        # dets[k] is the value at x = k; prepend those at x = x0 .. -1.
-        dets[:0] = [mirror * dets[k] for k in range(-x0, 0, -1)]
+        return _int_det(m)
+
     return _lift(
-        _interpolate(dets, x0), sum(r for g in grades for r in g),
+        _interpolated(bound, mirror, det_at), sum(r for g in grades for r in g),
         math.prod(scales) * math.factorial(bound),
     )
 
 
-def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:
-    """Wronskian determinant of an ordered list of polynomials.
+class HermiteSeeds(NamedTuple):
+    """A family of Hermite-type Wronskian seeds f_r = h_r / r!**scaled, with
+    h_0 = 1, h_1 = 2x and h_{r+1} = 2x h_r + 2c r h_{r-1}.  Scaled, f_r is
+    the coefficient of t^r in exp(2xt + c t^2); unscaled at c = -1, h_r is
+    the physicists' Hermite H_r.  Every h_r has h_r' = 2r h_{r-1}, so the
+    i-th derivative of h_n is 2**i n!/(n-i)! h_{n-i}: an integer at each
+    integer x, read off the recurrence with no polynomial built."""
+
+    c: int
+    scaled: bool
+
+
+def _seed_values(c: int, top: int, x: int) -> list[int]:
+    """[h_0(x), .., h_top(x)] (at least h_0, h_1) by the recurrence at c."""
+    h = [1, 2 * x]
+    for r in range(1, top):
+        h.append(2 * x * h[r] + 2 * c * r * h[r - 1])
+    return h
+
+
+def _falling(n: int, size: int) -> list[int]:
+    """n!/(n-i)! for i = 0..size-1; zero from i = n + 1 on."""
+    out, f = [], 1
+    for i in range(size):
+        out.append(f)
+        f *= n - i
+    return out
+
+
+# The cofactors `_cofactors` of the base columns of a bordered seed
+# Wronskian, per (family, base indices, x).
+_BORDERS: dict[tuple[HermiteSeeds, tuple[int, ...], int], list[int]] = {}
+
+
+def _seed_wronskian(indices: list[int], seeds: HermiteSeeds, border: int | None) -> ExactPoly:
+    """Wr(f_n over indices, then f_border) of one seed family.
+
+    Row i of column n is 2**i n!/(n-i)! h_{n-i}(x)/n!**scaled; 2**i comes
+    out of each row and n!**scaled out of each column, so the integer
+    matrix at x is n!/(n-i)! h_{n-i}(x).  Its degree bound is sum n -
+    l(l-1)/2 and its parity that of the bound, so `_interpolated` runs
+    over x >= 0.  A border is dotted with the base's cofactors at x, kept
+    in `_BORDERS`, instead of eliminating the whole matrix again.
+    """
+    cols = indices if border is None else indices + [border]
+    if not cols:
+        raise EmptyList("wronskian of an empty list")
+    if any(type(n) is not int or n < 0 for n in cols):
+        raise ValueError("seed indices must be integers >= 0")
+    size = len(cols)
+    if len(set(cols)) < size:
+        return ExactPoly.zero()
+    bound = sum(cols) - size * (size - 1) // 2
+    top = max(cols)
+    falls = [_falling(n, size) for n in cols]
+
+    def rows(h: list[int], count: int) -> list[list[int]]:
+        """The integer matrix at the point with seed values h, first count columns."""
+        pairs = list(zip(cols[:count], falls))
+        return [[f[i] * h[n - i] if f[i] else 0 for n, f in pairs] for i in range(size)]
+
+    if border is None:
+        def det_at(x: int) -> int:
+            return _int_det(rows(_seed_values(seeds.c, top, x), size))
+    else:
+        base, fall = tuple(indices), falls[-1]
+
+        def det_at(x: int) -> int:
+            h = _seed_values(seeds.c, top, x)
+            key = (seeds, base, x)
+            cof = _BORDERS.get(key)
+            if cof is None:
+                cof = _BORDERS[key] = _cofactors(rows(h, size - 1))
+            return sum(cof[i] * fall[i] * h[border - i] for i in range(min(size, border + 1)))
+
+    den = math.factorial(bound)
+    if seeds.scaled:
+        den *= math.prod(math.factorial(n) for n in cols)
+    return _lift(_interpolated(bound, -1 if bound % 2 else 1, det_at), size * (size - 1), den)
+
+
+def wronskian(
+    fs: Sequence, seeds: HermiteSeeds | None = None, *, border: int | None = None
+) -> ExactPoly:
+    """Wronskian determinant of an ordered list of polynomials, or, given
+    seeds, of the seeds f_n of that family over an ordered list of indices
+    n, then f_border when a border is given (each border of one base list
+    reuses that base's elimination).
 
     A common factor f comes out as f^l, Wr(f*y_1, .., f*y_l) =
     f^l Wr(y_1, .., y_l), so seeds dressed by one Gaussian exp(s*x^2/6)
@@ -1204,6 +1322,10 @@ def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:
     points.
     """
     entries = list(fs)
+    if seeds is not None:
+        return _seed_wronskian(entries, seeds, border)
+    if border is not None:
+        raise ValueError("a border index needs a seed family")
     if not entries:
         raise EmptyList("wronskian of an empty list")
     _require_polys(entries)

@@ -5,6 +5,11 @@ of Hermite-type seeds: the Okamoto polynomials, the potential (in
 state-deleting and state-adding form, and as the Darboux chain those
 Wronskians close), the higher modes, and the exceptional Hermite bridge
 with its three-term route.
+Every seed Wronskian is the seed form of `exact_ring.wronskian` over one of
+the families PSI, PSEUDO_PSI and HERMITE, which reads each matrix entry at
+an integer point off the seeds' own recurrence; a mode borders its
+potential's base set with its level, so all modes of one potential share
+one elimination of the base.
 Proportionality, not equality, is the acceptance relation wherever a free
 normalization constant is involved.
 """
@@ -14,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     CertificateFailed,
@@ -25,6 +29,7 @@ from .errors import (
 )
 from .exact_ring import (
     ExactPoly,
+    HermiteSeeds,
     RationalFn,
     _wronskian_pair,
     apply_first_order,
@@ -61,12 +66,19 @@ def pseudo_psi_poly(r: int) -> ExactPoly:
     return _seed_poly(r, 3)
 
 
-def _seed(kind: str) -> Callable[[int], ExactPoly]:
-    """The seed family of a Wronskian form: psi_poly or pseudo_psi_poly."""
+# The seed families, for the seed form of `wronskian`: psi_poly,
+# pseudo_psi_poly and plain_hermite.
+PSI = HermiteSeeds(-3, True)
+PSEUDO_PSI = HermiteSeeds(3, True)
+HERMITE = HermiteSeeds(-1, False)
+
+
+def _seed(kind: str) -> HermiteSeeds:
+    """The seed family of a Wronskian form: PSI or PSEUDO_PSI."""
     if kind == "psi":
-        return psi_poly
+        return PSI
     if kind == "Psi":
-        return pseudo_psi_poly
+        return PSEUDO_PSI
     raise ValueError("kind must be 'psi' or 'Psi'")
 
 
@@ -138,11 +150,8 @@ def okamoto_via_wronskian(m: int, n: int, form: str) -> ExactPoly:
     if m + n < 1 or m < 0 or n < 0:
         raise MalformedIndexList("wronskian representation needs m, n >= 0 with m + n >= 1")
     indices = _okamoto_wronskian_indices(m, n, form)
-    seed = _seed(form)
-    if not indices:
-        value = ExactPoly.one()
-    else:
-        value = wronskian([seed(i) for i in indices])
+    seeds = _seed(form)
+    value = wronskian(indices, seeds) if indices else ExactPoly.one()
     c = value.proportionality(okamoto(m, n))
     if c is None or c.is_zero:
         raise CertificateFailed(
@@ -152,14 +161,19 @@ def okamoto_via_wronskian(m: int, n: int, form: str) -> ExactPoly:
 
 
 def wronskian_mode(k: int, j: int, n: int) -> ModeFunction:
-    """Mode (n, j) with polynomial part Wr(psi over I(k) + {sigma}), the
-    state-deleting image of the oscillator level sigma."""
+    """Mode (n, j) with polynomial part Wr(psi over sorted I(k) + {sigma}),
+    the state-deleting image of the oscillator level sigma.  Every mode of
+    potential k borders the one base I(k) with its own column sigma; moving
+    that column from last to its sorted place passes it over each larger
+    base index, one sign change each."""
     base = index_set_deleted(k)
     sigma = sigma_index(k, j, n)
     if sigma in base:
         raise DuplicateIndex(f"index {sigma} already belongs to the base set")
-    entries = [psi_poly(i) for i in sorted(base + [sigma])]
-    return ModeFunction(k=k, j=j, n=n, P=wronskian(entries), energy=energy(k, j, n))
+    p = wronskian(base, PSI, border=sigma)
+    if sum(i > sigma for i in base) % 2:
+        p = -p
+    return ModeFunction(k=k, j=j, n=n, P=p, energy=energy(k, j, n))
 
 
 def _log_second_derivative(p: ExactPoly) -> RationalFn:
@@ -181,15 +195,15 @@ def wronskian_potential(k: int, form: str) -> RationalFn:
     if k < 0:
         raise ValueError("k must be >= 0")
     if form == "deleting":
-        seeds, s, shift = [psi_poly(i) for i in index_set_deleted(k)], -1, Fraction(-1, 3)
+        indices, seeds, s, shift = index_set_deleted(k), PSI, -1, Fraction(-1, 3)
     elif form == "adding":
-        seeds, s, shift = [pseudo_psi_poly(i) for i in index_set_added(k)], 1, 2 * k - Fraction(1, 3)
+        indices, seeds, s, shift = index_set_added(k), PSEUDO_PSI, 1, 2 * k - Fraction(1, 3)
     else:
         raise ValueError("form must be 'deleting' or 'adding'")
-    v = _X_SQ_OVER_9 + RationalFn.constant(shift - Fraction(2 * len(seeds) * s, 3))
-    if not seeds:
+    v = _X_SQ_OVER_9 + RationalFn.constant(shift - Fraction(2 * len(indices) * s, 3))
+    if not indices:
         return v
-    return v - _log_second_derivative(wronskian(seeds)) * 2
+    return v - _log_second_derivative(wronskian(indices, seeds)) * 2
 
 
 def susy_chain_potential(deleted_levels: list[int]) -> RationalFn:
@@ -232,12 +246,13 @@ def partition_nu_indices(lam: list[int]) -> list[int]:
 
 def exceptional_hermite(lam: list[int], n: int) -> ExactPoly:
     """Exceptional Hermite polynomial for the doubled partition of lam:
-    Wr over the plain Hermite polynomials H_{nu_1}, .., H_{nu_2l}, H_n."""
+    Wr over the plain Hermite polynomials H_{nu_1}, .., H_{nu_2l}, H_n, the
+    base nu of lam bordered by n."""
     nu = partition_nu_indices(lam)
     excluded = set(nu)
     if n in excluded:
         raise ExcludedDegree(f"degree {n} lies in the gap set {sorted(excluded)}")
-    return wronskian([plain_hermite(i) for i in nu] + [plain_hermite(n)])
+    return wronskian(nu, HERMITE, border=n)
 
 
 def sqrt3_rescale(p: ExactPoly) -> ExactPoly:
@@ -277,12 +292,10 @@ def wronskian_identity_check(
     a, b = extra
     if a in indices or b in indices or a == b:
         raise DuplicateIndex("extra indices must be new and distinct")
-    seed = _seed(kind)
+    seeds = _seed(kind)
 
     def wr(idx: list[int]) -> ExactPoly:
-        if not idx:
-            return ExactPoly.one()
-        return wronskian([seed(i) for i in idx])
+        return wronskian(idx, seeds) if idx else ExactPoly.one()
 
     lhs = wronskian([wr(indices + [a]), wr(indices + [b])])
     rhs = wr(indices) * wr(indices + [a, b])

@@ -11,6 +11,9 @@ both.
 The closed forms per tower j and per Painleve IV family, as each function
 wrote them out before the towers and the families were read from one table
 each, and the product form of a family member as a rational function.
+
+The determinant by minor expansion, which every Wronskian route is checked
+against.
 """
 
 import math
@@ -294,3 +297,30 @@ def product_form(family: int, m: int, n: int) -> RationalFn:
         num = okamoto(m + 1, n + 1) * okamoto(m, n)
         den = okamoto(m + 1, n) * okamoto(m, n + 1)
     return c * RationalFn(num, den)
+
+
+def det_oracle(matrix, zero):
+    """Minor expansion memoized over column subsets, O(n 2^n) products: the
+    determinant `wronskian` used before Bareiss elimination."""
+    n = len(matrix)
+    memo = {}
+
+    def minor(row, cols):
+        if row == n:
+            return None
+        key = (row, cols)
+        if key in memo:
+            return memo[key]
+        acc = None
+        for idx, col in enumerate(cols):
+            entry = matrix[row][col]
+            sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
+            term = entry if sub is None else entry * sub
+            if idx % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        memo[key] = acc
+        return acc
+
+    result = minor(0, tuple(range(n)))
+    return zero if result is None else result

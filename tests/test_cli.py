@@ -27,6 +27,52 @@ def run_cli(args, capsys):
     return code, captured.out
 
 
+class TestDegreeBudget:
+    """Commands that build an Okamoto entry refuse one of degree above
+    OKAMOTO_DEGREE_BUDGET before building anything."""
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("okamoto --m 0 --n 40", "Q_(0,40) has degree 1560, above the budget of 1000"),
+            ("okamoto --m 0 --n 1500 --pretty", "Q_(0,1500) has degree 2248500, above the budget of 1000"),
+            ("export okamoto --m 0 --n 60", "Q_(0,60) has degree 3540, above the budget of 1000"),
+            ("export okamoto --m 40 --n -1 --format csv", "Q_(40,-1) has degree 1522, above the budget of 1000"),
+            ("zeros --poly-from okamoto --m 0 --n 40 --both", "Q_(0,40) has degree 1560, above the budget of 1000"),
+            # piv reads Q_{m+1,n+1}: degree 1 089 here, against 992 for Q_{0,32}
+            ("piv --family 1 --m 0 --n 32", "Q_(1,33) has degree 1089, above the budget of 1000"),
+            ("piv --family 2 --m 0 --n 1500 --residual", "Q_(1,1501) has degree 2253001, above the budget of 1000"),
+            ("piv --family 3 --m 25 --n 25", "Q_(26,26) has degree 1976, above the budget of 1000"),
+            # off the cone, each command keeps its cone error
+            ("okamoto --m -1 --n 100", "Q_(-1,100) is outside the supported cone m >= 0, n >= -1"),
+            ("piv --family 1 --m -1 --n 100", "rational solutions are indexed by m >= 0, n >= -1"),
+        ],
+    )
+    def test_rejected_before_any_build(self, command, message, capsys, monkeypatch):
+        monkeypatch.delenv("OKLADDER_CACHE_DIR", raising=False)
+
+        def refuse(table, m, n):
+            okamoto_mod.check_cone(m, n)
+            raise AssertionError(f"the table was asked for Q_({m},{n})")
+
+        monkeypatch.setattr(OkamotoTable, "get", refuse)
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_the_budget_is_inclusive(self, capsys, monkeypatch):
+        # With the budget at deg Q_{3,2} = 14, Q_{3,2} builds and Q_{3,3}
+        # (degree 21) does not; piv at (2, 1) reads Q_{3,2}.
+        monkeypatch.delenv("OKLADDER_CACHE_DIR", raising=False)
+        monkeypatch.setattr(cli, "OKAMOTO_DEGREE_BUDGET", 14)
+        assert run_cli(["okamoto", "--m", "3", "--n", "2"], capsys)[0] == 0
+        assert run_cli(["piv", "--family", "1", "--m", "2", "--n", "1"], capsys)[0] == 0
+        assert main(["okamoto", "--m", "3", "--n", "3"]) == 2
+        assert capsys.readouterr().err == "error: Q_(3,3) has degree 21, above the budget of 14\n"
+        assert main(["piv", "--family", "1", "--m", "2", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: Q_(3,3) has degree 21, above the budget of 14\n"
+
+
 class TestOkamotoCommand:
     def test_json_schema(self, capsys):
         code, out = run_cli(["okamoto", "--m", "3", "--n", "0"], capsys)
@@ -284,6 +330,8 @@ class TestZerosCommand:
             ("--poly-from okamoto --m -1 --n -1", "Q_(-1,-1) is outside the supported cone m >= 0, n >= -1"),
             ("--poly-from okamoto --m 0 --n -2", "Q_(0,-2) is outside the supported cone m >= 0, n >= -1"),
             ("--poly-from okamoto --m 3", "okamoto zeros need --m and --n"),
+            ("--poly-from okamoto --m 0 --n 40", "Q_(0,40) has degree 1560, above the budget of 1000"),
+            ("--poly-from okamoto --m -1 --n 40", "Q_(-1,40) is outside the supported cone m >= 0, n >= -1"),
             ("--poly-from mode --k -1 --j 1 --n -1", "level index n must be >= 0"),
             ("--poly-from mode --k -1 --j 1 --n 0", "potential index k must be >= 0"),
             ("--poly-from mode --k 1 --j 1", "mode zeros need --k, --j and --n"),

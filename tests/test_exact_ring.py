@@ -22,7 +22,7 @@ from okladder.exact_ring import (
     poly_gcd,
     wronskian,
 )
-from oracles import QuasiGaussian
+from oracles import QuasiGaussian, det_oracle
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 
@@ -438,44 +438,28 @@ def horner_oracle(p: ExactPoly, x) -> SqrtTwoScalar:
     return acc
 
 
-def det_oracle(matrix, zero):
-    """Minor expansion memoized over column subsets, O(n 2^n) products: the
-    determinant `wronskian` used before Bareiss elimination."""
-    n = len(matrix)
-    memo = {}
+def recorded_seed_wronskians(monkeypatch, build):
+    """(derivative-row matrix of the seeds, value) of every seed-form
+    `wronskian` call that build() makes through wronskian_rep; a border
+    is the last column."""
+    from okladder import wronskian_rep
 
-    def minor(row, cols):
-        if row == n:
-            return None
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = None
-        for idx, col in enumerate(cols):
-            entry = matrix[row][col]
-            sub = minor(row + 1, cols[:idx] + cols[idx + 1 :])
-            term = entry if sub is None else entry * sub
-            if idx % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[key] = acc
-        return acc
-
-    result = minor(0, tuple(range(n)))
-    return zero if result is None else result
-
-
-def recorded_determinants(monkeypatch, build):
-    """(matrix, determinant) of every `_det` call made by build()."""
+    polys_of = {
+        wronskian_rep.PSI: wronskian_rep.psi_poly,
+        wronskian_rep.PSEUDO_PSI: wronskian_rep.pseudo_psi_poly,
+        wronskian_rep.HERMITE: wronskian_rep.plain_hermite,
+    }
     seen = []
-    det = exact_ring._det
+    original = wronskian_rep.wronskian
 
-    def recording(matrix, *mirror):
-        value = det(matrix, *mirror)
-        seen.append((matrix, value))
+    def recording(fs, seeds=None, *, border=None):
+        value = original(fs, seeds, border=border)
+        if seeds is not None:
+            indices = list(fs) + ([] if border is None else [border])
+            seen.append((derivative_rows([polys_of[seeds](i) for i in indices]), value))
         return value
 
-    monkeypatch.setattr(exact_ring, "_det", recording)
+    monkeypatch.setattr(wronskian_rep, "wronskian", recording)
     build()
     monkeypatch.undo()
     assert seen
@@ -861,7 +845,8 @@ def derivative_rows(seeds):
 class TestDeterminant:
     """`_det` (each column's power of sqrt2 factored out, evaluation at
     integer points up to the degree bound, integer determinants,
-    interpolation) against the memoized minor expansion."""
+    interpolation) and the seed form of `wronskian` against the memoized
+    minor expansion."""
 
     def same_det(self, matrix):
         value = exact_ring._det(matrix)
@@ -879,7 +864,7 @@ class TestDeterminant:
                     if m + n >= 2:
                         okamoto_via_wronskian(m, n, "Psi")
 
-        seen = recorded_determinants(monkeypatch, build)
+        seen = recorded_seed_wronskians(monkeypatch, build)
         assert max(len(matrix) for matrix, _ in seen) == 13
         for matrix, value in seen:
             assert value == det_oracle(matrix, ExactPoly.zero())
@@ -893,7 +878,7 @@ class TestDeterminant:
                     for n in (0, 1):
                         wronskian_mode(k, j, n)
 
-        for matrix, value in recorded_determinants(monkeypatch, build):
+        for matrix, value in recorded_seed_wronskians(monkeypatch, build):
             assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_exceptional_hermite(self, monkeypatch):
@@ -906,13 +891,14 @@ class TestDeterminant:
                         exceptional_hermite(list(range(1, k + 1)), sigma_index(k, j, n))
             exceptional_hermite([1], 0)
 
-        for matrix, value in recorded_determinants(monkeypatch, build):
+        for matrix, value in recorded_seed_wronskians(monkeypatch, build):
             assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_quasi_gaussian_rows(self, monkeypatch):
         # The seed sets of wronskian_potential in both forms, k <= 4: the rows
         # (d/dx + s*x/3)^r p_i of the dressed seeds have the plain seeds'
-        # Wronskian as their determinant, so the Gaussian never enters `_det`.
+        # Wronskian as their determinant, so the Gaussian never enters the
+        # seed form.
         from okladder.wronskian_rep import (
             index_set_added,
             index_set_deleted,
@@ -933,7 +919,7 @@ class TestDeterminant:
                 wronskian_potential(k, "deleting")
                 wronskian_potential(k, "adding")
 
-        for matrix, value in recorded_determinants(monkeypatch, build):
+        for matrix, value in recorded_seed_wronskians(monkeypatch, build):
             assert value == det_oracle(matrix, ExactPoly.zero())
 
     def test_zero_pivot_swaps_rows(self):

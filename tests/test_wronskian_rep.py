@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 
 from okladder.errors import (
     DuplicateIndex,
+    EmptyList,
     ExcludedDegree,
     IndexOutOfCone,
     MalformedIndexList,
     SingularWronskian,
 )
-from okladder.exact_ring import ExactPoly, SqrtTwoScalar
+from okladder.exact_ring import ExactPoly, SqrtTwoScalar, _seed_values, wronskian
 from okladder.okamoto import okamoto
 from okladder.spectral import hamiltonian_residual, potential, zero_mode
 from okladder.ttrr import ttrr_sequence
 from okladder.wronskian_rep import (
+    HERMITE,
+    PSEUDO_PSI,
+    PSI,
+    _seed_poly,
     exceptional_hermite,
     index_set_added,
     index_set_deleted,
@@ -75,6 +80,83 @@ class TestSeeds:
         assert plain_hermite(0) == ExactPoly.one()
         assert plain_hermite(2) == ExactPoly((-2, 0, 4))
         assert plain_hermite(3) == ExactPoly((0, -12, 0, 8))
+
+
+    def test_recurrences_as_polynomial_identities(self):
+        # What the seed form of `wronskian` rests on, for r <= 30:
+        # (r+1) f_{r+1} = 2x f_r + 2c f_{r-1} and f_r' = 2 f_{r-1} for the
+        # generating-function seeds, H_{r+1} = 2x H_r - 2r H_{r-1} and
+        # H_r' = 2r H_{r-1} for the plain Hermite polynomials.
+        x2 = ExactPoly((0, 2))
+        for c in (-3, 3):
+            f = [ExactPoly.zero()] + [_seed_poly(r, c) for r in range(32)]  # f[r + 1] = f_r
+            for r in range(31):
+                assert f[r + 2] * (r + 1) == x2 * f[r + 1] + f[r] * (2 * c), (c, r)
+                assert f[r + 1].derivative() == f[r] * 2, (c, r)
+        h = [ExactPoly.zero()] + [plain_hermite(r) for r in range(32)]
+        for r in range(31):
+            assert h[r + 2] == x2 * h[r + 1] - h[r] * (2 * r), r
+            assert h[r + 1].derivative() == h[r] * (2 * r), r
+
+    def test_seed_values_follow_each_family(self):
+        # h_r(x) = r!**scaled f_r(x) at integers, with f_r the family's polynomial
+        for family, poly in _FAMILIES:
+            for x in (-3, 0, 1, 4):
+                values = _seed_values(family.c, 20, x)
+                for r in range(21):
+                    scale = math.factorial(r) if family.scaled else 1
+                    assert poly(r)(x) * scale == values[r], (family, x, r)
+
+
+_FAMILIES = ((PSI, psi_poly), (PSEUDO_PSI, pseudo_psi_poly), (HERMITE, plain_hermite))
+
+
+class TestSeedForm:
+    """`wronskian(indices, family)` and its bordered form against the
+    Wronskian of the family's polynomials."""
+
+    @given(st.sampled_from(_FAMILIES), st.lists(st.integers(0, 14), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_polynomial_form(self, family_poly, indices):
+        family, poly = family_poly
+        value = wronskian(indices, family)
+        assert value == wronskian([poly(i) for i in indices])
+        if len(set(indices)) < len(indices):
+            assert value == ExactPoly.zero()
+        else:
+            assert value.degree == sum(indices) - len(indices) * (len(indices) - 1) // 2
+
+    @given(st.sampled_from(_FAMILIES), st.lists(st.integers(0, 14), max_size=5), st.integers(0, 14))
+    @settings(max_examples=100, deadline=None)
+    def test_border_equals_the_unbordered_form(self, family_poly, base, border):
+        family, _ = family_poly
+        assert wronskian(base, family, border=border) == wronskian(base + [border], family)
+
+    def test_single_seed_and_empty_list(self):
+        for family, poly in _FAMILIES:
+            for n in (0, 1, 7):
+                assert wronskian([n], family) == poly(n)
+                assert wronskian([], family, border=n) == poly(n)
+            with pytest.raises(EmptyList):
+                wronskian([], family)
+
+    def test_bad_indices_rejected(self):
+        with pytest.raises(ValueError):
+            wronskian([1, -2], PSI)
+        with pytest.raises(ValueError):
+            wronskian([1], PSI, border=-1)
+        with pytest.raises(ValueError):
+            wronskian([psi_poly(1)], border=2)
+
+    def test_modes_border_the_base(self):
+        # Mode (n, j) of potential k borders I(k) with sigma; its sign puts
+        # sigma back in sorted place.
+        for k in range(6):
+            base = index_set_deleted(k)
+            for j in (1, 2, 3):
+                for n in range(4):
+                    sigma = sigma_index(k, j, n)
+                    assert wronskian_mode(k, j, n).P == wronskian(sorted(base + [sigma]), PSI)
 
 
 class TestOkamotoWronskian:
